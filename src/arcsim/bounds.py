@@ -7,8 +7,14 @@ over the supplied exact-trajectory states of a per-step bracket:
     rc:       || L^2(rho_i) || + lambda * sum_j || L_j^2(rho_i) || / ||H_j||_inf
     arc:      || L^2(rho_i) || + ( sum_j sqrt(|| L_j^2(rho_i) ||) )^2
 
-with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized; every
-Liouvillian action is a nested commutator on rho.
+with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized. A pure
+trajectory is one (dim, n) block of states psi_i, and two identities give every
+bracket from GEMMs on it, O(dim^2) per state and operator:
+    Jacobi:  sum_{j<k} [L_j, L_k](rho) = -[C, rho] with C = sum_{j<k} [H_j, H_k]
+             formed once, so the trotter1 bracket is sqrt(2) ||(A - <A>) psi||, A = iC;
+    moments: ||L_H^2(rho)|| = sqrt(6 <H'^2>^2 + 2 <H'^4>) with H' = H - <H>.
+A state list holding a mixed state takes the dense path, nested commutators on
+rho at O(dim^3) per state; the block path is tested against it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class BoundReport:
 
     def __post_init__(self):
         if self.arc > self.rc * (1.0 + 1e-9):
-            raise ValueError(
+            raise np.linalg.LinAlgError(
                 f"adaptive bound {self.arc} exceeds fixed-weight bound {self.rc}"
             )
 
@@ -76,99 +82,96 @@ def liouvillian(h: HermitianOperator, rho: QuantumState) -> np.ndarray:
     return -1j * commutator(h.matrix, r)
 
 
-def _l2(hmat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # L^2(rho) = -[H, [H, rho]]
-    return -commutator(hmat, commutator(hmat, rho))
+def _pair_commutator_sum(mats: list[np.ndarray]) -> np.ndarray:
+    """C = sum_{j<k} [H_j, H_k] as P - P^dag, P = sum_j H_j (H_{j+1} + ... + H_L)."""
+    p = np.zeros_like(mats[0])
+    for j in range(1, len(mats)):
+        p += mats[j - 1] @ sum(mats[j:])
+    return p - p.conj().T
 
 
-def _densities(exact_states: list[QuantumState]) -> list[np.ndarray]:
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a.conj(), b).real
+
+
+def _l2_norms_pure(hmat: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    hpsi = hmat @ psi
+    mean = _column_dots(psi, hpsi)
+    dev = hpsi - mean * psi  # H' psi
+    dev2 = hmat @ dev - mean * dev  # H'^2 psi
+    return np.sqrt(6.0 * _column_dots(dev, dev) ** 2 + 2.0 * _column_dots(dev2, dev2))
+
+
+def _brackets(decomposition: Decomposition, exact_states: list[QuantumState]):
+    """Per-state trotter1 bracket, ||L^2(rho_i)||, and ||L_j^2(rho_i)|| in row j."""
     if not exact_states:
         raise ValueError("empty exact-state list")
-    return [s.density() for s in exact_states]
+    mats = [t.matrix for t in decomposition.terms]
+    ops = [decomposition.total_operator.matrix, *mats]
+    c = _pair_commutator_sum(mats)
+    if all(s.is_pure for s in exact_states):
+        psi = np.stack([s.data for s in exact_states], axis=1)
+        l2 = np.array([_l2_norms_pure(m, psi) for m in ops])
+        dev = 1j * (c @ psi)
+        dev -= _column_dots(psi, dev) * psi
+        trotter = np.sqrt(2.0 * _column_dots(dev, dev))
+    else:
+        rhos = [s.density() for s in exact_states]
+        l2 = np.array([[hs_norm(commutator(m, commutator(m, r))) for r in rhos] for m in ops])
+        trotter = np.array([hs_norm(commutator(c, r)) for r in rhos])
+    return trotter, l2[0], l2[1:]
+
+
+def _rc_brackets(decomposition: Decomposition, collective, terms) -> np.ndarray:
+    norms = np.array(decomposition.inf_norms)
+    if np.any(norms <= 0):
+        raise ValueError("zero-norm term present; drop it before computing the rc bound")
+    return collective + decomposition.lam * (terms / norms[:, None]).sum(axis=0)
+
+
+def _arc_brackets(collective, terms) -> np.ndarray:
+    return collective + np.sqrt(terms).sum(axis=0) ** 2
+
+
+def _mean_bound(plan: StepPlan, brackets: np.ndarray) -> float:
+    return plan.total_time**2 / (2.0 * plan.steps) * float(np.mean(brackets))
 
 
 def trotter1_bound(
     decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
 ) -> float:
     """Averaged commutator bound (t^2/2N) * mean_i ||sum_{j<k} [L_j, L_k](rho_i)||."""
-    return _prefactor(plan) * float(np.mean(trotter1_per_step(decomposition, exact_states)))
-
-
-def trotter1_per_step(
-    decomposition: Decomposition, exact_states: list[QuantumState]
-) -> list[float]:
-    mats = [t.matrix for t in decomposition.terms]
-    out = []
-    for rho in _densities(exact_states):
-        inner = [commutator(m, rho) for m in mats]
-        acc = np.zeros_like(rho)
-        for j in range(len(mats)):
-            for k in range(j + 1, len(mats)):
-                # [L_j, L_k](rho) = -([H_j,[H_k,rho]] - [H_k,[H_j,rho]])
-                acc -= commutator(mats[j], inner[k]) - commutator(mats[k], inner[j])
-        out.append(hs_norm(acc))
-    return out
+    return _mean_bound(plan, _brackets(decomposition, exact_states)[0])
 
 
 def rc_bound(
     decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
 ) -> float:
     """Fixed-weight bound with the lambda-weighted sum of individual generators."""
-    return _prefactor(plan) * float(np.mean(rc_per_step(decomposition, exact_states)))
-
-
-def rc_per_step(decomposition: Decomposition, exact_states: list[QuantumState]) -> list[float]:
-    norms = decomposition.inf_norms
-    if any(n <= 0 for n in norms):
-        raise ValueError("zero-norm term present; drop it before computing the rc bound")
-    lam = decomposition.lam
-    total = decomposition.total_operator.matrix
-    out = []
-    for rho in _densities(exact_states):
-        collective = hs_norm(_l2(total, rho))
-        weighted = sum(
-            hs_norm(_l2(t.matrix, rho)) / n for t, n in zip(decomposition.terms, norms)
-        )
-        out.append(collective + lam * weighted)
-    return out
+    _, collective, terms = _brackets(decomposition, exact_states)
+    return _mean_bound(plan, _rc_brackets(decomposition, collective, terms))
 
 
 def arc_bound(
     decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
 ) -> float:
     """Adaptive bound with the squared sum of square-rooted generator norms."""
-    return _prefactor(plan) * float(np.mean(arc_per_step(decomposition, exact_states)))
-
-
-def arc_per_step(decomposition: Decomposition, exact_states: list[QuantumState]) -> list[float]:
-    total = decomposition.total_operator.matrix
-    out = []
-    for rho in _densities(exact_states):
-        collective = hs_norm(_l2(total, rho))
-        root_sum = sum(math.sqrt(hs_norm(_l2(t.matrix, rho))) for t in decomposition.terms)
-        out.append(collective + root_sum**2)
-    return out
-
-
-def _prefactor(plan: StepPlan) -> float:
-    return plan.total_time**2 / (2.0 * plan.steps)
+    return _mean_bound(plan, _arc_brackets(*_brackets(decomposition, exact_states)[1:]))
 
 
 def bound_report(
     decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
 ) -> BoundReport:
     """All three bounds over one exact trajectory."""
+    trotter, collective, terms = _brackets(decomposition, exact_states)
     per_step = {
-        "trotter1": trotter1_per_step(decomposition, exact_states),
-        "rc": rc_per_step(decomposition, exact_states),
-        "arc": arc_per_step(decomposition, exact_states),
+        "trotter1": trotter,
+        "rc": _rc_brackets(decomposition, collective, terms),
+        "arc": _arc_brackets(collective, terms),
     }
-    pre = _prefactor(plan)
     return BoundReport(
-        trotter1=pre * float(np.mean(per_step["trotter1"])),
-        rc=pre * float(np.mean(per_step["rc"])),
-        arc=pre * float(np.mean(per_step["arc"])),
-        per_step=per_step,
+        **{k: _mean_bound(plan, v) for k, v in per_step.items()},
+        per_step={k: v.tolist() for k, v in per_step.items()},
         total_time=plan.total_time,
         steps=plan.steps,
     )
@@ -178,13 +181,9 @@ def check_cauchy_schwarz(
     decomposition: Decomposition, rho: QuantumState
 ) -> tuple[float, float, bool]:
     """Compare (sum_j sqrt||L_j^2(rho)||)^2 against lambda sum_j ||L_j^2(rho)||/||H_j||_inf."""
-    norms = decomposition.inf_norms
-    if any(n <= 0 for n in norms):
-        raise ValueError("zero-norm term present")
-    r = rho.density()
-    l2_norms = [hs_norm(_l2(t.matrix, r)) for t in decomposition.terms]
-    lhs = sum(math.sqrt(v) for v in l2_norms) ** 2
-    rhs = decomposition.lam * sum(v / n for v, n in zip(l2_norms, norms))
+    terms = _brackets(decomposition, [rho])[2]
+    rhs = float(_rc_brackets(decomposition, 0.0, terms)[0])
+    lhs = float(_arc_brackets(0.0, terms)[0])
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
 
 

@@ -106,7 +106,7 @@ def _compute_bounds(config: ExperimentConfig):
     reports = []
     for idx, point in enumerate(ctx.points):
         reports.append(bound_report(decomp, ctx.exact(idx), point.plan))
-    return ctx, reports
+    return ctx, decomp, reports
 
 
 def cmd_run(args) -> int:
@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
     result = run_ensemble(config)
     bounds = None
     if config.include_bounds and config.format == "json":
-        _, bounds = _compute_bounds(config)
+        _, _, bounds = _compute_bounds(config)
     text = series_csv(result) if config.format == "csv" else result_json(result, bounds)
     _deliver(text, config.out)
     if args.svg:
@@ -134,8 +134,7 @@ def cmd_ptrace(args) -> int:
 
 def cmd_bounds(args) -> int:
     config = _load(args)
-    ctx, reports = _compute_bounds(config)
-    decomp = ctx.decomp.drop_zero_terms()
+    ctx, decomp, reports = _compute_bounds(config)
     t0 = ctx.points[0].plan.total_time
     doc = {
         "config": config.to_dict(),

@@ -30,6 +30,11 @@ DETERMINISTIC_PROTOCOLS = frozenset({"trotter1", "exact"})
 ZERO_WEIGHT_EPS = 1e-14
 
 
+def _reject_non_finite(p: np.ndarray) -> None:
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probability vector has non-finite entries")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityDistribution:
     """Nonnegative weights over term indices, renormalized to sum 1 on construction."""
@@ -37,18 +42,21 @@ class ProbabilityDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probability vector must be a nonempty 1-d array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probability vector has non-finite entries")
-        if np.any(p < -1e-12):
-            raise ValueError(f"negative probability {p.min()}")
-        p = np.clip(p, 0.0, None)
+        lo = p.min()  # NaN if any entry is NaN
+        if not lo >= -1e-12:
+            _reject_non_finite(p)
+            raise ValueError(f"negative probability {lo}")
+        if lo <= 0.0:  # the clip also turns -0.0 into +0.0
+            np.clip(p, 0.0, None, out=p)
         total = p.sum()
+        if not total < math.inf:  # +inf entries pass the min check
+            _reject_non_finite(p)
         if total <= 0:
             raise ValueError("probability vector sums to zero")
-        p = p / total
+        p /= total
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -140,7 +148,7 @@ def cost(djj_values, p) -> float:
     if d.shape != pv.shape:
         raise ValueError(f"length mismatch: {d.shape} vs {pv.shape}")
     total = 0.0
-    for dj, pj in zip(d, pv):
+    for dj, pj in zip(d.tolist(), pv.tolist()):
         if dj > 0.0:
             if pj <= 0.0:
                 return math.inf

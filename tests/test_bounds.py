@@ -14,7 +14,7 @@ from arcsim.bounds import (
 )
 from arcsim.compilers import StepPlan, run_exact
 from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_mfim
-from arcsim.linalg import HermitianOperator, commutator, hs_norm, pure_state
+from arcsim.linalg import HermitianOperator, commutator, hs_norm, mixed_state, pure_state
 
 PLUS = pure_state(np.array([1, 1]) / np.sqrt(2))
 
@@ -197,6 +197,78 @@ class TestCauchySchwarz:
         dec = Decomposition((HermitianOperator(PAULI["z"]), zero))
         with pytest.raises(ValueError):
             check_cauchy_schwarz(dec, PLUS)
+
+
+def as_density(states):
+    """The same states as rank-1 density matrices, which take the dense path."""
+    return [mixed_state(s.density()) for s in states]
+
+
+def nested_trotter1(decomposition, states):
+    """||sum_{j<k} [L_j, L_k](rho)|| from its definition as nested commutators."""
+    mats = [t.matrix for t in decomposition.terms]
+    out = []
+    for rho in (s.density() for s in states):
+        acc = np.zeros_like(rho)
+        for j in range(len(mats)):
+            for k in range(j + 1, len(mats)):
+                acc -= commutator(mats[j], commutator(mats[k], rho))
+                acc += commutator(mats[k], commutator(mats[j], rho))
+        out.append(hs_norm(acc))
+    return out
+
+
+def block_and_dense_cases():
+    rng = np.random.default_rng(9)
+    for dim in (2, 3, 5, 8, 16):
+        for n_terms in (1, 2, 3, 4):
+            dec = Decomposition(tuple(random_hermitian(rng, dim) for _ in range(n_terms)))
+            yield dec, run_exact(random_pure(rng, dim), dec.total_operator, StepPlan(0.7, 6))
+    for n_steps in (5, 20):
+        dec, exact, _ = mfim_fixture(n_steps=n_steps)
+        yield dec, exact
+
+
+class TestBlockPath:
+    def test_block_path_matches_dense_path(self):
+        for dec, exact in block_and_dense_cases():
+            plan = StepPlan(1.0, len(exact))
+            block = bound_report(dec, exact, plan)
+            dense = bound_report(dec, as_density(exact), plan)
+            for key in ("trotter1", "rc", "arc"):
+                assert block.per_step[key] == pytest.approx(dense.per_step[key], rel=1e-12)
+                assert getattr(block, key) == pytest.approx(getattr(dense, key), rel=1e-12)
+
+    def test_jacobi_form_matches_nested_commutators(self):
+        for dec, exact in block_and_dense_cases():
+            plan = StepPlan(1.0, len(exact))
+            expected = nested_trotter1(dec, exact)
+            for states in (exact, as_density(exact)):
+                got = bound_report(dec, states, plan).per_step["trotter1"]
+                assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_cauchy_schwarz_same_on_both_paths(self):
+        rng = np.random.default_rng(10)
+        dec = Decomposition(tuple(random_hermitian(rng, 6) for _ in range(3)))
+        psi = random_pure(rng, 6)
+        block = check_cauchy_schwarz(dec, psi)
+        dense = check_cauchy_schwarz(dec, as_density([psi])[0])
+        assert block[:2] == pytest.approx(dense[:2], rel=1e-12)
+        assert block[2] and dense[2]
+
+    def test_rank_two_mixed_trajectory(self):
+        dec, st = build_mfim(4, 1.0, 0.5, 0.3)
+        a = basis_state("0011", st).density()
+        b = basis_state("1010", st).density()
+        rho0 = mixed_state(0.5 * a + 0.5 * b, st)
+        plan = StepPlan(1.0, 10)
+        exact = run_exact(rho0, dec.total_operator, plan)
+        assert not any(s.is_pure for s in exact)
+        report = bound_report(dec, exact, plan)
+        values = [report.trotter1, report.rc, report.arc]
+        values += [v for series in report.per_step.values() for v in series]
+        assert all(np.isfinite(values)) and min(values) > 0
+        assert report.arc <= report.rc * (1 + 1e-9)
 
 
 class TestShotBounds:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arcsim import cli
+from arcsim.bounds import BoundReport
 from arcsim.emit import SERIES_COLUMNS, emit_svg, ptrace_csv, result_json, series_csv
 from arcsim.harness import config_from_dict, run_ensemble, run_ptrace
 
@@ -178,6 +179,17 @@ class TestCliErrors:
 
         monkeypatch.setattr(cli, "run_ensemble", boom)
         assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+
+    def test_bound_ordering_violation_exits_3(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+
+        def inverted(decomposition, exact_states, plan):
+            return BoundReport(
+                trotter1=0.1, rc=1.0, arc=2.0, per_step={}, total_time=1.0, steps=plan.steps
+            )
+
+        monkeypatch.setattr(cli, "bound_report", inverted)
+        assert cli.main(["bounds", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
 
     def test_bad_seed_flag_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -64,6 +64,84 @@ class TestProbabilityDistribution:
         assert 1 not in samples
 
 
+def reference_distribution(values) -> np.ndarray:
+    """ProbabilityDistribution's validation and normalization in their plain form."""
+    p = np.asarray(values, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probability vector must be a nonempty 1-d array")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probability vector has non-finite entries")
+    if np.any(p < -1e-12):
+        raise ValueError(f"negative probability {p.min()}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if total <= 0:
+        raise ValueError("probability vector sums to zero")
+    return p / total
+
+
+def reference_cost(d, pv) -> float:
+    total = 0.0
+    for dj, pj in zip(np.asarray(d, dtype=float), np.asarray(pv, dtype=float)):
+        if dj > 0.0:
+            if pj <= 0.0:
+                return math.inf
+            total += dj / pj
+    return total
+
+
+def distribution_inputs(rng):
+    for _ in range(400):
+        v = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 17)))
+        mask = rng.random(v.size)
+        v[mask < 0.2] = 0.0
+        v[(mask >= 0.2) & (mask < 0.3)] = -0.0
+        v[(mask >= 0.3) & (mask < 0.4)] *= -1e-12
+        yield v
+    yield from (
+        np.array([1.0, np.nan]),
+        np.array([np.inf, 0.5]),
+        np.array([-np.inf, 0.5]),
+        np.array([np.inf, -0.5]),
+        np.array([0.5, -1e-9]),
+        np.array([0.0, -0.0]),
+        np.array([-1e-13]),
+        np.array([1e308, 1e308]),
+        np.zeros((2, 2)),
+        np.array([]),
+    )
+
+
+class TestDistributionReference:
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(12)
+        with np.errstate(over="ignore"):  # the [1e308, 1e308] input overflows its sum
+            self._compare_all(rng)
+
+    def _compare_all(self, rng):
+        for v in distribution_inputs(rng):
+            try:
+                expected = reference_distribution(v)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    ProbabilityDistribution(v)
+                assert str(got.value) == str(exc)
+                continue
+            q = ProbabilityDistribution(v)
+            assert q.p.tobytes() == expected.tobytes()
+            d = rng.uniform(0.0, 5.0, size=v.size)
+            d[rng.random(v.size) < 0.2] = 0.0
+            for pv in (q, expected, v):
+                want = reference_cost(d, pv.p if pv is q else pv)
+                assert np.float64(cost(d, pv)).tobytes() == np.float64(want).tobytes()
+
+    def test_caller_array_not_aliased(self):
+        v = np.array([1.0, 3.0])
+        q = ProbabilityDistribution(v)
+        assert v.tolist() == [1.0, 3.0]
+        assert not q.p.flags.writeable
+
+
 class TestOptimalDistribution:
     def test_four_to_one(self):
         p = optimal_distribution([4.0, 1.0])
