@@ -11,6 +11,8 @@ from arcsim.harness import (
     DEFAULT_N_LIST,
     PROTOCOL_IDS,
     _Context,
+    _openblas_threads,
+    _single_blas_thread,
     config_from_dict,
     extrapolate_zero_dt,
     load_config,
@@ -297,6 +299,43 @@ class TestWorkerCount:
         monkeypatch.setenv("ARC_SIM_THREADS", "0")
         with pytest.raises(ConfigError):
             worker_count()
+
+    def test_single_blas_thread_restores_count(self):
+        fns = _openblas_threads()
+        before = fns[1]() if fns else None
+        with _single_blas_thread():
+            if fns:
+                assert fns[1]() == 1
+        assert (fns[1]() if fns else None) == before
+
+    def test_rabi_bytes_independent_of_blas_threads(self, monkeypatch):
+        # dim-100 products: threaded BLAS changes their last bits, so the
+        # ensemble must not run on whatever thread count the caller left set
+        monkeypatch.setenv("ARC_SIM_THREADS", "1")
+        cfg = config_from_dict(
+            {
+                "model": "rabi",
+                "protocols": ["rc", "arc"],
+                "plan": {"mode": "fixed_dt", "dt": 0.02, "n_list": [20]},
+                "trajectories": 6,
+                "noise_std": 0.0,
+                "master_seed": 11,
+            }
+        )
+        fns = _openblas_threads()
+        if fns is None:
+            assert series_csv(run_ensemble(cfg)) == series_csv(run_ensemble(cfg))
+            return
+        set_fn, get_fn = fns
+        before = get_fn()
+        try:
+            outputs = []
+            for threads in (2, 1):
+                set_fn(threads)
+                outputs.append(series_csv(run_ensemble(cfg)))
+        finally:
+            set_fn(before)
+        assert outputs[0] == outputs[1]
 
     def test_protocol_ids_stable(self):
         # seed paths depend on these ids; changing them silently would break
