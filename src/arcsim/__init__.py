@@ -54,7 +54,6 @@ from .linalg import (
     HermitianOperator,
     QuantumState,
     commutator,
-    eig_hermitian,
     evolve_unitary,
     fidelity,
     hs_inner,
@@ -62,7 +61,6 @@ from .linalg import (
     kron,
     mixed_state,
     pure_state,
-    schatten_inf,
 )
 from .moments import (
     MomentSet,

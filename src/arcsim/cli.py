@@ -6,14 +6,13 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import ShotParams, bound_report, shot_lower_bounds
-from .emit import emit_svg, ptrace_csv, ptrace_json, result_json, series_csv
+from .emit import bounds_json, emit_svg, ptrace_csv, ptrace_json, result_json, series_csv, write_text
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -96,17 +95,15 @@ def _deliver(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(out, text)
 
 
-def _compute_bounds(config: ExperimentConfig):
-    ctx = _Context(config)
+def _compute_bounds(ctx: _Context):
     decomp = ctx.decomp.drop_zero_terms()
     reports = []
     for idx, point in enumerate(ctx.points):
         reports.append(bound_report(decomp, ctx.exact(idx), point.plan))
-    return ctx, decomp, reports
+    return decomp, reports
 
 
 def cmd_run(args) -> int:
@@ -114,7 +111,7 @@ def cmd_run(args) -> int:
     result = run_ensemble(config)
     bounds = None
     if config.include_bounds and config.format == "json":
-        _, _, bounds = _compute_bounds(config)
+        _, bounds = _compute_bounds(result.context)
     text = series_csv(result) if config.format == "csv" else result_json(result, bounds)
     _deliver(text, config.out)
     if args.svg:
@@ -134,40 +131,12 @@ def cmd_ptrace(args) -> int:
 
 def cmd_bounds(args) -> int:
     config = _load(args)
-    ctx, decomp, reports = _compute_bounds(config)
-    t0 = ctx.points[0].plan.total_time
-    doc = {
-        "config": config.to_dict(),
-        "note": "order-of-growth values; constants unspecified",
-        "state_independent": {
-            "note": "per unit simulation-error budget",
-            "trotter1": len(decomp) ** 3 * (decomp.max_norm * t0) ** 2,
-            "rc": (decomp.lam * t0) ** 2,
-            "arc": None,
-        },
-        "bounds": [
-            {
-                "x_kind": point.x_kind,
-                "x_value": point.x_value,
-                "t": report.total_time,
-                "steps": report.steps,
-                "trotter1": report.trotter1,
-                "rc": report.rc,
-                "arc": report.arc,
-                "per_step": {k: list(v) for k, v in report.per_step.items()},
-            }
-            for point, report in zip(ctx.points, reports)
-        ],
-    }
+    ctx = _Context(config)
+    decomp, reports = _compute_bounds(ctx)
+    shots = None
     if config.shot_params is not None:
-        params = ShotParams(**config.shot_params)
-        prep, dyn = shot_lower_bounds(params)
-        doc["shots"] = {
-            "note": "order-of-growth values; constants unspecified",
-            "arc_state_preparation": prep,
-            "dynamics": dyn,
-        }
-    _deliver(json.dumps(doc, indent=2) + "\n", config.out)
+        shots = shot_lower_bounds(ShotParams(**config.shot_params))
+    _deliver(bounds_json(config, decomp, ctx.points, reports, shots), config.out)
     return EXIT_OK
 
 

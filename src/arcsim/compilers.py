@@ -1,19 +1,19 @@
-"""Single-step evolution protocols behind one stepping interface.
-
-Five protocols share the runner signature: first-order product stepping
-("trotter1"), fixed-weight random compilation with Schatten-inf weights
-("rc"), equal-weight random compilation ("equal"), the adaptive random
-compiler re-deriving its sampling distribution from per-step moment
-measurements ("arc"), and the exact reference ("exact").
+"""Evolution protocols as weight policies over one stepping loop.
 
 Random steps sample a term index j from a probability vector p and apply
 exp(-i H_j tau_j) with time slice tau_j = t / (N p_j); the channel average
-then matches the exact step to first order in t/N for any valid p.
+then matches the exact step to first order in t/N for any valid p. The
+protocols differ only in how each step's p is chosen: fixed Schatten-inf
+weights ("rc"), equal weights ("equal"), or weights re-derived every step
+from moment measurements on the current state ("arc", the adaptive random
+compiler). First-order product stepping ("trotter1") and the exact
+reference ("exact") run the same loop without sampling.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,191 +188,123 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
     return states
 
 
-def _reference_states(
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    exact_states: list[QuantumState] | None,
-) -> list[QuantumState]:
-    if exact_states is None:
-        return run_exact(state0, decomposition.total_operator, plan)
-    if len(exact_states) != plan.steps:
-        raise ValueError(
-            f"expected {plan.steps} exact states, got {len(exact_states)}"
-        )
-    return exact_states
-
-
-def _step_fidelity(reference: QuantumState, state: QuantumState) -> float:
-    if reference.is_pure:
-        return fidelity(reference, state)
-    return math.nan
-
-
-def _as_stream(stream) -> TrajectoryStream:
-    if isinstance(stream, TrajectoryStream):
-        return stream
-    return trajectory_stream(int(stream))
-
-
-def run_trotter1(
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    *,
-    exact_states: list[QuantumState] | None = None,
-    **_unused,
-) -> TrajectoryRecord:
-    """First-order product formula for N steps."""
-    exact = _reference_states(state0, decomposition, plan, exact_states)
-    fids = np.empty(plan.steps)
-    state = state0
-    for k in range(plan.steps):
-        state = step_trotter1(state, decomposition, plan)
-        fids[k] = _step_fidelity(exact[k], state)
-    return TrajectoryRecord("trotter1", plan, fids, state)
-
-
-def _run_fixed_weights(
+def _run(
     protocol: str,
-    p: ProbabilityDistribution,
     state0: QuantumState,
     decomposition: Decomposition,
     plan: StepPlan,
-    stream,
     exact_states: list[QuantumState] | None,
+    weights: Callable[[QuantumState, np.random.Generator], ProbabilityDistribution] | None = None,
+    stream=0,
 ) -> TrajectoryRecord:
-    exact = _reference_states(state0, decomposition, plan, exact_states)
-    stream = _as_stream(stream)
+    """The stepping loop of every protocol, scored against the exact state after each step.
+
+    With a weight policy, step k takes its generator from the stream, asks the
+    policy for p on the current state, and makes a random step with the same
+    generator. Without one, "trotter1" makes a product step and "exact" reads
+    the reference state.
+    """
+    if exact_states is None:
+        exact_states = run_exact(state0, decomposition.total_operator, plan)
+    elif len(exact_states) != plan.steps:
+        raise ValueError(f"expected {plan.steps} exact states, got {len(exact_states)}")
     n = plan.steps
-    indices = np.empty(n, dtype=int)
-    taus = np.empty(n)
-    probs = np.tile(p.p, (n, 1))
     fids = np.empty(n)
+    indices = taus = probs = None
+    if weights is not None:
+        if not isinstance(stream, TrajectoryStream):
+            stream = trajectory_stream(int(stream))
+        indices = np.empty(n, dtype=int)
+        taus = np.empty(n)
+        probs = np.empty((n, len(decomposition)))
     state = state0
-    for k in range(n):
-        rng = stream.step(k)
-        state, j, tau = step_random(state, decomposition, plan, p, rng)
-        indices[k], taus[k] = j, tau
-        fids[k] = _step_fidelity(exact[k], state)
+    for k, reference in enumerate(exact_states):
+        if weights is not None:
+            rng = stream.step(k)
+            p = weights(state, rng)
+            state, indices[k], taus[k] = step_random(state, decomposition, plan, p, rng)
+            probs[k] = p.p
+        elif protocol == "trotter1":
+            state = step_trotter1(state, decomposition, plan)
+        else:
+            state = reference
+        fids[k] = fidelity(reference, state) if reference.is_pure else math.nan
     return TrajectoryRecord(protocol, plan, fids, state, indices, taus, probs)
 
 
+def run_trotter1(
+    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
+    exact_states: list[QuantumState] | None = None,
+) -> TrajectoryRecord:
+    """First-order product formula for N steps."""
+    return _run("trotter1", state0, decomposition, plan, exact_states)
+
+
 def run_rc(
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    *,
+    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
     stream=0,
     exact_states: list[QuantumState] | None = None,
-    **_unused,
 ) -> TrajectoryRecord:
     """Random compilation with fixed weights p_j = ||H_j||_inf / lambda."""
     norms = np.asarray(decomposition.inf_norms)
     if norms.sum() <= 0:
         raise ValueError("all decomposition terms have zero norm")
     p = ProbabilityDistribution(norms)
-    return _run_fixed_weights("rc", p, state0, decomposition, plan, stream, exact_states)
+    return _run("rc", state0, decomposition, plan, exact_states, lambda state, rng: p, stream)
 
 
 def run_equal_weight(
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    *,
+    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
     stream=0,
     exact_states: list[QuantumState] | None = None,
-    **_unused,
 ) -> TrajectoryRecord:
     """Random compilation sampling every term with probability 1/L."""
     p = ProbabilityDistribution(np.full(len(decomposition), 1.0 / len(decomposition)))
-    return _run_fixed_weights("equal", p, state0, decomposition, plan, stream, exact_states)
+    return _run("equal", state0, decomposition, plan, exact_states, lambda state, rng: p, stream)
 
 
 def run_arc(
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    *,
+    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
     noise: NoiseModel = EXACT,
     stream=0,
     exact_states: list[QuantumState] | None = None,
-    fd_dt: float = 1e-3,
-    prob_floor: float = 0.0,
-    **_unused,
 ) -> TrajectoryRecord:
     """Adaptive random compilation: re-derive the sampling weights every step.
 
     Each step measures the four moments of every term on the trajectory's own
     current state (perturbed per the noise model), converts them to
     double-commutator norms, and samples from the optimal distribution. Mixed
-    states take the finite-difference estimator with time offset fd_dt.
+    states take the finite-difference estimator at its default time offset.
     """
-    exact = _reference_states(state0, decomposition, plan, exact_states)
-    stream = _as_stream(stream)
-    n, L = plan.steps, len(decomposition)
-    indices = np.empty(n, dtype=int)
-    taus = np.empty(n)
-    probs = np.empty((n, L))
-    fids = np.empty(n)
-    state = state0
-    for k in range(n):
-        rng = stream.step(k)
+
+    def weights(state: QuantumState, rng: np.random.Generator) -> ProbabilityDistribution:
         if state.is_pure:
-            dcn = [
-                norm_from_moments(moments_of(term, state, noise, rng))
-                for term in decomposition.terms
-            ]
+            dcn = [norm_from_moments(moments_of(h, state, noise, rng)) for h in decomposition.terms]
         else:
             dcn = [
-                norm_finite_difference(term, state, fd_dt, noise, rng)
-                for term in decomposition.terms
+                norm_finite_difference(h, state, noise=noise, rng=rng) for h in decomposition.terms
             ]
-        p = optimal_distribution(dcn, floor=prob_floor)
-        state, j, tau = step_random(state, decomposition, plan, p, rng)
-        indices[k], taus[k] = j, tau
-        probs[k] = p.p
-        fids[k] = _step_fidelity(exact[k], state)
-    return TrajectoryRecord("arc", plan, fids, state, indices, taus, probs)
+        return optimal_distribution(dcn)
 
-
-def _run_exact_protocol(
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    *,
-    exact_states: list[QuantumState] | None = None,
-    **_unused,
-) -> TrajectoryRecord:
-    exact = _reference_states(state0, decomposition, plan, exact_states)
-    fids = np.array([_step_fidelity(s, s) for s in exact])
-    return TrajectoryRecord("exact", plan, fids, exact[-1])
-
-
-_RUNNERS = {
-    "trotter1": run_trotter1,
-    "rc": run_rc,
-    "equal": run_equal_weight,
-    "arc": run_arc,
-    "exact": _run_exact_protocol,
-}
+    return _run("arc", state0, decomposition, plan, exact_states, weights, stream)
 
 
 def run_protocol(
-    name: str,
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    *,
+    name: str, state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
     noise: NoiseModel = EXACT,
     stream=0,
     exact_states: list[QuantumState] | None = None,
 ) -> TrajectoryRecord:
     """Dispatch a protocol by name: trotter1 | rc | arc | equal | exact."""
-    try:
-        runner = _RUNNERS[name]
-    except KeyError:
-        raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}") from None
-    return runner(
-        state0, decomposition, plan, noise=noise, stream=stream, exact_states=exact_states
-    )
+    sampled = {"stream": stream, "exact_states": exact_states}
+    if name == "arc":
+        return run_arc(state0, decomposition, plan, noise=noise, **sampled)
+    if name == "rc":
+        return run_rc(state0, decomposition, plan, **sampled)
+    if name == "equal":
+        return run_equal_weight(state0, decomposition, plan, **sampled)
+    if name == "trotter1":
+        return run_trotter1(state0, decomposition, plan, exact_states=exact_states)
+    if name == "exact":
+        return _run(name, state0, decomposition, plan, exact_states)
+    raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .bounds import BoundReport
-from .harness import EnsembleResult, PTraceTable
+from .hamiltonians import Decomposition
+from .harness import EnsembleResult, ExperimentConfig, PlanPoint, PTraceTable
 
 SERIES_COLUMNS = ("protocol", "x_kind", "x_value", "mean_fidelity", "stderr", "trajectories")
 
@@ -59,9 +60,11 @@ def ptrace_csv(table: PTraceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ORDER_NOTE = "order-of-growth values; constants unspecified"
+
+
 def _bound_dict(report: BoundReport) -> dict:
     return {
-        "note": "order-of-growth values; constants unspecified",
         "t": report.total_time,
         "steps": report.steps,
         "trotter1": report.trotter1,
@@ -91,7 +94,7 @@ def result_json(
     if result.extrapolated:
         doc["extrapolated"] = dict(result.extrapolated)
     if bounds is not None:
-        doc["bounds"] = [_bound_dict(b) for b in bounds]
+        doc["bounds"] = [{"note": _ORDER_NOTE, **_bound_dict(b)} for b in bounds]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -112,28 +115,41 @@ def ptrace_json(table: PTraceTable) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def emit(result: EnsembleResult, format: str, path, bounds=None) -> None:
-    """Write an ensemble result as CSV or JSON."""
-    if format == "csv":
-        text = series_csv(result)
-    elif format == "json":
-        text = result_json(result, bounds)
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    _write_text(path, text)
+def bounds_json(
+    config: ExperimentConfig,
+    decomposition: Decomposition,
+    points: list[PlanPoint],
+    reports: list[BoundReport],
+    shots: tuple[float, float] | None,
+) -> str:
+    """The `bounds` document: state-independent scalings, then one entry per plan point.
+
+    `shots` is the (state preparation, dynamics) pair of shot lower bounds,
+    or None when the config gives no shot parameters.
+    """
+    t0 = points[0].plan.total_time
+    doc = {
+        "config": config.to_dict(),
+        "note": _ORDER_NOTE,
+        "state_independent": {
+            "note": "per unit simulation-error budget",
+            "trotter1": len(decomposition) ** 3 * (decomposition.max_norm * t0) ** 2,
+            "rc": (decomposition.lam * t0) ** 2,
+            "arc": None,
+        },
+        "bounds": [
+            {"x_kind": point.x_kind, "x_value": point.x_value, **_bound_dict(report)}
+            for point, report in zip(points, reports)
+        ],
+    }
+    if shots is not None:
+        prep, dyn = shots
+        doc["shots"] = {"note": _ORDER_NOTE, "arc_state_preparation": prep, "dynamics": dyn}
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def emit_ptrace(table: PTraceTable, format: str, path) -> None:
-    if format == "csv":
-        text = ptrace_csv(table)
-    elif format == "json":
-        text = ptrace_json(table)
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    _write_text(path, text)
-
-
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write text to a file as UTF-8 with the newlines unchanged."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -214,4 +230,4 @@ def emit_svg(result: EnsembleResult, path) -> None:
         )
         parts.append(f'<text x="{lx + 30}" y="{ly}" font-size="12">{protocol}</text>')
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

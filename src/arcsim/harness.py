@@ -118,8 +118,6 @@ class ExperimentConfig:
             "noise_std": self.noise_std,
             "master_seed": self.master_seed,
         }
-        if self.out is not None:
-            d["out"] = self.out
         if self.include_bounds:
             d["include_bounds"] = True
         if self.ptrace_trajectories != 1:
@@ -285,6 +283,7 @@ class EnsembleResult:
     series: list[SeriesPoint]
     extrapolated: dict[str, float]
     config: ExperimentConfig
+    context: _Context | None = field(default=None, repr=False)  # model and exact states it ran on
 
 
 @dataclass(eq=False)
@@ -483,7 +482,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
                 if sp.protocol == protocol
             ]
             extrapolated[protocol] = extrapolate_zero_dt(pts)
-    return EnsembleResult(series=series, extrapolated=extrapolated, config=config)
+    return EnsembleResult(series=series, extrapolated=extrapolated, config=config, context=ctx)
 
 
 def run_ptrace(config: ExperimentConfig) -> PTraceTable:

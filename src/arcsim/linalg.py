@@ -119,21 +119,13 @@ class HermitianOperator:
 
     @cached_property
     def eig(self) -> EigenSystem:
+        """Eigendecomposition, computed once, eigenvalues ascending."""
         return _eigensystem(self.matrix)
 
     @cached_property
     def schatten_inf(self) -> float:
+        """Largest absolute eigenvalue (largest singular value for Hermitian input)."""
         return float(np.max(np.abs(self.eig.eigenvalues)))
-
-
-def eig_hermitian(h: HermitianOperator) -> EigenSystem:
-    """Cached eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    return h.eig
-
-
-def schatten_inf(h: HermitianOperator) -> float:
-    """Largest absolute eigenvalue (largest singular value for Hermitian input)."""
-    return h.schatten_inf
 
 
 @dataclass(frozen=True, eq=False)

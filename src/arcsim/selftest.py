@@ -14,7 +14,7 @@ from .compilers import (
     step_trotter1,
 )
 from .hamiltonians import Decomposition
-from .linalg import HermitianOperator, eig_hermitian, fidelity, hs_norm, kron, pure_state, mixed_state
+from .linalg import HermitianOperator, fidelity, hs_norm, kron, pure_state, mixed_state
 from .moments import double_commutator_norm, moments_of, norm_finite_difference, norm_from_moments
 
 
@@ -40,7 +40,7 @@ def _random_mixed(rng: np.random.Generator, dim: int, rank: int = 2):
 
 def _check_eig_roundtrip(rng) -> tuple[bool, str]:
     h = _random_hermitian(rng, 64)
-    eig = eig_hermitian(h)
+    eig = h.eig
     err = np.max(np.abs((eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T - h.matrix))
     ok = err <= 1e-8 * np.max(np.abs(h.matrix))
     return ok, f"reconstruction error {err:.2e} at dim 64"

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcsim import cli
+from arcsim import cli, harness
 from arcsim.bounds import BoundReport
 from arcsim.emit import SERIES_COLUMNS, emit_svg, ptrace_csv, result_json, series_csv
 from arcsim.harness import config_from_dict, run_ensemble, run_ptrace
@@ -115,6 +119,33 @@ class TestCliRun:
         assert cli.main(["run", "--config", str(cfg), "--out", str(out2), "--trajectories", "25"]) == 0
         assert out1.read_text() != out2.read_text()
 
+    def test_run_with_bounds_builds_one_context(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path,
+            include_bounds=True,
+            format="json",
+            plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]},
+        )
+        parent = os.getpid()
+        calls = {"contexts": 0, "exact": 0}
+        init, run_exact = harness._Context.__init__, harness.run_exact
+
+        def counted_init(self, config):
+            calls["contexts"] += os.getpid() == parent
+            init(self, config)
+
+        def counted_exact(*args):
+            calls["exact"] += os.getpid() == parent
+            return run_exact(*args)
+
+        monkeypatch.setattr(harness._Context, "__init__", counted_init)
+        monkeypatch.setattr(harness, "run_exact", counted_exact)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ARC_SIM_THREADS", threads)
+            calls.update(contexts=0, exact=0)
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
+            assert calls == {"contexts": 1, "exact": 2}, threads
+
     def test_seed_override_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -151,6 +182,15 @@ class TestCliPtraceBounds:
         assert doc["bounds"][0]["arc"] <= doc["bounds"][0]["rc"] * (1 + 1e-9)
         assert doc["state_independent"]["arc"] is None
         assert doc["shots"]["arc_state_preparation"] > 0
+
+
+    def test_bounds_bytes_independent_of_out_name(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out1, out2 = tmp_path / "bounds.json", tmp_path / "other-name.json"
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert "out" not in json.loads(out1.read_text())["config"]
 
 
 class TestCliErrors:
@@ -203,3 +243,22 @@ class TestSelftest:
         results = run_selftest()
         assert results and all(ok for _, ok, _ in results)
         assert cli.main(["selftest"]) == 0
+
+
+PERFBENCH_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.skipif(not PERFBENCH_TRACER.exists(), reason="perfbench/ is not in this tree")
+def test_perfbench_tracer_installs(tmp_path):
+    """The tracer wraps private boundaries by name; a rename makes it fail to install."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PERFBENCH_TRACE_DIR=str(tmp_path), PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH_TRACER), "selftest"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("meta-*.json"))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from arcsim.compilers import (
+    PROTOCOL_NAMES,
     ProbabilityDistribution,
     StepPlan,
+    TrajectoryRecord,
     cost,
     optimal_distribution,
     run_arc,
@@ -18,9 +20,17 @@ from arcsim.compilers import (
     step_trotter1,
 )
 from arcsim.hamiltonians import PAULI, Decomposition, build_mfim, basis_state
-from arcsim.linalg import HermitianOperator, fidelity, hs_norm, kron, mixed_state, pure_state
-from arcsim.moments import NoiseModel
-from arcsim.rng import trajectory_stream
+from arcsim.linalg import (
+    HermitianOperator,
+    QuantumState,
+    fidelity,
+    hs_norm,
+    kron,
+    mixed_state,
+    pure_state,
+)
+from arcsim.moments import EXACT, NoiseModel, moments_of, norm_finite_difference, norm_from_moments
+from arcsim.rng import TrajectoryStream, trajectory_stream
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -370,6 +380,224 @@ class TestRunners:
         r2 = run_arc(self.psi, self.dec, self.plan, stream=trajectory_stream(11, 2, 0, 5))
         assert np.array_equal(r1.indices, r2.indices)
         assert np.array_equal(r1.fidelities, r2.fidelities)
+
+
+# The per-protocol trajectory loops that the single stepping loop replaced,
+# kept verbatim as the reference it must reproduce bit for bit.
+
+
+def _reference_states(
+    state0: QuantumState,
+    decomposition: Decomposition,
+    plan: StepPlan,
+    exact_states: list[QuantumState] | None,
+) -> list[QuantumState]:
+    if exact_states is None:
+        return run_exact(state0, decomposition.total_operator, plan)
+    if len(exact_states) != plan.steps:
+        raise ValueError(
+            f"expected {plan.steps} exact states, got {len(exact_states)}"
+        )
+    return exact_states
+
+
+def _step_fidelity(reference: QuantumState, state: QuantumState) -> float:
+    if reference.is_pure:
+        return fidelity(reference, state)
+    return math.nan
+
+
+def _as_stream(stream) -> TrajectoryStream:
+    if isinstance(stream, TrajectoryStream):
+        return stream
+    return trajectory_stream(int(stream))
+
+
+def reference_run_trotter1(
+    state0: QuantumState,
+    decomposition: Decomposition,
+    plan: StepPlan,
+    *,
+    exact_states: list[QuantumState] | None = None,
+    **_unused,
+) -> TrajectoryRecord:
+    """First-order product formula for N steps."""
+    exact = _reference_states(state0, decomposition, plan, exact_states)
+    fids = np.empty(plan.steps)
+    state = state0
+    for k in range(plan.steps):
+        state = step_trotter1(state, decomposition, plan)
+        fids[k] = _step_fidelity(exact[k], state)
+    return TrajectoryRecord("trotter1", plan, fids, state)
+
+
+def reference_run_fixed_weights(
+    protocol: str,
+    p: ProbabilityDistribution,
+    state0: QuantumState,
+    decomposition: Decomposition,
+    plan: StepPlan,
+    stream,
+    exact_states: list[QuantumState] | None,
+) -> TrajectoryRecord:
+    exact = _reference_states(state0, decomposition, plan, exact_states)
+    stream = _as_stream(stream)
+    n = plan.steps
+    indices = np.empty(n, dtype=int)
+    taus = np.empty(n)
+    probs = np.tile(p.p, (n, 1))
+    fids = np.empty(n)
+    state = state0
+    for k in range(n):
+        rng = stream.step(k)
+        state, j, tau = step_random(state, decomposition, plan, p, rng)
+        indices[k], taus[k] = j, tau
+        fids[k] = _step_fidelity(exact[k], state)
+    return TrajectoryRecord(protocol, plan, fids, state, indices, taus, probs)
+
+
+def reference_run_arc(
+    state0: QuantumState,
+    decomposition: Decomposition,
+    plan: StepPlan,
+    *,
+    noise: NoiseModel = EXACT,
+    stream=0,
+    exact_states: list[QuantumState] | None = None,
+    fd_dt: float = 1e-3,
+    prob_floor: float = 0.0,
+    **_unused,
+) -> TrajectoryRecord:
+    """Adaptive random compilation: re-derive the sampling weights every step.
+
+    Each step measures the four moments of every term on the trajectory's own
+    current state (perturbed per the noise model), converts them to
+    double-commutator norms, and samples from the optimal distribution. Mixed
+    states take the finite-difference estimator with time offset fd_dt.
+    """
+    exact = _reference_states(state0, decomposition, plan, exact_states)
+    stream = _as_stream(stream)
+    n, L = plan.steps, len(decomposition)
+    indices = np.empty(n, dtype=int)
+    taus = np.empty(n)
+    probs = np.empty((n, L))
+    fids = np.empty(n)
+    state = state0
+    for k in range(n):
+        rng = stream.step(k)
+        if state.is_pure:
+            dcn = [
+                norm_from_moments(moments_of(term, state, noise, rng))
+                for term in decomposition.terms
+            ]
+        else:
+            dcn = [
+                norm_finite_difference(term, state, fd_dt, noise, rng)
+                for term in decomposition.terms
+            ]
+        p = optimal_distribution(dcn, floor=prob_floor)
+        state, j, tau = step_random(state, decomposition, plan, p, rng)
+        indices[k], taus[k] = j, tau
+        probs[k] = p.p
+        fids[k] = _step_fidelity(exact[k], state)
+    return TrajectoryRecord("arc", plan, fids, state, indices, taus, probs)
+
+
+def reference_run_exact_protocol(
+    state0: QuantumState,
+    decomposition: Decomposition,
+    plan: StepPlan,
+    *,
+    exact_states: list[QuantumState] | None = None,
+    **_unused,
+) -> TrajectoryRecord:
+    exact = _reference_states(state0, decomposition, plan, exact_states)
+    fids = np.array([_step_fidelity(s, s) for s in exact])
+    return TrajectoryRecord("exact", plan, fids, exact[-1])
+
+
+def reference_run(name, state0, decomposition, plan, noise, stream, exact_states):
+    if name == "rc":
+        p = ProbabilityDistribution(np.asarray(decomposition.inf_norms))
+        return reference_run_fixed_weights("rc", p, state0, decomposition, plan, stream, exact_states)
+    if name == "equal":
+        p = ProbabilityDistribution(np.full(len(decomposition), 1.0 / len(decomposition)))
+        return reference_run_fixed_weights(
+            "equal", p, state0, decomposition, plan, stream, exact_states
+        )
+    runner = {
+        "trotter1": reference_run_trotter1,
+        "arc": reference_run_arc,
+        "exact": reference_run_exact_protocol,
+    }[name]
+    return runner(state0, decomposition, plan, noise=noise, stream=stream, exact_states=exact_states)
+
+
+def loop_cases():
+    """(label, initial state, decomposition) over MFIM and a random 3-term split, pure and mixed."""
+    rng = np.random.default_rng(21)
+    mfim, st = build_mfim(3, 1.0, 0.5, 0.3)
+    rand = Decomposition(tuple(random_hermitian(rng, 4) for _ in range(3)))
+    for label, dec, psi in (
+        ("mfim", mfim, basis_state("011", st)),
+        ("random", rand, random_pure(rng, 4)),
+    ):
+        yield label + "-pure", psi, dec
+        rho = 0.7 * psi.density() + 0.3 * np.eye(dec.dim) / dec.dim
+        yield label + "-mixed", mixed_state(rho), dec
+
+
+class TestSteppingLoopReference:
+    def test_bit_identical_to_reference_loops(self):
+        plan = StepPlan(0.6, 6)
+        for case, (label, state0, dec) in enumerate(loop_cases()):
+            for noise_std in (0.0, 0.2):
+                noise = NoiseModel(noise_std)
+                for pid, name in enumerate(PROTOCOL_NAMES):
+                    for exact_states in (None, run_exact(state0, dec.total_operator, plan)):
+                        got = run_protocol(
+                            name,
+                            state0,
+                            dec,
+                            plan,
+                            noise=noise,
+                            stream=trajectory_stream(5, case, pid),
+                            exact_states=exact_states,
+                        )
+                        want = reference_run(
+                            name, state0, dec, plan, noise, trajectory_stream(5, case, pid), exact_states
+                        )
+                        where = f"{name} on {label} at noise {noise_std}"
+                        assert got.protocol == want.protocol, where
+                        self._assert_same_record(got, want, where)
+
+    @staticmethod
+    def _assert_same_record(got, want, where):
+        assert np.array_equal(got.fidelities, want.fidelities, equal_nan=True), where
+        assert np.array_equal(got.final_state.data, want.final_state.data), where
+        for field in ("indices", "taus", "probabilities"):
+            a, b = getattr(got, field), getattr(want, field)
+            if b is None:
+                assert a is None, (field, where)
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), (field, where)
+
+    def test_int_seed_stream_matches_reference(self):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plan = basis_state("011", st), StepPlan(0.3, 5)
+        for runner, name in ((run_rc, "rc"), (run_equal_weight, "equal"), (run_arc, "arc")):
+            got = runner(psi, dec, plan, stream=3)
+            want = reference_run(name, psi, dec, plan, EXACT, 3, None)
+            self._assert_same_record(got, want, name)
+
+    def test_wrong_length_exact_states_rejected(self):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plan = basis_state("011", st), StepPlan(0.3, 5)
+        states = run_exact(psi, dec.total_operator, plan)
+        for name in PROTOCOL_NAMES:
+            for wrong in (states[:-1], states + states[:1]):
+                with pytest.raises(ValueError, match=f"expected 5 exact states, got {len(wrong)}"):
+                    run_protocol(name, psi, dec, plan, stream=trajectory_stream(1), exact_states=wrong)
 
 
 class TestChannelMatching:

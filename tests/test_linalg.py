@@ -5,7 +5,6 @@ from arcsim.hamiltonians import PAULI, I2, annihilator, build_mfim, HilbertStruc
 from arcsim.linalg import (
     HermitianOperator,
     commutator,
-    eig_hermitian,
     evolve_unitary,
     fidelity,
     hs_inner,
@@ -13,7 +12,6 @@ from arcsim.linalg import (
     kron,
     mixed_state,
     pure_state,
-    schatten_inf,
 )
 
 SX, SY, SZ = PAULI["x"], PAULI["y"], PAULI["z"]
@@ -100,7 +98,7 @@ class TestHsNormInner:
         rng = np.random.default_rng(4)
         for _ in range(10):
             h = random_hermitian(rng, 8)
-            ev_sum = float(np.sum(eig_hermitian(h).eigenvalues ** 2))
+            ev_sum = float(np.sum(h.eig.eigenvalues ** 2))
             assert hs_norm(h.matrix) ** 2 == pytest.approx(ev_sum, rel=1e-8)
 
 
@@ -124,7 +122,7 @@ class TestEig:
         rng = np.random.default_rng(5)
         for dim in (2, 16, 64, 128):
             h = random_hermitian(rng, dim)
-            eig = eig_hermitian(h)
+            eig = h.eig
             recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
             scale = np.max(np.abs(h.matrix))
             assert np.max(np.abs(recon - h.matrix)) <= 1e-8 * scale
@@ -134,18 +132,18 @@ class TestEig:
 
 class TestSchattenInf:
     def test_pauli(self):
-        assert schatten_inf(HermitianOperator(SZ)) == pytest.approx(1.0)
+        assert HermitianOperator(SZ).schatten_inf == pytest.approx(1.0)
 
     def test_mfim_transverse_term(self):
         # -J h_x sum_i sigma_x^i at L=4, J=1, h_x=0.5: exact diagonalization
         dec, _ = build_mfim(4, 1.0, 0.5, 0.3)
-        assert schatten_inf(dec.terms[1]) == pytest.approx(2.0)
+        assert dec.terms[1].schatten_inf == pytest.approx(2.0)
 
     def test_number_operator(self):
         st = HilbertStructure(fock_dim=7)
         a = annihilator(st)
         n_op = HermitianOperator(a.conj().T @ a)
-        assert schatten_inf(n_op) == pytest.approx(6.0)
+        assert n_op.schatten_inf == pytest.approx(6.0)
 
 
 class TestEvolve:
