@@ -19,6 +19,7 @@ from .compilers import (
     cost,
     optimal_distribution,
     run_arc,
+    run_block,
     run_equal_weight,
     run_exact,
     run_protocol,

@@ -20,8 +20,17 @@ from functools import cached_property
 import numpy as np
 
 from .hamiltonians import Decomposition
-from .linalg import HermitianOperator, QuantumState, evolve_unitary, fidelity
-from .moments import EXACT, NoiseModel, moments_of, norm_finite_difference, norm_from_moments
+from .linalg import (
+    HermitianOperator,
+    QuantumState,
+    basis_coordinates,
+    column_norms,
+    evolve_unitary,
+    fidelities,
+    fidelity,
+    rotate_coordinates,
+)
+from .moments import EXACT, NoiseModel, moment_block, norm_finite_difference, norms_from_moments
 from .rng import TrajectoryStream, trajectory_stream
 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
@@ -115,6 +124,17 @@ class TrajectoryRecord:
         return float(self.fidelities[-1])
 
 
+def _sqrt_weights(d: np.ndarray, eps_zero: float) -> np.ndarray:
+    """Unnormalized optimal weights along the last axis: sqrt(d_j) above eps_zero, else 0.
+
+    A row with no entry above eps_zero gets uniform weights.
+    """
+    active = d > eps_zero
+    w = np.where(active, np.sqrt(np.clip(d, 0.0, None)), 0.0)
+    w[~active.any(axis=-1)] = 1.0 / d.shape[-1]
+    return w
+
+
 def optimal_distribution(
     djj_values, eps_zero: float = ZERO_WEIGHT_EPS, floor: float = 0.0
 ) -> ProbabilityDistribution:
@@ -130,11 +150,7 @@ def optimal_distribution(
         raise ValueError(f"negative weight input {d.min()}")
     if not 0.0 <= floor < 1.0 / d.size:
         raise ValueError(f"floor must be in [0, 1/{d.size})")
-    active = d > eps_zero
-    if not np.any(active):
-        return ProbabilityDistribution(np.full(d.size, 1.0 / d.size))
-    w = np.where(active, np.sqrt(np.clip(d, 0.0, None)), 0.0)
-    p = ProbabilityDistribution(w)
+    p = ProbabilityDistribution(_sqrt_weights(d, eps_zero))
     if floor > 0.0:
         # linear shrink keeps the sum at 1 with every entry >= floor
         p = ProbabilityDistribution((1.0 - d.size * floor) * p.p + floor)
@@ -156,10 +172,17 @@ def cost(djj_values, p) -> float:
     return total
 
 
+def _evolve(state: QuantumState, term: HermitianOperator, tau: float) -> QuantumState:
+    if not state.is_pure:
+        return evolve_unitary(state, term.eig, tau)
+    coords = basis_coordinates(term, state.data.reshape(-1, 1))
+    return QuantumState(rotate_coordinates(term, coords, np.array([tau]))[:, 0], state.structure)
+
+
 def step_trotter1(state: QuantumState, decomposition: Decomposition, plan: StepPlan) -> QuantumState:
     """One first-order product step: terms applied in listed order, term 1 first."""
     for term in decomposition.terms:
-        state = evolve_unitary(state, term.eig, plan.dt)
+        state = _evolve(state, term, plan.dt)
     return state
 
 
@@ -175,7 +198,7 @@ def step_random(
         raise ValueError("distribution length does not match term count")
     j = p.sample(rng.random())
     tau = plan.dt / p.p[j]
-    return evolve_unitary(state, decomposition.terms[j].eig, tau), j, tau
+    return _evolve(state, decomposition.terms[j], tau), j, tau
 
 
 def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -> list[QuantumState]:
@@ -188,48 +211,157 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
     return states
 
 
-def _run(
-    protocol: str,
-    state0: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    exact_states: list[QuantumState] | None,
-    weights: Callable[[QuantumState, np.random.Generator], ProbabilityDistribution] | None = None,
-    stream=0,
-) -> TrajectoryRecord:
-    """The stepping loop of every protocol, scored against the exact state after each step.
+# A weight policy maps the loop's state (a (dim, M) block of pure states, or
+# one density-matrix QuantumState) and the step's generators, one per
+# trajectory, to the (M, L) probabilities and, when it changed basis to
+# measure, each term's basis_coordinates of the block for reuse.
+WeightPolicy = Callable[[np.ndarray | QuantumState, list], tuple[np.ndarray, list[np.ndarray] | None]]
 
-    With a weight policy, step k takes its generator from the stream, asks the
-    policy for p on the current state, and makes a random step with the same
-    generator. Without one, "trotter1" makes a product step and "exact" reads
-    the reference state.
+
+def _optimal_rows(djj: np.ndarray) -> np.ndarray:
+    """optimal_distribution applied to each row of an (M, L) array of norms."""
+    w = _sqrt_weights(djj, ZERO_WEIGHT_EPS)
+    total = w.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(total)):
+        raise ValueError("probability vector has non-finite entries")
+    return w / total
+
+
+def _fixed_weights(p: ProbabilityDistribution) -> WeightPolicy:
+    return lambda state, rngs: (np.broadcast_to(p.p, (len(rngs), len(p))), None)
+
+
+def _arc_weights(decomposition: Decomposition, noise: NoiseModel) -> WeightPolicy:
+    """Measure every term's moments on every trajectory and take the optimal weights.
+
+    Each generator first perturbs its trajectory's L x 4 moments (term-major,
+    as L moments_of calls would draw them). A density matrix takes the
+    finite-difference estimator at its default time offset.
     """
+    terms = decomposition.terms
+
+    def weights(state, rngs):
+        if isinstance(state, QuantumState):
+            djj = [norm_finite_difference(h, state, noise=noise, rng=rngs[0]) for h in terms]
+            return _optimal_rows(np.array([djj])), None
+        coords = [basis_coordinates(h, state) for h in terms]
+        raw = np.stack([moment_block(h, c).T for h, c in zip(terms, coords)], axis=1)
+        if noise.std > 0.0:
+            for moments, rng in zip(raw, rngs):
+                moments += rng.normal(0.0, noise.std, size=moments.shape)
+        return _optimal_rows(norms_from_moments(raw)), coords
+
+    return weights
+
+
+def _policy(name: str, decomposition: Decomposition, noise: NoiseModel) -> WeightPolicy | None:
+    if name == "arc":
+        return _arc_weights(decomposition, noise)
+    if name == "rc":
+        norms = np.asarray(decomposition.inf_norms)
+        if norms.sum() <= 0:
+            raise ValueError("all decomposition terms have zero norm")
+        return _fixed_weights(ProbabilityDistribution(norms))
+    if name == "equal":
+        size = len(decomposition)
+        return _fixed_weights(ProbabilityDistribution(np.full(size, 1.0 / size)))
+    if name in DETERMINISTIC_PROTOCOLS:
+        return None
+    raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")
+
+
+def _normalized(out):
+    """A block's columns scaled to unit norm; a drift past 1e-8 is a numerical failure."""
+    if isinstance(out, QuantumState):
+        return out
+    norms = column_norms(out)
+    if not np.all(np.abs(norms - 1.0) <= 1e-8):
+        raise np.linalg.LinAlgError(f"state norm drifted to {norms[np.argmax(np.abs(norms - 1.0))]}")
+    return out / norms
+
+
+def _apply_terms(terms, state, indices: np.ndarray, taus: np.ndarray, coords):
+    """Apply terms[indices[m]] for time taus[m] to trajectory m, reusing coords where measured."""
+    if isinstance(state, QuantumState):
+        return evolve_unitary(state, terms[indices[0]].eig, float(taus[0]))
+    out = np.empty_like(state)
+    for j, term in enumerate(terms):
+        cols = np.flatnonzero(indices == j)
+        if cols.size:
+            c = coords[j][:, cols] if coords else basis_coordinates(term, state[:, cols])
+            out[:, cols] = rotate_coordinates(term, c, taus[cols])
+    return out
+
+
+def run_block(
+    name: str, state0: QuantumState, decomposition: Decomposition, plan: StepPlan, streams, *,
+    noise: NoiseModel = EXACT,
+    exact_states: list[QuantumState] | None = None,
+) -> list[TrajectoryRecord]:
+    """The stepping loop of every protocol: one trajectory per stream, stepped as one block.
+
+    A pure state0 becomes a (dim, M) block with one column per stream; a
+    mixed one runs as a one-trajectory block holding its density matrix.
+    With a weight policy, step k takes each trajectory's generator from its
+    stream, asks the policy for p on the current block, draws each
+    trajectory's uniform from the same generator and makes the sampled
+    steps. Without one, "trotter1" makes a product step and "exact" reads the
+    reference state. Every trajectory is scored against the exact state
+    after each step. Record m is trajectory m. Its draws come from its own
+    stream alone, but the last bits of its states depend on the block it
+    runs in (the width of each product), so callers fix the blocks.
+    """
+    weights = _policy(name, decomposition, noise)
     if exact_states is None:
         exact_states = run_exact(state0, decomposition.total_operator, plan)
     elif len(exact_states) != plan.steps:
         raise ValueError(f"expected {plan.steps} exact states, got {len(exact_states)}")
-    n = plan.steps
-    fids = np.empty(n)
+    n, size = plan.steps, len(streams)
+    if not state0.is_pure and size != 1:
+        raise ValueError("a mixed initial state runs as a one-trajectory block")
+    terms = decomposition.terms
+    fids = np.empty((n, size))
     indices = taus = probs = None
     if weights is not None:
-        if not isinstance(stream, TrajectoryStream):
-            stream = trajectory_stream(int(stream))
-        indices = np.empty(n, dtype=int)
-        taus = np.empty(n)
-        probs = np.empty((n, len(decomposition)))
-    state = state0
+        streams = [s if isinstance(s, TrajectoryStream) else trajectory_stream(int(s)) for s in streams]
+        indices = np.empty((n, size), dtype=int)
+        taus = np.empty((n, size))
+        probs = np.empty((n, size, len(terms)))
+        rows = np.arange(size)
+    state = out = np.repeat(state0.data[:, None], size, axis=1) if state0.is_pure else state0
     for k, reference in enumerate(exact_states):
         if weights is not None:
-            rng = stream.step(k)
-            p = weights(state, rng)
-            state, indices[k], taus[k] = step_random(state, decomposition, plan, p, rng)
-            probs[k] = p.p
-        elif protocol == "trotter1":
-            state = step_trotter1(state, decomposition, plan)
+            rngs = [stream.step(k) for stream in streams]
+            p, coords = weights(state, rngs)
+            u = np.array([rng.random() for rng in rngs])
+            j = np.minimum((np.cumsum(p, axis=1) <= u[:, None]).sum(axis=1), len(terms) - 1)
+            indices[k], taus[k], probs[k] = j, plan.dt / p[rows, j], p
+            out = _apply_terms(terms, state, j, taus[k], coords)
+            state = _normalized(out)
+        elif name == "trotter1":
+            first, dts = np.zeros(size, dtype=int), np.full(size, plan.dt)
+            for term in terms:
+                out = _apply_terms([term], state, first, dts, None)
+                state = _normalized(out)
         else:
-            state = reference
-        fids[k] = fidelity(reference, state) if reference.is_pure else math.nan
-    return TrajectoryRecord(protocol, plan, fids, state, indices, taus, probs)
+            state = out = reference
+        if not reference.is_pure:
+            fids[k] = math.nan
+        elif isinstance(state, QuantumState):
+            fids[k] = fidelity(reference, state)
+        else:
+            fids[k] = fidelities(reference.data, state)
+    if isinstance(out, QuantumState):
+        finals = [out]
+    else:
+        finals = [QuantumState(out[:, m], state0.structure) for m in range(size)]
+    return [
+        TrajectoryRecord(
+            name, plan, fids[:, m], finals[m],
+            *(None if a is None else a[:, m] for a in (indices, taus, probs)),
+        )
+        for m in range(size)
+    ]
 
 
 def run_trotter1(
@@ -237,7 +369,7 @@ def run_trotter1(
     exact_states: list[QuantumState] | None = None,
 ) -> TrajectoryRecord:
     """First-order product formula for N steps."""
-    return _run("trotter1", state0, decomposition, plan, exact_states)
+    return run_block("trotter1", state0, decomposition, plan, [0], exact_states=exact_states)[0]
 
 
 def run_rc(
@@ -246,11 +378,7 @@ def run_rc(
     exact_states: list[QuantumState] | None = None,
 ) -> TrajectoryRecord:
     """Random compilation with fixed weights p_j = ||H_j||_inf / lambda."""
-    norms = np.asarray(decomposition.inf_norms)
-    if norms.sum() <= 0:
-        raise ValueError("all decomposition terms have zero norm")
-    p = ProbabilityDistribution(norms)
-    return _run("rc", state0, decomposition, plan, exact_states, lambda state, rng: p, stream)
+    return run_block("rc", state0, decomposition, plan, [stream], exact_states=exact_states)[0]
 
 
 def run_equal_weight(
@@ -259,8 +387,7 @@ def run_equal_weight(
     exact_states: list[QuantumState] | None = None,
 ) -> TrajectoryRecord:
     """Random compilation sampling every term with probability 1/L."""
-    p = ProbabilityDistribution(np.full(len(decomposition), 1.0 / len(decomposition)))
-    return _run("equal", state0, decomposition, plan, exact_states, lambda state, rng: p, stream)
+    return run_block("equal", state0, decomposition, plan, [stream], exact_states=exact_states)[0]
 
 
 def run_arc(
@@ -276,17 +403,9 @@ def run_arc(
     double-commutator norms, and samples from the optimal distribution. Mixed
     states take the finite-difference estimator at its default time offset.
     """
-
-    def weights(state: QuantumState, rng: np.random.Generator) -> ProbabilityDistribution:
-        if state.is_pure:
-            dcn = [norm_from_moments(moments_of(h, state, noise, rng)) for h in decomposition.terms]
-        else:
-            dcn = [
-                norm_finite_difference(h, state, noise=noise, rng=rng) for h in decomposition.terms
-            ]
-        return optimal_distribution(dcn)
-
-    return _run("arc", state0, decomposition, plan, exact_states, weights, stream)
+    return run_block(
+        "arc", state0, decomposition, plan, [stream], noise=noise, exact_states=exact_states
+    )[0]
 
 
 def run_protocol(
@@ -296,15 +415,6 @@ def run_protocol(
     exact_states: list[QuantumState] | None = None,
 ) -> TrajectoryRecord:
     """Dispatch a protocol by name: trotter1 | rc | arc | equal | exact."""
-    sampled = {"stream": stream, "exact_states": exact_states}
-    if name == "arc":
-        return run_arc(state0, decomposition, plan, noise=noise, **sampled)
-    if name == "rc":
-        return run_rc(state0, decomposition, plan, **sampled)
-    if name == "equal":
-        return run_equal_weight(state0, decomposition, plan, **sampled)
-    if name == "trotter1":
-        return run_trotter1(state0, decomposition, plan, exact_states=exact_states)
-    if name == "exact":
-        return _run(name, state0, decomposition, plan, exact_states)
-    raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")
+    return run_block(
+        name, state0, decomposition, plan, [stream], noise=noise, exact_states=exact_states
+    )[0]

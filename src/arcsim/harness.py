@@ -24,8 +24,8 @@ from .compilers import (
     PROTOCOL_NAMES,
     StepPlan,
     TrajectoryRecord,
+    run_block,
     run_exact,
-    run_protocol,
 )
 from .hamiltonians import (
     Decomposition,
@@ -52,6 +52,10 @@ DEFAULT_INITIAL_STATE = {
 }
 DEFAULT_N_LIST = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
 DEFAULT_DT_LIST = [0.01, 0.02, 0.04, 0.05, 0.1]
+# Trajectory m of an ensemble is stepped in block m // BLOCK_SIZE. The
+# partition is fixed because the last bits of a trajectory depend on the
+# block it runs in, so it must not follow the worker count.
+BLOCK_SIZE = 128
 
 
 class ConfigError(ValueError):
@@ -311,38 +315,56 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """[lo, hi) trajectory ranges of the fixed block partition of n trajectories."""
+    return [(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
+
+
 class _Context:
-    """Built model + per-plan-point exact-state cache, shared by trajectories."""
+    """Built model + exact-state cache, shared by trajectories.
+
+    Plan points with bit-equal dt share one exact trajectory, computed once
+    at the largest step count and sliced for the others, on one BLAS thread
+    like the trajectories, so `bounds` reads the same states whatever the
+    thread count.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.decomp, self.structure = build_model(config)
         self.state0 = basis_state(config.initial_state, self.structure)
         self.points = config.plan.points()
-        self._exact: dict[int, list] = {}
+        self._exact: dict[float, list] = {}
 
     def exact(self, point_idx: int) -> list:
-        if point_idx not in self._exact:
-            plan = self.points[point_idx].plan
-            self._exact[point_idx] = run_exact(
-                self.state0, self.decomp.total_operator, plan
-            )
-        return self._exact[point_idx]
-
-    def run_one(self, protocol: str, point_idx: int, m: int) -> TrajectoryRecord:
         plan = self.points[point_idx].plan
-        stream = trajectory_stream(
-            self.config.master_seed, PROTOCOL_IDS[protocol], point_idx, m
-        )
-        return run_protocol(
+        if plan.dt not in self._exact:
+            longest = max(
+                (p.plan for p in self.points if p.plan.dt == plan.dt), key=lambda q: q.steps
+            )
+            with _single_blas_thread():
+                self._exact[plan.dt] = run_exact(self.state0, self.decomp.total_operator, longest)
+        return self._exact[plan.dt][: plan.steps]
+
+    def run_block(self, protocol: str, point_idx: int, lo: int, hi: int) -> list[TrajectoryRecord]:
+        """Trajectories lo..hi-1 of one (protocol, plan point), stepped as one block."""
+        streams = [
+            trajectory_stream(self.config.master_seed, PROTOCOL_IDS[protocol], point_idx, m)
+            for m in range(lo, hi)
+        ]
+        return run_block(
             protocol,
             self.state0,
             self.decomp,
-            plan,
+            self.points[point_idx].plan,
+            streams,
             noise=NoiseModel(self.config.noise_std),
-            stream=stream,
             exact_states=self.exact(point_idx),
         )
+
+    def run_one(self, protocol: str, point_idx: int, m: int) -> TrajectoryRecord:
+        """Trajectory m on its own, as a one-trajectory block."""
+        return self.run_block(protocol, point_idx, m, m + 1)[0]
 
 
 def _openblas_threads():
@@ -404,53 +426,41 @@ def _worker_init(config_dict: dict) -> None:
 
 def _worker_chunk(protocol: str, point_idx: int, lo: int, hi: int) -> tuple[str, int, int, list]:
     assert _WORKER_CTX is not None
-    fids = [
-        _WORKER_CTX.run_one(protocol, point_idx, m).final_fidelity
-        for m in range(lo, hi)
-    ]
-    return protocol, point_idx, lo, fids
+    records = _WORKER_CTX.run_block(protocol, point_idx, lo, hi)
+    return protocol, point_idx, lo, [rec.final_fidelity for rec in records]
 
 
 def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
-    """Per-(protocol, plan point) fidelity arrays, trajectory-indexed."""
+    """Per-(protocol, plan point) fidelity arrays, trajectory-indexed.
+
+    Each block of the fixed partition is one pool task, or one serial run.
+    """
     m_count = config.trajectories
-    tasks = []  # (protocol, point_idx, n_trajectories)
+    tasks = []  # (protocol, point_idx, lo, hi)
+    fids = {}
     for protocol in config.protocols:
         n = 1 if protocol in DETERMINISTIC_PROTOCOLS else m_count
         for point_idx in range(len(ctx.points)):
-            tasks.append((protocol, point_idx, n))
+            fids[(protocol, point_idx)] = np.empty(n)
+            tasks += [(protocol, point_idx, lo, hi) for lo, hi in _blocks(n)]
 
-    fids = {
-        (protocol, point_idx): np.empty(n)
-        for protocol, point_idx, n in tasks
-    }
     workers = worker_count()
-    total = sum(n for _, _, n in tasks)
+    total = sum(hi - lo for _, _, lo, hi in tasks)
     with _single_blas_thread():
         if workers > 1 and total >= 4 * workers:
-            chunk = max(16, -(-m_count // (4 * workers)))
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
                 initargs=(config.to_dict(),),
             ) as pool:
-                futures = []
-                for protocol, point_idx, n in tasks:
-                    for lo in range(0, n, chunk):
-                        futures.append(
-                            pool.submit(
-                                _worker_chunk, protocol, point_idx, lo, min(lo + chunk, n)
-                            )
-                        )
+                futures = [pool.submit(_worker_chunk, *task) for task in tasks]
                 for fut in futures:
                     protocol, point_idx, lo, values = fut.result()
                     fids[(protocol, point_idx)][lo : lo + len(values)] = values
         else:
-            for protocol, point_idx, n in tasks:
-                for m in range(n):
-                    fids[(protocol, point_idx)][m] = ctx.run_one(
-                        protocol, point_idx, m
-                    ).final_fidelity
+            for protocol, point_idx, lo, hi in tasks:
+                records = ctx.run_block(protocol, point_idx, lo, hi)
+                fids[(protocol, point_idx)][lo:hi] = [rec.final_fidelity for rec in records]
     return fids
 
 
@@ -498,9 +508,12 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
     if len(points) != 1:
         raise ConfigError("probability traces require a single plan point")
     ctx = _Context(config)
-    records = [
-        ctx.run_one("arc", 0, m) for m in range(config.ptrace_trajectories)
-    ]
+    with _single_blas_thread():
+        records = [
+            rec
+            for lo, hi in _blocks(config.ptrace_trajectories)
+            for rec in ctx.run_block("arc", 0, lo, hi)
+        ]
     n = points[0].plan.steps
     steps = np.arange(1, n + 1)
     if len(records) == 1:

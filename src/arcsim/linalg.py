@@ -123,6 +123,20 @@ class HermitianOperator:
         return _eigensystem(self.matrix)
 
     @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The real diagonal if the matrix is exactly diagonal, else None.
+
+        A diagonal operator's eigenbasis is the computational basis, so the
+        block kernels apply it to states without a basis change.
+        """
+        d = np.diag(self.matrix)
+        if not np.array_equal(self.matrix, np.diag(d)):
+            return None
+        d = d.real.copy()
+        d.flags.writeable = False
+        return d
+
+    @cached_property
     def schatten_inf(self) -> float:
         """Largest absolute eigenvalue (largest singular value for Hermitian input)."""
         return float(np.max(np.abs(self.eig.eigenvalues)))
@@ -143,7 +157,7 @@ class QuantumState:
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
         if d.ndim == 1:
-            nrm = float(np.linalg.norm(d))
+            nrm = float(column_norms(d.reshape(-1, 1))[0])
             if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-8:
                 raise ValueError(f"pure state norm {nrm} too far from 1")
             d = d / nrm
@@ -209,22 +223,62 @@ def mixed_state(matrix, structure: Any = None) -> QuantumState:
     return QuantumState(m / tr, structure)
 
 
+def column_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a (dim, M) block of state vectors."""
+    return np.sqrt(np.add.reduce(block.real * block.real + block.imag * block.imag, axis=0))
+
+
+def eigenbasis(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray | None]:
+    """(eigenvalues, eigenvectors) of h; eigenvectors None for a diagonal h.
+
+    A diagonal h keeps its diagonal order, so its eigenvalues are the diagonal.
+    """
+    if h.diagonal is not None:
+        return h.diagonal, None
+    return h.eig.eigenvalues, h.eig.eigenvectors
+
+
+def basis_coordinates(h: HermitianOperator, block: np.ndarray) -> np.ndarray:
+    """Columns of a (dim, M) block in h's eigenbasis: V^dag block (block itself if h is diagonal)."""
+    _, vectors = eigenbasis(h)
+    return block if vectors is None else vectors.conj().T @ block
+
+
+def _rotate(values: np.ndarray, vectors: np.ndarray | None, coords: np.ndarray, taus) -> np.ndarray:
+    out = np.exp(-1j * values[:, None] * taus) * coords
+    return out if vectors is None else vectors @ out
+
+
+def rotate_coordinates(h: HermitianOperator, coords: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(-i h tau_m) applied to column m, given the block's basis_coordinates under h.
+
+    The result is not renormalized.
+    """
+    return _rotate(*eigenbasis(h), coords, taus)
+
+
 def evolve_unitary(state: QuantumState, eig: EigenSystem, tau: float) -> QuantumState:
     """Apply U = V diag(exp(-i e tau)) V^dag to the state.
 
     Pure states stay pure and mixed states stay unit-trace PSD; the cached
-    eigenbasis makes each application O(dim^2) for pure states.
+    eigenbasis makes each application O(dim^2) for pure states, which take
+    the block kernel as a one-column block.
     """
     if eig.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {eig.dim}, state {state.dim}")
-    ph = eig.phases(tau)
     v = eig.eigenvectors
     if state.is_pure:
-        out = v @ (ph * (v.conj().T @ state.data))
-        return QuantumState(out, state.structure)
-    u = (v * ph) @ v.conj().T
+        column = v.conj().T @ state.data.reshape(-1, 1)
+        out = _rotate(eig.eigenvalues, v, column, np.array([tau]))
+        return QuantumState(out[:, 0], state.structure)
+    u = (v * eig.phases(tau)) @ v.conj().T
     rho = u @ state.data @ u.conj().T
     return QuantumState(rho, state.structure)
+
+
+def fidelities(target: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """|<target|psi_m>|^2 for each column psi_m of a block, clipped to [0, 1]."""
+    return np.clip(np.abs(target.conj() @ block) ** 2, 0.0, 1.0)
 
 
 def fidelity(target_pure: QuantumState, other: QuantumState) -> float:
@@ -236,7 +290,6 @@ def fidelity(target_pure: QuantumState, other: QuantumState) -> float:
             f"dimension mismatch: target {target_pure.dim}, other {other.dim}"
         )
     if other.is_pure:
-        f = abs(np.vdot(target_pure.data, other.data)) ** 2
-    else:
-        f = float(np.real(np.vdot(target_pure.data, other.data @ target_pure.data)))
+        return float(fidelities(target_pure.data, other.data.reshape(-1, 1))[0])
+    f = float(np.real(np.vdot(target_pure.data, other.data @ target_pure.data)))
     return float(min(max(f, 0.0), 1.0))

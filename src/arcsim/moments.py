@@ -16,7 +16,9 @@ import numpy as np
 from .linalg import (
     HermitianOperator,
     QuantumState,
+    basis_coordinates,
     commutator,
+    eigenbasis,
     evolve_unitary,
     hs_norm,
 )
@@ -68,6 +70,26 @@ def double_commutator_norm(h: HermitianOperator, state: QuantumState) -> float:
     return hs_norm(commutator(h.matrix, commutator(h.matrix, rho)))
 
 
+def moment_block(h: HermitianOperator, coords: np.ndarray) -> np.ndarray:
+    """Moments <H^k>, k = 1..4 (rows), of every column of a block of pure states.
+
+    Takes the block's basis_coordinates c under h, so one basis change serves
+    all four moments: <H^k> = sum_i |c_i|^2 e_i^k / sum_i |c_i|^2. Every sum
+    runs in the same order, so on an eigenstate whose eigenvalue is 0 or a
+    power of two each ratio is that eigenvalue's power exactly, and the
+    double-commutator radicand is exactly 0.
+    """
+    values, _ = eigenbasis(h)
+    weights = coords.real * coords.real + coords.imag * coords.imag
+    power = np.ones_like(values)
+    total = power @ weights
+    moments = np.empty((4, weights.shape[1]))
+    for k in range(4):
+        power = power * values
+        moments[k] = (power @ weights) / total
+    return moments
+
+
 def moments_of(
     h: HermitianOperator,
     state: QuantumState,
@@ -76,25 +98,29 @@ def moments_of(
 ) -> MomentSet:
     """Moments <H^k>, k = 1..4, of a pure state, each independently perturbed.
 
-    Uses iterated operator-on-vector products rather than forming powers of H.
+    The one-column case of moment_block.
     """
     if not state.is_pure:
         raise ValueError("moment measurement needs a pure state; use the finite-difference path")
     if h.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {h.dim}, state {state.dim}")
-    v = state.data
-    raw = np.empty(4)
-    w = v
-    for k in range(4):
-        w = h.matrix @ w
-        raw[k] = np.vdot(v, w).real
+    raw = moment_block(h, basis_coordinates(h, state.data.reshape(-1, 1)))[:, 0]
     return MomentSet(*noise.perturb(raw, rng))
+
+
+def norms_from_moments(moments: np.ndarray) -> np.ndarray:
+    """Pure-state formula sqrt(6 m2^2 - 8 m1 m3 + 2 m4) over the last axis (m1..m4).
+
+    The radicand is clamped at 0.
+    """
+    m1, m2, m3, m4 = np.moveaxis(moments, -1, 0)
+    radicand = 6.0 * m2 * m2 - 8.0 * m1 * m3 + 2.0 * m4
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def norm_from_moments(m: MomentSet) -> float:
     """Pure-state formula sqrt(6 m2^2 - 8 m1 m3 + 2 m4), radicand clamped at 0."""
-    radicand = 6.0 * m.m2**2 - 8.0 * m.m1 * m.m3 + 2.0 * m.m4
-    return float(np.sqrt(max(radicand, 0.0)))
+    return float(norms_from_moments(np.array([m.m1, m.m2, m.m3, m.m4])))
 
 
 def _tr_product(a: np.ndarray, b: np.ndarray) -> np.longdouble:

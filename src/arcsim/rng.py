@@ -9,7 +9,7 @@ how work is scheduled across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,29 @@ def stream_key(master_seed: int, *path: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryStream:
-    """Per-trajectory stream; step(k) yields an independent generator for step k."""
+    """Per-trajectory stream; step(k) yields an independent generator for step k.
+
+    The stream keeps one Philox generator and step(k) moves it to counter
+    (0, 0, 0, k), so the generator it returns draws exactly what a fresh
+    Generator(Philox(key, counter=[0, 0, 0, k])) would. That generator is
+    valid until the next step() call on the same stream.
+    """
 
     key: np.ndarray
+    _bits: np.random.Philox = field(init=False, repr=False)
+    _generator: np.random.Generator = field(init=False, repr=False)
+    _state: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        bits = np.random.Philox(key=self.key)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_generator", np.random.Generator(bits))
+        object.__setattr__(self, "_state", bits.state)
 
     def step(self, k: int) -> np.random.Generator:
-        counter = np.array([0, 0, 0, int(k)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=self.key, counter=counter))
+        self._state["state"]["counter"] = np.array([0, 0, 0, int(k)], dtype=np.uint64)
+        self._bits.state = self._state
+        return self._generator
 
 
 def trajectory_stream(master_seed: int, *path: int) -> TrajectoryStream:

@@ -144,7 +144,8 @@ class TestCliRun:
             monkeypatch.setenv("ARC_SIM_THREADS", threads)
             calls.update(contexts=0, exact=0)
             assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
-            assert calls == {"contexts": 1, "exact": 2}, threads
+            # both plan points share dt, so one exact trajectory serves them
+            assert calls == {"contexts": 1, "exact": 1}, threads
 
     def test_seed_override_determinism(self, tmp_path):
         cfg = write_config(tmp_path)

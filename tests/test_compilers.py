@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from arcsim import compilers
 from arcsim.compilers import (
     PROTOCOL_NAMES,
     ProbabilityDistribution,
@@ -11,6 +12,7 @@ from arcsim.compilers import (
     cost,
     optimal_distribution,
     run_arc,
+    run_block,
     run_equal_weight,
     run_exact,
     run_protocol,
@@ -19,17 +21,26 @@ from arcsim.compilers import (
     step_random,
     step_trotter1,
 )
-from arcsim.hamiltonians import PAULI, Decomposition, build_mfim, basis_state
+from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_kerr, build_mfim, build_rabi
 from arcsim.linalg import (
     HermitianOperator,
     QuantumState,
+    basis_coordinates,
     fidelity,
     hs_norm,
     kron,
     mixed_state,
     pure_state,
+    rotate_coordinates,
 )
-from arcsim.moments import EXACT, NoiseModel, moments_of, norm_finite_difference, norm_from_moments
+from arcsim.moments import (
+    EXACT,
+    NoiseModel,
+    moment_block,
+    moments_of,
+    norm_finite_difference,
+    norm_from_moments,
+)
 from arcsim.rng import TrajectoryStream, trajectory_stream
 
 
@@ -620,3 +631,127 @@ class TestChannelMatching:
 
             ratio = defect(0.02) / defect(0.01)
             assert 3.0 <= ratio <= 5.0
+
+
+def block_cases():
+    """(label, initial state, decomposition): every model with its diagonal terms, and a random split."""
+    rng = np.random.default_rng(44)
+    mfim, st = build_mfim(3, 1.0, 0.5, 0.3)
+    yield "mfim", basis_state("011", st), mfim
+    kerr, st = build_kerr(0.3, 1.0, 0.5, 6)
+    yield "kerr", basis_state("(|1⟩+|3⟩)/√2", st), kerr
+    rabi, st = build_rabi(1.0, 1.0, 0.8, 5)
+    yield "rabi", basis_state("(|2,0⟩+|3,1⟩)/√2", st), rabi
+    diag = HermitianOperator(np.diag(rng.normal(size=6)))
+    rand = Decomposition((random_hermitian(rng, 6), diag, random_hermitian(rng, 6, 0.5)))
+    yield "random", random_pure(rng, 6), rand
+
+
+class TestBlockEngine:
+    def test_block_matches_single_trajectories(self):
+        plan = StepPlan(0.4, 8)
+        for case, (label, psi, dec) in enumerate(block_cases()):
+            exact = run_exact(psi, dec.total_operator, plan)
+            for noise_std in (0.0, 0.2):
+                for pid, name in enumerate(("rc", "equal", "arc")):
+                    streams = [trajectory_stream(3, case, pid, m) for m in range(11)]
+                    block = run_block(
+                        name, psi, dec, plan, streams, noise=NoiseModel(noise_std), exact_states=exact
+                    )
+                    for m, got in enumerate(block):
+                        want = run_protocol(
+                            name, psi, dec, plan, noise=NoiseModel(noise_std),
+                            stream=trajectory_stream(3, case, pid, m), exact_states=exact,
+                        )
+                        where = (label, noise_std, name, m)
+                        assert np.array_equal(got.indices, want.indices), where
+                        for field in ("probabilities", "taus", "fidelities"):
+                            assert np.allclose(
+                                getattr(got, field), getattr(want, field), rtol=0, atol=1e-12
+                            ), (field, where)
+                        assert np.allclose(
+                            got.final_state.data, want.final_state.data, rtol=0, atol=1e-12
+                        ), where
+
+    def test_block_draws_follow_each_stream(self):
+        # a trajectory's samples do not depend on its neighbours in the block
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plan = basis_state("011", st), StepPlan(0.4, 8)
+        streams = [trajectory_stream(8, m) for m in range(5)]
+        full = run_block("arc", psi, dec, plan, streams, noise=NoiseModel(0.1))
+        part = run_block("arc", psi, dec, plan, streams[2:4], noise=NoiseModel(0.1))
+        for a, b in zip(full[2:4], part):
+            assert np.array_equal(a.indices, b.indices)
+            assert np.allclose(a.probabilities, b.probabilities, rtol=0, atol=1e-12)
+
+    def test_deterministic_and_mixed_blocks(self):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plan = basis_state("011", st), StepPlan(0.4, 8)
+        for name in ("trotter1", "exact"):
+            (rec,) = run_block(name, psi, dec, plan, [0])
+            assert rec.indices is None and rec.probabilities is None
+        rho = mixed_state(0.7 * psi.density() + 0.3 * np.eye(dec.dim) / dec.dim)
+        with pytest.raises(ValueError, match="one-trajectory block"):
+            run_block("arc", rho, dec, plan, [0, 1])
+        with pytest.raises(ValueError, match="unknown protocol"):
+            run_block("magnus", psi, dec, plan, [0])
+
+    def test_norm_drift_is_numerical_failure(self, monkeypatch):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plan = basis_state("011", st), StepPlan(0.4, 8)
+        rotate = compilers.rotate_coordinates
+        monkeypatch.setattr(compilers, "rotate_coordinates", lambda *a: 1.01 * rotate(*a))
+        with pytest.raises(np.linalg.LinAlgError, match="norm drifted"):
+            run_block("rc", psi, dec, plan, [0, 1, 2])
+
+
+class TestDiagonalShortcut:
+    def test_model_terms_flagged(self):
+        flagged = {
+            label: [h.label for h in dec.terms if h.diagonal is not None]
+            for label, _, dec in block_cases()
+        }
+        assert flagged["mfim"] == ["zz", "z"]
+        assert flagged["kerr"] == ["detuning", "kerr"]
+        assert flagged["rabi"] == ["field", "qubit"]
+        assert HermitianOperator(np.diag([1.0, 2.0]) + 1e-300 * PAULI["x"]).diagonal is None
+
+    def test_shortcut_equals_eigenvector_path(self):
+        rng = np.random.default_rng(45)
+        for _, _, dec in block_cases():
+            for h in dec.terms:
+                if h.diagonal is None:
+                    continue
+                block = np.stack([random_pure(rng, h.dim).data for _ in range(7)], axis=1)
+                taus = rng.uniform(0.01, 2.0, size=7)
+                values, vectors = h.eig.eigenvalues, h.eig.eigenvectors
+                coords = vectors.conj().T @ block
+                via_v = vectors @ (np.exp(-1j * values[:, None] * taus) * coords)
+                got = rotate_coordinates(h, basis_coordinates(h, block), taus)
+                assert np.allclose(got, via_v, rtol=0, atol=1e-14), h.label
+                weights = np.abs(coords) ** 2
+                want = np.array([np.sum(weights * values[:, None] ** k, axis=0) for k in range(1, 5)])
+                scale = np.max(np.abs(values)) ** np.arange(1, 5)[:, None]
+                assert np.allclose(
+                    moment_block(h, basis_coordinates(h, block)) / scale, want / scale, rtol=0, atol=1e-14
+                ), h.label
+
+    def test_moments_match_matvec_definition(self):
+        rng = np.random.default_rng(46)
+        for dim in (2, 5, 16):
+            h = random_hermitian(rng, dim)
+            psi = random_pure(rng, dim)
+            w, want = psi.data, []
+            for _ in range(4):
+                w = h.matrix @ w
+                want.append(np.vdot(psi.data, w).real)
+            m = moments_of(h, psi)
+            assert np.allclose([m.m1, m.m2, m.m3, m.m4], want, rtol=1e-12, atol=1e-12)
+
+    def test_eigenstate_weight_is_exactly_zero(self):
+        # power-of-two eigenvalue: every moment ratio is exact, so no rounding residue
+        h = HermitianOperator(np.diag([0.5, 0.5, -0.5, -0.5]))
+        v = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
+        for phase in np.linspace(0.0, 3.0, 7):
+            psi = pure_state(v * np.exp(1j * phase * np.arange(4)))
+            assert norm_from_moments(moments_of(h, psi)) == 0.0

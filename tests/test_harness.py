@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from arcsim.compilers import StepPlan, run_protocol
-from arcsim.emit import series_csv
+from arcsim import harness
+from arcsim.emit import ptrace_csv, series_csv
 from arcsim.harness import (
+    BLOCK_SIZE,
     ConfigError,
     DEFAULT_DT_LIST,
     DEFAULT_N_LIST,
@@ -193,6 +195,39 @@ class TestRunEnsemble:
                 assert f2 <= f1 + 2 * (s1 + s2)
 
 
+class TestExactReference:
+    def test_shared_dt_computed_once_and_sliced(self, monkeypatch):
+        cfg = mfim_config(plan={"mode": "fixed_dt", "dt": 0.02, "n_list": DEFAULT_N_LIST})
+        calls = []
+        run_exact = harness.run_exact
+
+        def counted(state0, full_h, plan):
+            calls.append(plan.steps)
+            return run_exact(state0, full_h, plan)
+
+        monkeypatch.setattr(harness, "run_exact", counted)
+        ctx = _Context(cfg)
+        states = [ctx.exact(i) for i in range(len(ctx.points))]
+        assert calls == [50]
+        for point, got in zip(ctx.points, states):
+            want = run_exact(ctx.state0, ctx.decomp.total_operator, point.plan)
+            assert len(got) == len(want) == point.plan.steps
+            assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))
+
+    def test_distinct_dt_computed_per_point(self, monkeypatch):
+        cfg = mfim_config(plan={"mode": "fixed_t", "t": 0.2, "dt_list": [0.02, 0.05, 0.1]})
+        calls = []
+        run_exact = harness.run_exact
+        monkeypatch.setattr(
+            harness, "run_exact", lambda *args: calls.append(args[2].steps) or run_exact(*args)
+        )
+        ctx = _Context(cfg)
+        for i in range(3):
+            ctx.exact(i)
+            ctx.exact(i)
+        assert calls == [10, 4, 2]
+
+
 class TestExtrapolation:
     def test_exact_linear_data(self):
         pts = [(dt, 1.0 - 2.0 * dt) for dt in (0.01, 0.02, 0.04, 0.08)]
@@ -336,6 +371,76 @@ class TestWorkerCount:
         finally:
             set_fn(before)
         assert outputs[0] == outputs[1]
+
+    def test_rabi_ptrace_bytes_independent_of_blas_threads(self):
+        cfg = config_from_dict(
+            {
+                "model": "rabi",
+                "protocols": ["arc"],
+                "plan": {"mode": "fixed_dt", "dt": 0.02, "n_list": [20]},
+                "noise_std": 0.0,
+                "master_seed": 12,
+                "ptrace_trajectories": 5,
+            }
+        )
+        fns = _openblas_threads()
+        if fns is None:
+            assert ptrace_csv(run_ptrace(cfg)) == ptrace_csv(run_ptrace(cfg))
+            return
+        set_fn, get_fn = fns
+        before = get_fn()
+        try:
+            outputs = []
+            for threads in (2, 1):
+                set_fn(threads)
+                outputs.append(ptrace_csv(run_ptrace(cfg)))
+        finally:
+            set_fn(before)
+        assert outputs[0] == outputs[1]
+
+    def test_exact_reference_independent_of_blas_threads(self):
+        # the bounds command reads these states outside any trajectory loop
+        cfg = config_from_dict(
+            {
+                "model": "rabi",
+                "params": {"g": 0.8},
+                "protocols": ["arc"],
+                "plan": {"mode": "fixed_dt", "dt": 0.02, "n_list": [50]},
+            }
+        )
+        fns = _openblas_threads()
+        counts = (2, 1) if fns else (None, None)
+        before = fns[1]() if fns else None
+        try:
+            states = []
+            for threads in counts:
+                if fns:
+                    fns[0](threads)
+                states.append(np.array([s.data for s in _Context(cfg).exact(0)]))
+        finally:
+            if fns:
+                fns[0](before)
+        assert np.array_equal(states[0], states[1])
+
+    def test_bytes_independent_of_worker_count(self, monkeypatch):
+        # more trajectories than one block, so the pool splits each plan point
+        cases = [
+            ("mfim", {"n_list": [5, 10]}, {"noise_std": 0.2, "trajectories": BLOCK_SIZE + 6}),
+            ("rabi", {"n_list": [10]}, {"noise_std": 0.0, "trajectories": 10}),
+        ]
+        for model, plan, extra in cases:
+            raw = {"model": model, "protocols": ["arc", "rc"], "master_seed": 2, **extra,
+                   "plan": {"mode": "fixed_dt", "dt": 0.02, **plan}}
+            trace = {**raw, "protocols": ["arc"], "plan": {**raw["plan"], "n_list": [10]},
+                     "ptrace_trajectories": 3}
+            outputs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ARC_SIM_THREADS", threads)
+                outputs.append((
+                    series_csv(run_ensemble(config_from_dict(raw))),
+                    ptrace_csv(run_ptrace(config_from_dict(trace))),
+                ))
+            assert outputs[0] == outputs[1], model
 
     def test_protocol_ids_stable(self):
         # seed paths depend on these ids; changing them silently would break
