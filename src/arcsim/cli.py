@@ -1,6 +1,7 @@
 """Command-line interface: run | ptrace | bounds | selftest.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numerical or any other runtime
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # MemoryError, RuntimeError, a worker that died, ...
+        message = " ".join(str(exc).split())
+        print(f"runtime failure: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -31,12 +31,15 @@ from .linalg import (
     rotate_coordinates,
 )
 from .moments import EXACT, NoiseModel, moment_block, norm_finite_difference, norms_from_moments
-from .rng import TrajectoryStream, trajectory_stream
+from .rng import TrajectoryStream, stream_draws, stream_key
 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
 DETERMINISTIC_PROTOCOLS = frozenset({"trotter1", "exact"})
 
 ZERO_WEIGHT_EPS = 1e-14
+# Steps whose draws a block makes at once: enough to amortize the array
+# work, few enough to keep the draw buffers small.
+DRAW_CHUNK = 8
 
 
 def _reject_non_finite(p: np.ndarray) -> None:
@@ -211,11 +214,16 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
     return states
 
 
-# A weight policy maps the loop's state (a (dim, M) block of pure states, or
-# one density-matrix QuantumState) and the step's generators, one per
-# trajectory, to the (M, L) probabilities and, when it changed basis to
-# measure, each term's basis_coordinates of the block for reuse.
-WeightPolicy = Callable[[np.ndarray | QuantumState, list], tuple[np.ndarray, list[np.ndarray] | None]]
+# A weight policy maps the loop's state and the step's draws to the (M, L)
+# probabilities and, when it changed basis to measure, each term's
+# basis_coordinates of the block for reuse. The state is a (dim, M) block of
+# pure states, whose draws are an (M, L, 4) array of measurement noise (None
+# when noise-free), or one density-matrix QuantumState, whose draws are its
+# trajectory's generator.
+WeightPolicy = Callable[
+    [np.ndarray | QuantumState, "np.ndarray | np.random.Generator | None"],
+    tuple[np.ndarray, list[np.ndarray] | None],
+]
 
 
 def _optimal_rows(djj: np.ndarray) -> np.ndarray:
@@ -227,28 +235,32 @@ def _optimal_rows(djj: np.ndarray) -> np.ndarray:
     return w / total
 
 
+def _width(state) -> int:
+    return 1 if isinstance(state, QuantumState) else state.shape[1]
+
+
 def _fixed_weights(p: ProbabilityDistribution) -> WeightPolicy:
-    return lambda state, rngs: (np.broadcast_to(p.p, (len(rngs), len(p))), None)
+    return lambda state, draws: (np.broadcast_to(p.p, (_width(state), len(p))), None)
 
 
 def _arc_weights(decomposition: Decomposition, noise: NoiseModel) -> WeightPolicy:
     """Measure every term's moments on every trajectory and take the optimal weights.
 
-    Each generator first perturbs its trajectory's L x 4 moments (term-major,
-    as L moments_of calls would draw them). A density matrix takes the
-    finite-difference estimator at its default time offset.
+    The noise perturbs each trajectory's L x 4 moments (term-major, as L
+    moments_of calls would draw them). A density matrix takes the
+    finite-difference estimator at its default time offset, drawing from its
+    generator.
     """
     terms = decomposition.terms
 
-    def weights(state, rngs):
+    def weights(state, draws):
         if isinstance(state, QuantumState):
-            djj = [norm_finite_difference(h, state, noise=noise, rng=rngs[0]) for h in terms]
+            djj = [norm_finite_difference(h, state, noise=noise, rng=draws) for h in terms]
             return _optimal_rows(np.array([djj])), None
         coords = [basis_coordinates(h, state) for h in terms]
         raw = np.stack([moment_block(h, c).T for h, c in zip(terms, coords)], axis=1)
-        if noise.std > 0.0:
-            for moments, rng in zip(raw, rngs):
-                moments += rng.normal(0.0, noise.std, size=moments.shape)
+        if draws is not None:
+            raw += draws
         return _optimal_rows(norms_from_moments(raw)), coords
 
     return weights
@@ -293,74 +305,111 @@ def _apply_terms(terms, state, indices: np.ndarray, taus: np.ndarray, coords):
     return out
 
 
+def _keys_of(streams) -> np.ndarray:
+    """(M, 2) Philox keys of streams given as a key array, TrajectoryStreams or int seeds."""
+    if isinstance(streams, np.ndarray):
+        return streams
+    keys = [s.key if isinstance(s, TrajectoryStream) else stream_key(int(s)) for s in streams]
+    return np.array(keys, dtype=np.uint64)
+
+
 def run_block(
-    name: str, state0: QuantumState, decomposition: Decomposition, plan: StepPlan, streams, *,
+    name: str, state0: QuantumState, decomposition: Decomposition, plan, streams, *,
     noise: NoiseModel = EXACT,
     exact_states: list[QuantumState] | None = None,
 ) -> list[TrajectoryRecord]:
     """The stepping loop of every protocol: one trajectory per stream, stepped as one block.
 
-    A pure state0 becomes a (dim, M) block with one column per stream; a
-    mixed one runs as a one-trajectory block holding its density matrix.
-    With a weight policy, step k takes each trajectory's generator from its
-    stream, asks the policy for p on the current block, draws each
-    trajectory's uniform from the same generator and makes the sampled
-    steps. Without one, "trotter1" makes a product step and "exact" reads the
-    reference state. Every trajectory is scored against the exact state
-    after each step. Record m is trajectory m. Its draws come from its own
-    stream alone, but the last bits of its states depend on the block it
-    runs in (the width of each product), so callers fix the blocks.
+    Streams are TrajectoryStreams, int seeds of trajectory_stream(seed), or
+    an (M, 2) array of their keys. `plan` is one StepPlan for every stream, or a list of one per stream
+    with bit-equal dt and non-increasing step counts; the block then steps
+    only its still-running prefix. A pure state0 becomes a (dim, M) block
+    with one column per stream; a mixed one runs as a one-trajectory block
+    holding its density matrix. With a weight policy, step k asks the
+    policy for p on the current block and samples each trajectory's term
+    with its uniform. A block's draws (the uniforms and the arc policy's
+    measurement noise) are made DRAW_CHUNK steps at a time by
+    rng.stream_draws, bit-identical to what each stream's step(k) generator
+    would draw; a density matrix draws from that generator itself. Without a
+    policy, "trotter1" makes a product step and "exact" reads the reference
+    state. Every trajectory is scored against the exact state after each
+    step. Record m is trajectory m. Its draws come from its own stream
+    alone, but the last bits of its states depend on the block it runs in
+    (the width of each product), so callers fix the blocks.
     """
     weights = _policy(name, decomposition, noise)
+    size = len(streams)
+    plans = [plan] * size if isinstance(plan, StepPlan) else list(plan)
+    if len(plans) != size:
+        raise ValueError(f"{len(plans)} plans for {size} streams")
+    longest = plans[0]
+    if any(q.dt != longest.dt or q.steps > prev.steps for prev, q in zip(plans, plans[1:])):
+        raise ValueError("plans must share one dt and run longest first")
     if exact_states is None:
-        exact_states = run_exact(state0, decomposition.total_operator, plan)
-    elif len(exact_states) != plan.steps:
-        raise ValueError(f"expected {plan.steps} exact states, got {len(exact_states)}")
-    n, size = plan.steps, len(streams)
+        exact_states = run_exact(state0, decomposition.total_operator, longest)
+    elif len(exact_states) != longest.steps:
+        raise ValueError(f"expected {longest.steps} exact states, got {len(exact_states)}")
     if not state0.is_pure and size != 1:
         raise ValueError("a mixed initial state runs as a one-trajectory block")
     terms = decomposition.terms
-    fids = np.empty((n, size))
+    n, dt = longest.steps, longest.dt
+    fids = np.full((n, size), math.nan)
     indices = taus = probs = None
     if weights is not None:
-        streams = [s if isinstance(s, TrajectoryStream) else trajectory_stream(int(s)) for s in streams]
+        keys = _keys_of(streams)
+        ends = np.array([q.steps for q in plans])
+        mixed_stream = None if state0.is_pure else TrajectoryStream(keys[0])
         indices = np.empty((n, size), dtype=int)
         taus = np.empty((n, size))
         probs = np.empty((n, size, len(terms)))
-        rows = np.arange(size)
+        noise_shape = (len(terms), 4) if name == "arc" and noise.std > 0.0 else None
+    finals = [None] * size
     state = out = np.repeat(state0.data[:, None], size, axis=1) if state0.is_pure else state0
+    width = size  # trajectories 0..width-1 are still running
     for k, reference in enumerate(exact_states):
         if weights is not None:
-            rngs = [stream.step(k) for stream in streams]
-            p, coords = weights(state, rngs)
-            u = np.array([rng.random() for rng in rngs])
+            if isinstance(state, QuantumState):
+                rng = mixed_stream.step(k)
+                p, coords = weights(state, rng)
+                u = np.array([rng.random()])
+            else:
+                if k % DRAW_CHUNK == 0:
+                    chunk_noise, chunk_u = stream_draws(
+                        keys[:width], k, np.minimum(ends[:width], k + DRAW_CHUNK), noise_shape, noise.std
+                    )
+                c = k % DRAW_CHUNK
+                p, coords = weights(state, None if chunk_noise is None else chunk_noise[:width, c])
+                u = chunk_u[:width, c]
             j = np.minimum((np.cumsum(p, axis=1) <= u[:, None]).sum(axis=1), len(terms) - 1)
-            indices[k], taus[k], probs[k] = j, plan.dt / p[rows, j], p
-            out = _apply_terms(terms, state, j, taus[k], coords)
+            indices[k, :width], taus[k, :width], probs[k, :width] = j, dt / p[np.arange(width), j], p
+            out = _apply_terms(terms, state, j, taus[k, :width], coords)
             state = _normalized(out)
         elif name == "trotter1":
-            first, dts = np.zeros(size, dtype=int), np.full(size, plan.dt)
+            first, dts = np.zeros(width, dtype=int), np.full(width, dt)
             for term in terms:
                 out = _apply_terms([term], state, first, dts, None)
                 state = _normalized(out)
         else:
             state = out = reference
         if not reference.is_pure:
-            fids[k] = math.nan
+            pass
         elif isinstance(state, QuantumState):
-            fids[k] = fidelity(reference, state)
+            fids[k, :width] = fidelity(reference, state)
         else:
-            fids[k] = fidelities(reference.data, state)
-    if isinstance(out, QuantumState):
-        finals = [out]
-    else:
-        finals = [QuantumState(out[:, m], state0.structure) for m in range(size)]
+            fids[k, :width] = fidelities(reference.data, state)
+        while width and plans[width - 1].steps == k + 1:
+            width -= 1
+            finals[width] = (
+                out if isinstance(out, QuantumState) else QuantumState(out[:, width], state0.structure)
+            )
+        if not isinstance(state, QuantumState):
+            state = state[:, :width]
     return [
         TrajectoryRecord(
-            name, plan, fids[:, m], finals[m],
-            *(None if a is None else a[:, m] for a in (indices, taus, probs)),
+            name, q, fids[: q.steps, m], finals[m],
+            *(None if a is None else a[: q.steps, m] for a in (indices, taus, probs)),
         )
-        for m in range(size)
+        for m, q in enumerate(plans)
     ]
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from .hamiltonians import (
     build_rabi,
 )
 from .moments import NoiseModel
-from .rng import trajectory_stream
+from .rng import stream_keys
 
 PROTOCOL_IDS = {name: i for i, name in enumerate(PROTOCOL_NAMES)}
 
@@ -52,9 +54,15 @@ DEFAULT_INITIAL_STATE = {
 }
 DEFAULT_N_LIST = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
 DEFAULT_DT_LIST = [0.01, 0.02, 0.04, 0.05, 0.1]
-# Trajectory m of an ensemble is stepped in block m // BLOCK_SIZE. The
-# partition is fixed because the last bits of a trajectory depend on the
-# block it runs in, so it must not follow the worker count.
+# Largest Hilbert-space dimension a config may ask for: every operator is a
+# dense dim x dim complex matrix (16 MB at the cap), and configs are rejected
+# before any is allocated.
+MAX_DIM = 1024
+# The trajectories of all plan points with bit-equal dt are ordered longest
+# first, as (N descending, point, m), and stepped in blocks of BLOCK_SIZE
+# along that order. The partition is fixed because the last bits of a
+# trajectory depend on the block it runs in, so it must not follow the
+# worker count.
 BLOCK_SIZE = 128
 
 
@@ -169,6 +177,15 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
     return spec
 
 
+def _dimension(model: str, params: dict) -> int:
+    """Hilbert-space dimension of a model; MFIM's saturates at 2**64 so a huge L costs nothing."""
+    if model == "mfim":
+        return 2 ** min(int(params["L"]), 64)
+    if model == "kerr":
+        return params["D"]
+    return 2 * params["D"]
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -199,6 +216,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     bad = set(overrides) - set(params)
     _require(not bad, f"unknown {model} parameters {sorted(bad)}")
     params.update(overrides)
+    for key, value in params.items():
+        if key in ("L", "D"):
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+            _require(ok, f"params.{key} must be an integer >= 1, got {value!r}")
+        else:
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+            _require(ok, f"params.{key} must be a finite number, got {value!r}")
+    dim = _dimension(model, params)
+    _require(dim <= MAX_DIM, f"{model} Hilbert dimension {dim} exceeds the cap of {MAX_DIM}")
 
     protocols = raw.get("protocols", ["arc", "rc"])
     _require(
@@ -346,25 +372,37 @@ class _Context:
                 self._exact[plan.dt] = run_exact(self.state0, self.decomp.total_operator, longest)
         return self._exact[plan.dt][: plan.steps]
 
-    def run_block(self, protocol: str, point_idx: int, lo: int, hi: int) -> list[TrajectoryRecord]:
-        """Trajectories lo..hi-1 of one (protocol, plan point), stepped as one block."""
-        streams = [
-            trajectory_stream(self.config.master_seed, PROTOCOL_IDS[protocol], point_idx, m)
-            for m in range(lo, hi)
+    def group(self, point_idx: int) -> list[int]:
+        """Plan points with point_idx's dt, in index order."""
+        dt = self.points[point_idx].plan.dt
+        return [q for q, point in enumerate(self.points) if point.plan.dt == dt]
+
+    def order(self, protocol: str, point_idx: int) -> list[tuple[int, int]]:
+        """(point, trajectory) pairs of point_idx's dt group, longest first: (N descending, point, m)."""
+        count = 1 if protocol in DETERMINISTIC_PROTOCOLS else self.config.trajectories
+        steps = [point.plan.steps for point in self.points]
+        return [
+            (q, m)
+            for q in sorted(self.group(point_idx), key=lambda q: -steps[q])
+            for m in range(count)
         ]
+
+    def run_block(self, protocol: str, members: list[tuple[int, int]]) -> list[TrajectoryRecord]:
+        """The (point, trajectory) pairs of one dt group, ordered longest first, as one block."""
+        pid = PROTOCOL_IDS[protocol]
         return run_block(
             protocol,
             self.state0,
             self.decomp,
-            self.points[point_idx].plan,
-            streams,
+            [self.points[q].plan for q, _ in members],
+            stream_keys(self.config.master_seed, [(pid, q, m) for q, m in members]),
             noise=NoiseModel(self.config.noise_std),
-            exact_states=self.exact(point_idx),
+            exact_states=self.exact(members[0][0]),
         )
 
     def run_one(self, protocol: str, point_idx: int, m: int) -> TrajectoryRecord:
-        """Trajectory m on its own, as a one-trajectory block."""
-        return self.run_block(protocol, point_idx, m, m + 1)[0]
+        """Trajectory m of one plan point on its own, as a one-trajectory block."""
+        return self.run_block(protocol, [(point_idx, m)])[0]
 
 
 def _openblas_threads():
@@ -416,51 +454,69 @@ def _single_blas_thread():
 _WORKER_CTX: _Context | None = None
 
 
-def _worker_init(config_dict: dict) -> None:
+def _worker_init(ctx: _Context) -> None:
+    """Adopt the parent's context: forked workers inherit it, spawned ones unpickle it."""
     global _WORKER_CTX
     fns = _openblas_threads()
     if fns is not None:
         fns[0](1)  # a spawned worker does not inherit the parent's setting
-    _WORKER_CTX = _Context(config_from_dict(config_dict))
+    _WORKER_CTX = ctx
+
+
+def _chunk_fidelities(ctx: _Context, protocol: str, point_idx: int, lo: int, hi: int) -> list:
+    """Final fidelities of trajectories lo..hi-1 of the dt group whose first point is point_idx."""
+    records = ctx.run_block(protocol, ctx.order(protocol, point_idx)[lo:hi])
+    return [rec.final_fidelity for rec in records]
 
 
 def _worker_chunk(protocol: str, point_idx: int, lo: int, hi: int) -> tuple[str, int, int, list]:
     assert _WORKER_CTX is not None
-    records = _WORKER_CTX.run_block(protocol, point_idx, lo, hi)
-    return protocol, point_idx, lo, [rec.final_fidelity for rec in records]
+    return protocol, point_idx, lo, _chunk_fidelities(_WORKER_CTX, protocol, point_idx, lo, hi)
 
 
 def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     """Per-(protocol, plan point) fidelity arrays, trajectory-indexed.
 
-    Each block of the fixed partition is one pool task, or one serial run.
+    Each block of each dt group's fixed partition is one pool task, or one
+    serial run. Every exact reference is computed here before the pool
+    starts, so the workers share the parent's.
     """
-    m_count = config.trajectories
-    tasks = []  # (protocol, point_idx, lo, hi)
-    fids = {}
-    for protocol in config.protocols:
-        n = 1 if protocol in DETERMINISTIC_PROTOCOLS else m_count
-        for point_idx in range(len(ctx.points)):
-            fids[(protocol, point_idx)] = np.empty(n)
-            tasks += [(protocol, point_idx, lo, hi) for lo, hi in _blocks(n)]
+    firsts = sorted({ctx.group(q)[0] for q in range(len(ctx.points))})
+    orders = {
+        (protocol, first): ctx.order(protocol, first)
+        for protocol in config.protocols
+        for first in firsts
+    }
+    tasks = [  # (protocol, first point of a dt group, lo, hi)
+        (protocol, first, lo, hi)
+        for (protocol, first), order in orders.items()
+        for lo, hi in _blocks(len(order))
+    ]
+    fids = {
+        (protocol, q): np.empty(1 if protocol in DETERMINISTIC_PROTOCOLS else config.trajectories)
+        for protocol in config.protocols
+        for q in range(len(ctx.points))
+    }
+
+    def store(protocol, first, lo, values):
+        for (q, m), value in zip(orders[(protocol, first)][lo:], values):
+            fids[(protocol, q)][m] = value
 
     workers = worker_count()
     total = sum(hi - lo for _, _, lo, hi in tasks)
     with _single_blas_thread():
         if workers > 1 and total >= 4 * workers:
+            for first in firsts:
+                ctx.exact(first)
             with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(config.to_dict(),),
+                max_workers=workers, initializer=_worker_init, initargs=(ctx,)
             ) as pool:
                 futures = [pool.submit(_worker_chunk, *task) for task in tasks]
                 for fut in futures:
-                    protocol, point_idx, lo, values = fut.result()
-                    fids[(protocol, point_idx)][lo : lo + len(values)] = values
+                    store(*fut.result())
         else:
-            for protocol, point_idx, lo, hi in tasks:
-                records = ctx.run_block(protocol, point_idx, lo, hi)
-                fids[(protocol, point_idx)][lo:hi] = [rec.final_fidelity for rec in records]
+            for protocol, first, lo, hi in tasks:
+                store(protocol, first, lo, _chunk_fidelities(ctx, protocol, first, lo, hi))
     return fids
 
 
@@ -512,7 +568,7 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
         records = [
             rec
             for lo, hi in _blocks(config.ptrace_trajectories)
-            for rec in ctx.run_block("arc", 0, lo, hi)
+            for rec in ctx.run_block("arc", [(0, m) for m in range(lo, hi)])
         ]
     n = points[0].plan.steps
     steps = np.arange(1, n + 1)

@@ -236,6 +236,27 @@ class TestCliErrors:
         cfg = write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg), "--seed", "-4"]) == cli.EXIT_CONFIG
 
+    def test_bad_model_size_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(harness, "build_mfim", never)
+        for params, message in (({"L": 40}, "exceeds the cap"), ({"L": 4.7}, "must be an integer")):
+            cfg = write_config(tmp_path, params=params)
+            assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+            assert message in capsys.readouterr().err
+
+    def test_unmapped_failures_exit_3(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        for exc in (MemoryError(), RuntimeError("worker pool\nbroke"), KeyError("x")):
+            def fail(config, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "run_ensemble", fail)
+            assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and type(exc).__name__ in err, err
+
 
 class TestSelftest:
     def test_selftest_passes(self):
@@ -263,3 +284,22 @@ def test_perfbench_tracer_installs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.glob("meta-*.json"))
+
+
+def test_noise_free_ptrace_never_imports_numpy_random(tmp_path):
+    """Noise-free draws are all array-computed, so numpy.random stays unloaded."""
+    cfg = write_config(tmp_path, protocols=["arc"], noise_std=0.0, ptrace_trajectories=3)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys; from arcsim import cli; "
+        f"code = cli.main(['ptrace', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'p.csv')!r}]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -755,3 +755,82 @@ class TestDiagonalShortcut:
         for phase in np.linspace(0.0, 3.0, 7):
             psi = pure_state(v * np.exp(1j * phase * np.arange(4)))
             assert norm_from_moments(moments_of(h, psi)) == 0.0
+
+
+class TestMixedStepBlocks:
+    """A block of trajectories with one dt and different step counts, run longest first."""
+
+    DT = 0.0625  # every n * DT / n below is DT again, bit for bit
+    STEPS = (20, 20, 17, 9, 8, 8, 3, 1)  # crosses DRAW_CHUNK boundaries and retires mid-chunk
+
+    def plans(self):
+        return [StepPlan(n * self.DT, n) for n in self.STEPS]
+
+    def test_matches_separate_blocks(self):
+        plans = self.plans()
+        assert all(p.dt == self.DT for p in plans)
+        for case, (label, psi, dec) in enumerate(block_cases()):
+            exact = run_exact(psi, dec.total_operator, plans[0])
+            for noise_std in (0.0, 0.2):
+                for pid, name in enumerate(PROTOCOL_NAMES):
+                    streams = [trajectory_stream(6, case, pid, m) for m in range(len(plans))]
+                    block = run_block(
+                        name, psi, dec, plans, streams, noise=NoiseModel(noise_std), exact_states=exact
+                    )
+                    for m, (got, plan) in enumerate(zip(block, plans)):
+                        (want,) = run_block(
+                            name, psi, dec, plan, [streams[m]], noise=NoiseModel(noise_std),
+                            exact_states=exact[: plan.steps],
+                        )
+                        where = (label, noise_std, name, m)
+                        assert got.plan == plan and len(got.fidelities) == plan.steps, where
+                        if want.indices is None:
+                            assert got.indices is None and got.probabilities is None, where
+                        else:
+                            assert np.array_equal(got.indices, want.indices), where
+                            for field in ("probabilities", "taus"):
+                                assert np.allclose(
+                                    getattr(got, field), getattr(want, field), rtol=0, atol=1e-12
+                                ), (field, where)
+                        assert np.allclose(got.fidelities, want.fidelities, rtol=0, atol=1e-12), where
+                        assert np.allclose(
+                            got.final_state.data, want.final_state.data, rtol=0, atol=1e-12
+                        ), where
+
+    def test_bytes_independent_of_draw_chunk(self, monkeypatch):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plans = basis_state("011", st), self.plans()
+        streams = [trajectory_stream(4, m) for m in range(len(plans))]
+        runs = []
+        for chunk in (1, 3, compilers.DRAW_CHUNK, 64):
+            monkeypatch.setattr(compilers, "DRAW_CHUNK", chunk)
+            runs.append(run_block("arc", psi, dec, plans, streams, noise=NoiseModel(0.3)))
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.probabilities, b.probabilities)
+                assert np.array_equal(a.fidelities, b.fidelities)
+                assert np.array_equal(a.final_state.data, b.final_state.data)
+
+    def test_key_array_streams_match_stream_objects(self):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi, plans = basis_state("011", st), self.plans()
+        streams = [trajectory_stream(4, m) for m in range(len(plans))]
+        keys = np.array([s.key for s in streams])
+        a = run_block("arc", psi, dec, plans, streams, noise=NoiseModel(0.3))
+        b = run_block("arc", psi, dec, plans, keys, noise=NoiseModel(0.3))
+        for x, y in zip(a, b):
+            assert np.array_equal(x.indices, y.indices)
+            assert np.array_equal(x.final_state.data, y.final_state.data)
+
+    def test_plans_must_share_dt_and_run_longest_first(self):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        psi = basis_state("011", st)
+        for plans in (
+            [StepPlan(0.5, 4), StepPlan(0.5, 8)],
+            [StepPlan(0.5, 8), StepPlan(0.4, 4)],
+        ):
+            with pytest.raises(ValueError, match="longest first"):
+                run_block("rc", psi, dec, plans, [0, 1])
+        with pytest.raises(ValueError, match="plans for"):
+            run_block("rc", psi, dec, [StepPlan(0.5, 8)], [0, 1])

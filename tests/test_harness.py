@@ -1,4 +1,6 @@
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -446,3 +448,84 @@ class TestWorkerCount:
         # seed paths depend on these ids; changing them silently would break
         # reproducibility of archived results
         assert PROTOCOL_IDS == {"trotter1": 0, "rc": 1, "arc": 2, "equal": 3, "exact": 4}
+
+
+class TestConfigValidation:
+    def test_integer_sizes(self):
+        for model, key in (("mfim", "L"), ("kerr", "D"), ("rabi", "D")):
+            for bad in (4.7, 4.0, "4", True, 0, -3, None):
+                with pytest.raises(ConfigError, match=f"params.{key} must be an integer"):
+                    config_from_dict({"model": model, "params": {key: bad}})
+
+    def test_real_couplings(self):
+        for bad in ("1.0", float("nan"), float("inf"), None, [1.0], False):
+            with pytest.raises(ConfigError, match="params.J must be a finite number"):
+                config_from_dict({"model": "mfim", "params": {"J": bad}})
+        assert config_from_dict({"model": "mfim", "params": {"J": 2}}).params["J"] == 2
+
+    def test_dimension_cap(self):
+        assert harness.MAX_DIM == 1024
+        for model, key, largest in (("mfim", "L", 10), ("kerr", "D", 1024), ("rabi", "D", 512)):
+            config_from_dict({"model": model, "params": {key: largest}})
+            for too_big in (largest + 1, 10**12):
+                with pytest.raises(ConfigError, match="exceeds the cap of 1024"):
+                    config_from_dict({"model": model, "params": {key: too_big}})
+
+
+class TestDtGroups:
+    def test_group_order_is_longest_first(self):
+        cfg = mfim_config(
+            plan={"mode": "fixed_t", "t": 0.2, "dt_list": [0.1, 0.05, 0.1]}, trajectories=2
+        )
+        ctx = _Context(cfg)
+        assert [ctx.group(q) for q in range(3)] == [[0, 2], [1], [0, 2]]
+        assert ctx.order("rc", 2) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert ctx.order("trotter1", 0) == [(0, 0), (2, 0)]
+        cfg = mfim_config(plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 15, 10]}, trajectories=2)
+        assert _Context(cfg).order("arc", 0) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
+
+    def test_ensemble_matches_single_trajectories(self, monkeypatch):
+        monkeypatch.setenv("ARC_SIM_THREADS", "1")
+        monkeypatch.setattr(harness, "BLOCK_SIZE", 7)  # blocks that mix plan points
+        cfg = mfim_config(
+            protocols=["arc", "rc", "trotter1", "exact"], trajectories=5, noise_std=0.2,
+            plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 20, 10]},
+        )
+        ctx = _Context(cfg)
+        fids = harness._ensemble_fidelities(ctx, cfg)
+        for (protocol, q), values in fids.items():
+            want = [ctx.run_one(protocol, q, m).final_fidelity for m in range(len(values))]
+            assert np.allclose(values, want, rtol=0, atol=1e-12), (protocol, q)
+
+    def test_pool_workers_reuse_parent_context(self, monkeypatch, tmp_path):
+        # one exact trajectory per dt, computed in the parent; the workers build no context
+        log = tmp_path / "calls.txt"
+        parent = os.getpid()
+
+        def record(what):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{what} {os.getpid()}\n")
+
+        run_exact, init, ctx_init = harness.run_exact, harness._worker_init, _Context.__init__
+        monkeypatch.setattr(harness, "run_exact", lambda *a: record("exact") or run_exact(*a))
+        monkeypatch.setattr(harness, "_worker_init", lambda ctx: record("worker") or init(ctx))
+        monkeypatch.setattr(_Context, "__init__", lambda self, c: record("context") or ctx_init(self, c))
+        monkeypatch.setenv("ARC_SIM_THREADS", "2")
+        cfg = mfim_config(
+            plan={"mode": "fixed_t", "t": 0.2, "dt_list": [0.1, 0.05, 0.1]}, trajectories=20
+        )
+        run_ensemble(cfg)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(what for what, pid in calls if int(pid) == parent) == ["context", "exact", "exact"]
+        workers = [what for what, pid in calls if int(pid) != parent]
+        assert workers and set(workers) == {"worker"}
+
+    def test_context_pickles_for_spawned_workers(self):
+        cfg = mfim_config(trajectories=3)
+        ctx = _Context(cfg)
+        ctx.exact(0)
+        clone = pickle.loads(pickle.dumps(ctx))
+        runs = [c.run_block("arc", c.order("arc", 0)) for c in (ctx, clone)]
+        for a, b in zip(*runs):
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.final_state.data, b.final_state.data)

@@ -1,6 +1,17 @@
 import numpy as np
+import pytest
 
-from arcsim.rng import TrajectoryStream, stream_key, trajectory_stream
+from arcsim.rng import (
+    TrajectoryStream,
+    _ziggurat,
+    philox_words,
+    standard_normals,
+    stream_draws,
+    stream_key,
+    stream_keys,
+    trajectory_stream,
+    uniforms,
+)
 
 
 def fresh_generator(key, k):
@@ -37,3 +48,114 @@ class TestTrajectoryStream:
         first = ga.random()
         b.step(2).random()
         assert a.step(2).random() == first
+
+
+def philox(key, k):
+    return np.random.Philox(key=key, counter=np.array([0, 0, 0, k], dtype=np.uint64))
+
+
+def random_keys(rng, n):
+    keys = rng.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
+    keys[0] = 0
+    keys[1] = 2**64 - 1
+    return keys
+
+
+def random_steps(rng, n):
+    steps = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    steps[:4] = [0, 1, 2**40, 2**64 - 1]
+    return steps
+
+
+class TestArrayDraws:
+    """The array versions against numpy, bit for bit."""
+
+    def test_keys_match_seed_sequence(self):
+        rng = np.random.default_rng(40)
+        for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1):
+            for depth in range(5):
+                paths = rng.integers(0, 2**32, size=(7, depth))
+                paths[0], paths[1] = 0, 2**32 - 1
+                got = stream_keys(seed, paths)
+                want = [stream_key(seed, *(int(v) for v in path)) for path in paths]
+                assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, depth)
+
+    def test_keys_reject_wide_or_negative_entries(self):
+        for paths in ([(0, 2**32)], [(0, -1)], [0, 1]):
+            with pytest.raises(ValueError):
+                stream_keys(3, paths)
+        with pytest.raises(ValueError):
+            stream_keys(-1, [(0, 0)])
+
+    def test_words_match_random_raw(self):
+        rng = np.random.default_rng(41)
+        keys, steps = random_keys(rng, 40), random_steps(rng, 40)
+        for count in (1, 4, 5, 13):
+            words = philox_words(keys, steps, count)
+            assert words.shape == (40, count)
+            for key, k, row in zip(keys, steps, words):
+                assert np.array_equal(row, philox(key, k).random_raw(count)), (key, k, count)
+
+    def test_doubles_match_random(self):
+        rng = np.random.default_rng(42)
+        keys, steps = random_keys(rng, 40), random_steps(rng, 40)
+        got = uniforms(philox_words(keys, steps, 1)[:, 0])
+        want = [np.random.Generator(philox(key, k)).random() for key, k in zip(keys, steps)]
+        assert np.array_equal(got, want)
+
+    def test_fast_path_rows_match_normal_then_random(self):
+        rng = np.random.default_rng(43)
+        keys, steps = random_keys(rng, 400), random_steps(rng, 400)
+        words = philox_words(keys, steps, 13)
+        x, fast = standard_normals(words[:, :12])
+        rows = fast.all(axis=1)
+        assert 250 < rows.sum() < 400  # both kinds of row occur
+        for key, k, row, u in zip(keys[rows], steps[rows], x[rows], uniforms(words[rows, 12])):
+            gen = np.random.Generator(philox(key, k))
+            assert np.array_equal(0.0 + 0.3 * row, gen.normal(0.0, 0.3, size=(3, 4)).ravel())
+            assert u == gen.random()
+
+    def test_acceptance_bound_is_conservative(self):
+        # numpy accepts rabs = ki[i] - 1 in every layer on its first word, so
+        # its own bound is at least ki[i]; layer 1 is never accepted
+        wi, ki = _ziggurat()
+        assert ki[1] == 0
+        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        gen, state = np.random.Generator(bits), bits.state
+        for layer in range(256):
+            if layer == 1:
+                continue
+            rabs = int(ki[layer]) - 1
+            for sign in (0, 1):
+                word = layer | sign << 8 | rabs << 9
+                state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
+                state["buffer_pos"] = 0
+                bits.state = state
+                value = gen.standard_normal()
+                assert bits.state["buffer_pos"] == 1, layer
+                x, fast = standard_normals(np.array([word], dtype=np.uint64))
+                assert fast[0] and x[0] == value == (-1) ** sign * rabs * wi[layer], layer
+
+    def test_stream_draws_match_stream_steps(self):
+        rng = np.random.default_rng(44)
+        keys = random_keys(rng, 30)
+        stops = rng.integers(5, 12, size=30)
+        noise, u = stream_draws(keys, 4, stops, (3, 4), 0.2)
+        assert noise.shape == (30, 7, 3, 4) and u.shape == (30, 7)
+        redrawn = 0
+        for m, key in enumerate(keys):
+            stream = TrajectoryStream(key)
+            for s in range(7):
+                if 4 + s >= stops[m]:
+                    assert np.isnan(u[m, s]) and np.all(np.isnan(noise[m, s]))
+                    continue
+                gen = stream.step(4 + s)
+                assert np.array_equal(noise[m, s], gen.normal(0.0, 0.2, size=(3, 4)))
+                assert u[m, s] == gen.random()
+            redrawn += not standard_normals(philox_words(keys[m:m + 1], [4], 12))[1].all()
+        assert redrawn > 0
+        none, plain = stream_draws(keys, 4, stops)
+        assert none is None and np.array_equal(np.isnan(plain), np.isnan(u))
+        for m, key in enumerate(keys):
+            for s in range(stops[m] - 4):
+                assert plain[m, s] == TrajectoryStream(key).step(4 + s).random()
