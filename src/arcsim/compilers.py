@@ -6,8 +6,8 @@ then matches the exact step to first order in t/N for any valid p. The
 protocols differ only in how each step's p is chosen: fixed Schatten-inf
 weights ("rc"), equal weights ("equal"), or weights re-derived every step
 from moment measurements on the current state ("arc", the adaptive random
-compiler). First-order product stepping ("trotter1") and the exact
-reference ("exact") run the same loop without sampling.
+compiler). First-order product stepping ("trotter1") runs the same loop
+without sampling, and "exact" reads the reference trajectory itself.
 """
 
 from __future__ import annotations
@@ -127,37 +127,27 @@ class TrajectoryRecord:
         return float(self.fidelities[-1])
 
 
-def _sqrt_weights(d: np.ndarray, eps_zero: float) -> np.ndarray:
-    """Unnormalized optimal weights along the last axis: sqrt(d_j) above eps_zero, else 0.
+def _sqrt_weights(d: np.ndarray) -> np.ndarray:
+    """Unnormalized optimal weights along the last axis: sqrt(d_j) above ZERO_WEIGHT_EPS, else 0.
 
-    A row with no entry above eps_zero gets uniform weights.
+    A row with no entry above ZERO_WEIGHT_EPS gets uniform weights.
     """
-    active = d > eps_zero
+    active = d > ZERO_WEIGHT_EPS
     w = np.where(active, np.sqrt(np.clip(d, 0.0, None)), 0.0)
     w[~active.any(axis=-1)] = 1.0 / d.shape[-1]
     return w
 
 
-def optimal_distribution(
-    djj_values, eps_zero: float = ZERO_WEIGHT_EPS, floor: float = 0.0
-) -> ProbabilityDistribution:
+def optimal_distribution(djj_values) -> ProbabilityDistribution:
     """Sampling weights p_j proportional to sqrt of each double-commutator norm.
 
-    Entries at or below eps_zero get probability 0; if every entry is that
-    small the distribution falls back to uniform. The optional floor lifts
-    every entry to at least that probability; it defaults off because
-    flooring without compensation breaks first-order channel matching.
+    Entries at or below ZERO_WEIGHT_EPS get probability 0; if every entry is
+    that small the distribution falls back to uniform.
     """
     d = np.asarray(djj_values, dtype=float)
     if np.any(d < 0):
         raise ValueError(f"negative weight input {d.min()}")
-    if not 0.0 <= floor < 1.0 / d.size:
-        raise ValueError(f"floor must be in [0, 1/{d.size})")
-    p = ProbabilityDistribution(_sqrt_weights(d, eps_zero))
-    if floor > 0.0:
-        # linear shrink keeps the sum at 1 with every entry >= floor
-        p = ProbabilityDistribution((1.0 - d.size * floor) * p.p + floor)
-    return p
+    return ProbabilityDistribution(_sqrt_weights(d))
 
 
 def cost(djj_values, p) -> float:
@@ -214,93 +204,76 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
     return states
 
 
-# A weight policy maps the loop's state and the step's draws to the (M, L)
-# probabilities and, when it changed basis to measure, each term's
-# basis_coordinates of the block for reuse. The state is a (dim, M) block of
-# pure states, whose draws are an (M, L, 4) array of measurement noise (None
-# when noise-free), or one density-matrix QuantumState, whose draws are its
-# trajectory's generator.
+# A weight policy maps a (dim, M) block of pure states and the step's (M, L, 4)
+# measurement noise (None when noise-free) to the (M, L) probabilities and,
+# when it changed basis to measure, each term's basis_coordinates of the
+# block for reuse.
 WeightPolicy = Callable[
-    [np.ndarray | QuantumState, "np.ndarray | np.random.Generator | None"],
-    tuple[np.ndarray, list[np.ndarray] | None],
+    [np.ndarray, np.ndarray | None], tuple[np.ndarray, list[np.ndarray] | None]
 ]
 
 
 def _optimal_rows(djj: np.ndarray) -> np.ndarray:
     """optimal_distribution applied to each row of an (M, L) array of norms."""
-    w = _sqrt_weights(djj, ZERO_WEIGHT_EPS)
+    w = _sqrt_weights(djj)
     total = w.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(total)):
         raise ValueError("probability vector has non-finite entries")
     return w / total
 
 
-def _width(state) -> int:
-    return 1 if isinstance(state, QuantumState) else state.shape[1]
-
-
 def _fixed_weights(p: ProbabilityDistribution) -> WeightPolicy:
-    return lambda state, draws: (np.broadcast_to(p.p, (_width(state), len(p))), None)
+    return lambda block, noise: (np.broadcast_to(p.p, (block.shape[1], len(p))), None)
 
 
-def _arc_weights(decomposition: Decomposition, noise: NoiseModel) -> WeightPolicy:
+def _arc_weights(decomposition: Decomposition) -> WeightPolicy:
     """Measure every term's moments on every trajectory and take the optimal weights.
 
     The noise perturbs each trajectory's L x 4 moments (term-major, as L
-    moments_of calls would draw them). A density matrix takes the
-    finite-difference estimator at its default time offset, drawing from its
-    generator.
+    moments_of calls would draw them).
     """
     terms = decomposition.terms
 
-    def weights(state, draws):
-        if isinstance(state, QuantumState):
-            djj = [norm_finite_difference(h, state, noise=noise, rng=draws) for h in terms]
-            return _optimal_rows(np.array([djj])), None
-        coords = [basis_coordinates(h, state) for h in terms]
+    def weights(block, noise):
+        coords = [basis_coordinates(h, block) for h in terms]
         raw = np.stack([moment_block(h, c).T for h, c in zip(terms, coords)], axis=1)
-        if draws is not None:
-            raw += draws
+        if noise is not None:
+            raw += noise
         return _optimal_rows(norms_from_moments(raw)), coords
 
     return weights
 
 
-def _policy(name: str, decomposition: Decomposition, noise: NoiseModel) -> WeightPolicy | None:
-    if name == "arc":
-        return _arc_weights(decomposition, noise)
+def _fixed_distribution(name: str, decomposition: Decomposition) -> ProbabilityDistribution | None:
+    """The one distribution of "rc" or "equal"; None for the other protocols."""
     if name == "rc":
         norms = np.asarray(decomposition.inf_norms)
         if norms.sum() <= 0:
             raise ValueError("all decomposition terms have zero norm")
-        return _fixed_weights(ProbabilityDistribution(norms))
+        return ProbabilityDistribution(norms)
     if name == "equal":
         size = len(decomposition)
-        return _fixed_weights(ProbabilityDistribution(np.full(size, 1.0 / size)))
-    if name in DETERMINISTIC_PROTOCOLS:
-        return None
-    raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")
+        return ProbabilityDistribution(np.full(size, 1.0 / size))
+    if name not in PROTOCOL_NAMES:
+        raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")
+    return None
 
 
-def _normalized(out):
+def _normalized(block: np.ndarray) -> np.ndarray:
     """A block's columns scaled to unit norm; a drift past 1e-8 is a numerical failure."""
-    if isinstance(out, QuantumState):
-        return out
-    norms = column_norms(out)
+    norms = column_norms(block)
     if not np.all(np.abs(norms - 1.0) <= 1e-8):
         raise np.linalg.LinAlgError(f"state norm drifted to {norms[np.argmax(np.abs(norms - 1.0))]}")
-    return out / norms
+    return block / norms
 
 
-def _apply_terms(terms, state, indices: np.ndarray, taus: np.ndarray, coords):
-    """Apply terms[indices[m]] for time taus[m] to trajectory m, reusing coords where measured."""
-    if isinstance(state, QuantumState):
-        return evolve_unitary(state, terms[indices[0]].eig, float(taus[0]))
-    out = np.empty_like(state)
+def _apply_terms(terms, block: np.ndarray, indices: np.ndarray, taus: np.ndarray, coords):
+    """Apply terms[indices[m]] for time taus[m] to column m, reusing coords where measured."""
+    out = np.empty_like(block)
     for j, term in enumerate(terms):
         cols = np.flatnonzero(indices == j)
         if cols.size:
-            c = coords[j][:, cols] if coords else basis_coordinates(term, state[:, cols])
+            c = coords[j][:, cols] if coords else basis_coordinates(term, block[:, cols])
             out[:, cols] = rotate_coordinates(term, c, taus[cols])
     return out
 
@@ -311,6 +284,42 @@ def _keys_of(streams) -> np.ndarray:
         return streams
     keys = [s.key if isinstance(s, TrajectoryStream) else stream_key(int(s)) for s in streams]
     return np.array(keys, dtype=np.uint64)
+
+
+def _step_fidelity(reference: QuantumState, state: QuantumState) -> float:
+    return fidelity(reference, state) if reference.is_pure else math.nan
+
+
+def _run_mixed(
+    name: str, rho0: QuantumState, decomposition: Decomposition, plan: StepPlan, streams,
+    noise: NoiseModel, exact_states: list[QuantumState], fixed: ProbabilityDistribution | None,
+) -> TrajectoryRecord:
+    """One density-matrix trajectory, stepped by step_trotter1 or step_random.
+
+    Step k draws from its stream's step(k) generator: "arc" first the
+    finite-difference estimator's noise, term by term, then the uniform.
+    """
+    n = plan.steps
+    fids = np.empty(n)
+    state = rho0
+    if name == "trotter1":
+        for k in range(n):
+            state = step_trotter1(state, decomposition, plan)
+            fids[k] = _step_fidelity(exact_states[k], state)
+        return TrajectoryRecord(name, plan, fids, state)
+    stream = TrajectoryStream(_keys_of(streams)[0])
+    indices, taus, probs = np.empty(n, dtype=int), np.empty(n), np.empty((n, len(decomposition)))
+    p = fixed
+    for k in range(n):
+        rng = stream.step(k)
+        if name == "arc":
+            p = optimal_distribution(
+                [norm_finite_difference(h, state, noise=noise, rng=rng) for h in decomposition.terms]
+            )
+        state, indices[k], taus[k] = step_random(state, decomposition, plan, p, rng)
+        probs[k] = p.p
+        fids[k] = _step_fidelity(exact_states[k], state)
+    return TrajectoryRecord(name, plan, fids, state, indices, taus, probs)
 
 
 def run_block(
@@ -324,20 +333,21 @@ def run_block(
     an (M, 2) array of their keys. `plan` is one StepPlan for every stream, or a list of one per stream
     with bit-equal dt and non-increasing step counts; the block then steps
     only its still-running prefix. A pure state0 becomes a (dim, M) block
-    with one column per stream; a mixed one runs as a one-trajectory block
-    holding its density matrix. With a weight policy, step k asks the
+    with one column per stream. With a weight policy, step k asks the
     policy for p on the current block and samples each trajectory's term
     with its uniform. A block's draws (the uniforms and the arc policy's
     measurement noise) are made DRAW_CHUNK steps at a time by
     rng.stream_draws, bit-identical to what each stream's step(k) generator
-    would draw; a density matrix draws from that generator itself. Without a
-    policy, "trotter1" makes a product step and "exact" reads the reference
-    state. Every trajectory is scored against the exact state after each
-    step. Record m is trajectory m. Its draws come from its own stream
-    alone, but the last bits of its states depend on the block it runs in
-    (the width of each product), so callers fix the blocks.
+    would draw. Without a policy, "trotter1" makes a product step. Every
+    trajectory is scored against the exact state after each step. Record m
+    is trajectory m. Its draws come from its own stream alone, but the last
+    bits of its states depend on the block it runs in (the width of each
+    product), so callers fix the blocks.
+
+    "exact" steps nothing: its records are read off the reference. A mixed
+    state0 runs as one trajectory by step_trotter1 and step_random.
     """
-    weights = _policy(name, decomposition, noise)
+    fixed = _fixed_distribution(name, decomposition)
     size = len(streams)
     plans = [plan] * size if isinstance(plan, StepPlan) else list(plan)
     if len(plans) != size:
@@ -351,59 +361,53 @@ def run_block(
         raise ValueError(f"expected {longest.steps} exact states, got {len(exact_states)}")
     if not state0.is_pure and size != 1:
         raise ValueError("a mixed initial state runs as a one-trajectory block")
+    if name == "exact":
+        fids = np.array([_step_fidelity(s, s) for s in exact_states])
+        return [TrajectoryRecord(name, q, fids[: q.steps], exact_states[q.steps - 1]) for q in plans]
+    if not state0.is_pure:
+        return [_run_mixed(name, state0, decomposition, longest, streams, noise, exact_states, fixed)]
     terms = decomposition.terms
     n, dt = longest.steps, longest.dt
     fids = np.full((n, size), math.nan)
     indices = taus = probs = None
+    if name == "arc":
+        weights = _arc_weights(decomposition)
+    else:
+        weights = None if fixed is None else _fixed_weights(fixed)
     if weights is not None:
         keys = _keys_of(streams)
         ends = np.array([q.steps for q in plans])
-        mixed_stream = None if state0.is_pure else TrajectoryStream(keys[0])
         indices = np.empty((n, size), dtype=int)
         taus = np.empty((n, size))
         probs = np.empty((n, size, len(terms)))
         noise_shape = (len(terms), 4) if name == "arc" and noise.std > 0.0 else None
     finals = [None] * size
-    state = out = np.repeat(state0.data[:, None], size, axis=1) if state0.is_pure else state0
+    state = np.repeat(state0.data[:, None], size, axis=1)
     width = size  # trajectories 0..width-1 are still running
     for k, reference in enumerate(exact_states):
         if weights is not None:
-            if isinstance(state, QuantumState):
-                rng = mixed_stream.step(k)
-                p, coords = weights(state, rng)
-                u = np.array([rng.random()])
-            else:
-                if k % DRAW_CHUNK == 0:
-                    chunk_noise, chunk_u = stream_draws(
-                        keys[:width], k, np.minimum(ends[:width], k + DRAW_CHUNK), noise_shape, noise.std
-                    )
-                c = k % DRAW_CHUNK
-                p, coords = weights(state, None if chunk_noise is None else chunk_noise[:width, c])
-                u = chunk_u[:width, c]
+            if k % DRAW_CHUNK == 0:
+                chunk_noise, chunk_u = stream_draws(
+                    keys[:width], k, np.minimum(ends[:width], k + DRAW_CHUNK), noise_shape, noise.std
+                )
+            c = k % DRAW_CHUNK
+            p, coords = weights(state, None if chunk_noise is None else chunk_noise[:width, c])
+            u = chunk_u[:width, c]
             j = np.minimum((np.cumsum(p, axis=1) <= u[:, None]).sum(axis=1), len(terms) - 1)
             indices[k, :width], taus[k, :width], probs[k, :width] = j, dt / p[np.arange(width), j], p
             out = _apply_terms(terms, state, j, taus[k, :width], coords)
             state = _normalized(out)
-        elif name == "trotter1":
+        else:
             first, dts = np.zeros(width, dtype=int), np.full(width, dt)
             for term in terms:
                 out = _apply_terms([term], state, first, dts, None)
                 state = _normalized(out)
-        else:
-            state = out = reference
-        if not reference.is_pure:
-            pass
-        elif isinstance(state, QuantumState):
-            fids[k, :width] = fidelity(reference, state)
-        else:
+        if reference.is_pure:
             fids[k, :width] = fidelities(reference.data, state)
         while width and plans[width - 1].steps == k + 1:
             width -= 1
-            finals[width] = (
-                out if isinstance(out, QuantumState) else QuantumState(out[:, width], state0.structure)
-            )
-        if not isinstance(state, QuantumState):
-            state = state[:, :width]
+            finals[width] = QuantumState(out[:, width], state0.structure)
+        state = state[:, :width]
     return [
         TrajectoryRecord(
             name, q, fids[: q.steps, m], finals[m],

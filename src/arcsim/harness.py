@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import ShotParams
 from .compilers import (
     DETERMINISTIC_PROTOCOLS,
     PROTOCOL_NAMES,
@@ -259,6 +260,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     shot_params = raw.get("shot_params")
     if shot_params is not None:
         _require(isinstance(shot_params, dict), "shot_params must be an object")
+        try:
+            ShotParams(**shot_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid shot_params: {exc}") from None
 
     return ExperimentConfig(
         model=model,

@@ -29,11 +29,9 @@ class NoiseModel:
     """Additive Gaussian perturbation applied independently to each measured scalar.
 
     std = 0 reproduces exact values bit-for-bit (no draws are consumed).
-    A generator may be attached here or passed per call; per-call wins.
     """
 
     std: float = 0.0
-    rng: np.random.Generator | None = None
 
     def __post_init__(self):
         if self.std < 0:
@@ -43,10 +41,9 @@ class NoiseModel:
         values = np.asarray(values, dtype=float)
         if self.std == 0.0:
             return values
-        gen = rng if rng is not None else self.rng
-        if gen is None:
+        if rng is None:
             raise ValueError("noise std > 0 requires a random generator")
-        return values + gen.normal(0.0, self.std, size=values.shape)
+        return values + rng.normal(0.0, self.std, size=values.shape)
 
 
 EXACT = NoiseModel(0.0)

@@ -246,6 +246,18 @@ class TestCliErrors:
             assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
             assert message in capsys.readouterr().err
 
+    def test_bad_shot_params_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(harness, "build_mfim", never)
+        good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
+        for shots in ({"k": 0}, dict(good, kk=1)):
+            cfg = write_config(tmp_path, shot_params=shots)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert "invalid shot_params" in capsys.readouterr().err
+
     def test_unmapped_failures_exit_3(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         for exc in (MemoryError(), RuntimeError("worker pool\nbroke"), KeyError("x")):

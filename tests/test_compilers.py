@@ -193,15 +193,6 @@ class TestOptimalDistribution:
         scaled = optimal_distribution(17.3 * d)
         assert np.allclose(base.p, scaled.p)
 
-    def test_optional_floor_defaults_off(self):
-        p = optimal_distribution([4.0, 0.0, 1.0])
-        assert p.p[1] == 0.0
-        floored = optimal_distribution([4.0, 0.0, 1.0], floor=0.05)
-        assert np.all(floored.p >= 0.05 - 1e-15)
-        assert floored.p.sum() == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            optimal_distribution([1.0, 1.0], floor=0.6)
-
     def test_lagrange_optimality_monte_carlo(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
@@ -476,7 +467,6 @@ def reference_run_arc(
     stream=0,
     exact_states: list[QuantumState] | None = None,
     fd_dt: float = 1e-3,
-    prob_floor: float = 0.0,
     **_unused,
 ) -> TrajectoryRecord:
     """Adaptive random compilation: re-derive the sampling weights every step.
@@ -506,7 +496,7 @@ def reference_run_arc(
                 norm_finite_difference(term, state, fd_dt, noise, rng)
                 for term in decomposition.terms
             ]
-        p = optimal_distribution(dcn, floor=prob_floor)
+        p = optimal_distribution(dcn)
         state, j, tau = step_random(state, decomposition, plan, p, rng)
         indices[k], taus[k] = j, tau
         probs[k] = p.p

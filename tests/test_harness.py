@@ -82,6 +82,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"model": "mfim", "master_seed": 2**64})
 
+    def test_shot_params_validated(self):
+        good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
+        assert config_from_dict({"model": "mfim", "shot_params": good}).shot_params == good
+        for bad in ({"k": 0}, dict(good, k=0), dict(good, n_qbits=4), dict(good, eps_stat=None)):
+            with pytest.raises(ConfigError, match="invalid shot_params"):
+                config_from_dict({"model": "mfim", "shot_params": bad})
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

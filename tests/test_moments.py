@@ -185,9 +185,3 @@ class TestNoiseModel:
     def test_requires_generator_when_noisy(self):
         with pytest.raises(ValueError):
             NoiseModel(0.1).perturb(np.zeros(3))
-
-    def test_attached_generator_used(self):
-        nm = NoiseModel(0.5, rng=trajectory_stream(3).step(0))
-        out = nm.perturb(np.zeros(4))
-        expect = trajectory_stream(3).step(0).normal(0, 0.5, size=4)
-        assert np.array_equal(out, expect)

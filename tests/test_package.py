@@ -1,0 +1,68 @@
+"""The package's documented surface: the README Library section and the benchmark's probe imports."""
+
+import ast
+import contextlib
+import importlib
+import io
+import re
+import types
+from pathlib import Path
+
+import arcsim
+
+ROOT = Path(__file__).resolve().parent.parent
+ROOT_NAMES = {
+    "StepPlan",
+    "TrajectoryRecord",
+    "run_block",
+    "run_protocol",
+    "run_arc",
+    "run_rc",
+    "run_equal_weight",
+    "run_trotter1",
+    "run_exact",
+    "basis_state",
+    "build_mfim",
+    "build_kerr",
+    "build_rabi",
+    "HermitianOperator",
+    "mixed_state",
+    "NoiseModel",
+    "trajectory_stream",
+}
+
+
+def library_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"^## Library\n(.*?)^## ", text, re.S | re.M).group(1)
+
+
+def test_readme_library_example_runs():
+    code = re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().strip()
+
+
+def test_package_root_holds_the_documented_names():
+    public = {
+        name
+        for name, value in vars(arcsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == ROOT_NAMES
+    documented = set(re.findall(r"\w+", library_section()))
+    assert ROOT_NAMES <= documented, sorted(ROOT_NAMES - documented)
+
+
+def test_perfbench_probe_imports_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "probe.py").read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("arcsim")
+        for alias in node.names
+    ]
+    assert {name for _, name in imports} >= {"basis_state", "build_model", "load_config", "worker_count"}
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
