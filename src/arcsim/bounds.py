@@ -20,6 +20,7 @@ rho at O(dim^3) per state; the block path is tested against it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +65,20 @@ class ShotParams:
     eps_stat: float
 
     def __post_init__(self):
+        for name in ("k", "w", "S", "R", "n_qubits"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.eps_stat, numbers.Real) or isinstance(self.eps_stat, bool):
+            raise TypeError(f"eps_stat must be a number, got {self.eps_stat!r}")
         if self.k < 1 or self.w < 1:
             raise ValueError("locality parameters k, w must be >= 1")
         if self.S < 0 or self.R < 0:
             raise ValueError("exponents S, R must be nonnegative")
         if self.n_qubits < 1:
             raise ValueError("qubit count must be >= 1")
-        if not self.eps_stat > 0:
-            raise ValueError("statistical error must be positive")
+        if not 0 < self.eps_stat < math.inf:
+            raise ValueError("statistical error must be positive and finite")
 
 
 def liouvillian(h: HermitianOperator, rho: QuantumState) -> np.ndarray:

@@ -18,11 +18,11 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _Context,
+    check_trajectories,
     load_config,
     run_ensemble,
     run_ptrace,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,8 +78,7 @@ def _load(args) -> ExperimentConfig:
             raise ConfigError("--seed must be an unsigned 64-bit integer")
         config.master_seed = args.seed
     if args.trajectories is not None:
-        if args.trajectories < 1:
-            raise ConfigError("--trajectories must be >= 1")
+        check_trajectories(args.trajectories, "--trajectories")
         config.trajectories = args.trajectories
     if args.noise_std is not None:
         if args.noise_std < 0:
@@ -142,6 +141,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest()
     failed = 0
     for name, ok, detail in results:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class StepPlan:
         return self.total_time / self.steps
 
 
-@dataclass(eq=False)
 class TrajectoryRecord:
     """Per-step log of one protocol run plus the final state.
 
@@ -111,16 +110,34 @@ class TrajectoryRecord:
     `taus[k]` its time slice, and `probabilities[k]` the full distribution in
     effect; deterministic protocols leave those fields None. `fidelities[k]`
     compares the post-step state with the exact evolution (NaN when the exact
-    reference is mixed).
+    reference is mixed). `final_state` may be given as a function of no
+    arguments that builds it; it is then called on the first read, so an
+    ensemble that reads only fidelities builds no final states.
     """
 
-    protocol: str
-    plan: StepPlan
-    fidelities: np.ndarray
-    final_state: QuantumState
-    indices: np.ndarray | None = None
-    taus: np.ndarray | None = None
-    probabilities: np.ndarray | None = None
+    def __init__(
+        self,
+        protocol: str,
+        plan: StepPlan,
+        fidelities: np.ndarray,
+        final_state: QuantumState | Callable[[], QuantumState],
+        indices: np.ndarray | None = None,
+        taus: np.ndarray | None = None,
+        probabilities: np.ndarray | None = None,
+    ):
+        self.protocol = protocol
+        self.plan = plan
+        self.fidelities = fidelities
+        self._final_state = final_state
+        self.indices = indices
+        self.taus = taus
+        self.probabilities = probabilities
+
+    @property
+    def final_state(self) -> QuantumState:
+        if not isinstance(self._final_state, QuantumState):
+            self._final_state = self._final_state()
+        return self._final_state
 
     @property
     def final_fidelity(self) -> float:
@@ -406,7 +423,7 @@ def run_block(
             fids[k, :width] = fidelities(reference.data, state)
         while width and plans[width - 1].steps == k + 1:
             width -= 1
-            finals[width] = QuantumState(out[:, width], state0.structure)
+            finals[width] = partial(QuantumState, out[:, width], state0.structure)
         state = state[:, :width]
     return [
         TrajectoryRecord(

@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,12 +58,30 @@ DEFAULT_DT_LIST = [0.01, 0.02, 0.04, 0.05, 0.1]
 # dense dim x dim complex matrix (16 MB at the cap), and configs are rejected
 # before any is allocated.
 MAX_DIM = 1024
+# Largest trajectory count a config or --trajectories may ask for. Per
+# protocol and plan point the harness holds one fidelity float and one
+# (point, trajectory) pair of its dt group's order per trajectory, about
+# 100 bytes together, so about 10 MB at the cap; configs are rejected before
+# any of it is allocated.
+MAX_TRAJECTORIES = 100_000
 # The trajectories of all plan points with bit-equal dt are ordered longest
 # first, as (N descending, point, m), and stepped in blocks of BLOCK_SIZE
 # along that order. The partition is fixed because the last bits of a
 # trajectory depend on the block it runs in, so it must not follow the
 # worker count.
 BLOCK_SIZE = 128
+# Estimated serial cost of one trajectory-step, STEP_S + STEP_DIM2_S * dim**2
+# seconds, fitted to one-worker arc timings (512 trajectories, N = 50, 2-core
+# host, one OpenBLAS thread): 11.6, 12.1 and 17.6 us at dim 16, 50 and 100.
+# rc and equal cost about half that, so the estimate errs towards one process.
+STEP_S = 10e-6
+STEP_DIM2_S = 1e-9
+# The pool runs only when an ensemble's estimated serial time is at least
+# this. Through the CLI on that host, two workers cost about 0.1 s more than
+# one process at 20-30 trajectories (the fork, the `concurrent.futures` and
+# `multiprocessing` imports, each worker's first `numpy.random` use), broke
+# even at an estimate of about 0.35 s and won by 5-25% from 0.5 s up.
+POOL_MIN_S = 0.5
 
 
 class ConfigError(ValueError):
@@ -145,6 +162,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON true would otherwise count as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    """A finite JSON number as a float; bools and strings are rejected."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    _require(ok, f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _plan_from_dict(raw: dict) -> PlanSpec:
     _require(isinstance(raw, dict), "plan must be an object")
     mode = raw.get("mode", "fixed_dt")
@@ -154,7 +183,7 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
     _require(not unknown, f"unknown plan keys {sorted(unknown)}")
     spec = PlanSpec(mode=mode)
     if mode == "fixed_dt":
-        spec.dt = float(raw.get("dt", 0.02))
+        spec.dt = _real(raw.get("dt", 0.02), "plan dt")
         _require(spec.dt > 0, "plan dt must be positive")
         n_list = raw.get("n_list", DEFAULT_N_LIST)
         _require(
@@ -162,10 +191,10 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
             "plan n_list must be a nonempty list",
         )
         for n in n_list:
-            _require(isinstance(n, int) and n >= 1, f"bad step count {n!r}")
+            _require(_is_int(n) and n >= 1, f"bad step count {n!r}")
         spec.n_list = list(n_list)
     else:
-        spec.t = float(raw.get("t", 1.0))
+        spec.t = _real(raw.get("t", 1.0), "plan t")
         _require(spec.t > 0, "plan t must be positive")
         dt_list = raw.get("dt_list", DEFAULT_DT_LIST)
         _require(
@@ -173,7 +202,7 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
             "plan dt_list must be a nonempty list",
         )
         for dt in dt_list:
-            _require(isinstance(dt, (int, float)) and dt > 0, f"bad step size {dt!r}")
+            _require(_real(dt, "plan step size") > 0, f"bad step size {dt!r}")
         spec.dt_list = [float(dt) for dt in dt_list]
     return spec
 
@@ -185,6 +214,14 @@ def _dimension(model: str, params: dict) -> int:
     if model == "kerr":
         return params["D"]
     return 2 * params["D"]
+
+
+def check_trajectories(count, name: str) -> None:
+    """Reject a trajectory count that is not an integer in [1, MAX_TRAJECTORIES]."""
+    _require(
+        _is_int(count) and 1 <= count <= MAX_TRAJECTORIES,
+        f"{name} must be an integer from 1 to {MAX_TRAJECTORIES}, got {count!r}",
+    )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -209,7 +246,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(not unknown, f"unknown config keys {sorted(unknown)}")
 
     model = raw.get("model")
-    _require(model in DEFAULT_PARAMS, f"model must be one of {sorted(DEFAULT_PARAMS)}, got {model!r}")
+    _require(
+        isinstance(model, str) and model in DEFAULT_PARAMS,
+        f"model must be one of {sorted(DEFAULT_PARAMS)}, got {model!r}",
+    )
 
     params = dict(DEFAULT_PARAMS[model])
     overrides = raw.get("params", {})
@@ -219,11 +259,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     params.update(overrides)
     for key, value in params.items():
         if key in ("L", "D"):
-            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+            ok = _is_int(value) and value >= 1
             _require(ok, f"params.{key} must be an integer >= 1, got {value!r}")
         else:
-            ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-            _require(ok, f"params.{key} must be a finite number, got {value!r}")
+            _real(value, f"params.{key}")
     dim = _dimension(model, params)
     _require(dim <= MAX_DIM, f"{model} Hilbert dimension {dim} exceeds the cap of {MAX_DIM}")
 
@@ -239,24 +278,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     plan = _plan_from_dict(raw.get("plan", {"mode": "fixed_dt"}))
 
     trajectories = raw.get("trajectories", 2000)
-    _require(
-        isinstance(trajectories, int) and trajectories >= 1,
-        "trajectories must be a positive integer",
-    )
-    noise_std = float(raw.get("noise_std", 0.0))
+    check_trajectories(trajectories, "trajectories")
+    noise_std = _real(raw.get("noise_std", 0.0), "noise_std")
     _require(noise_std >= 0, "noise_std must be nonnegative")
     master_seed = raw.get("master_seed", 0)
     _require(
-        isinstance(master_seed, int) and 0 <= master_seed < 2**64,
+        _is_int(master_seed) and 0 <= master_seed < 2**64,
         "master_seed must be an unsigned 64-bit integer",
     )
     fmt = raw.get("format", "csv")
     _require(fmt in ("csv", "json"), f"format must be csv or json, got {fmt!r}")
     ptrace_m = raw.get("ptrace_trajectories", 1)
-    _require(
-        isinstance(ptrace_m, int) and ptrace_m >= 1,
-        "ptrace_trajectories must be a positive integer",
-    )
+    check_trajectories(ptrace_m, "ptrace_trajectories")
+    initial_state = raw.get("initial_state", DEFAULT_INITIAL_STATE[model])
+    _require(isinstance(initial_state, str), "initial_state must be a string")
+    out = raw.get("out")
+    _require(out is None or isinstance(out, str), "out must be a path string")
+    include_bounds = raw.get("include_bounds", False)
+    _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
     shot_params = raw.get("shot_params")
     if shot_params is not None:
         _require(isinstance(shot_params, dict), "shot_params must be an object")
@@ -268,15 +307,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=model,
         params=params,
-        initial_state=raw.get("initial_state", DEFAULT_INITIAL_STATE[model]),
+        initial_state=initial_state,
         protocols=list(protocols),
         plan=plan,
         trajectories=trajectories,
         noise_std=noise_std,
         master_seed=master_seed,
-        out=raw.get("out"),
+        out=out,
         format=fmt,
-        include_bounds=bool(raw.get("include_bounds", False)),
+        include_bounds=include_bounds,
         ptrace_trajectories=ptrace_m,
         shot_params=shot_params,
     )
@@ -334,7 +373,7 @@ class PTraceTable:
 
 
 def worker_count() -> int:
-    """Bounded worker pool size; ARC_SIM_THREADS overrides the default."""
+    """Largest worker pool size; ARC_SIM_THREADS overrides the default."""
     env = os.environ.get("ARC_SIM_THREADS", "").strip()
     if env:
         try:
@@ -483,8 +522,10 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     """Per-(protocol, plan point) fidelity arrays, trajectory-indexed.
 
     Each block of each dt group's fixed partition is one pool task, or one
-    serial run. Every exact reference is computed here before the pool
-    starts, so the workers share the parent's.
+    serial run. The pool runs only for an ensemble whose estimated serial
+    time reaches POOL_MIN_S, with at most one worker per task. Every exact
+    reference is computed here before the pool starts, so the workers share
+    the parent's.
     """
     firsts = sorted({ctx.group(q)[0] for q in range(len(ctx.points))})
     orders = {
@@ -507,10 +548,13 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
         for (q, m), value in zip(orders[(protocol, first)][lo:], values):
             fids[(protocol, q)][m] = value
 
-    workers = worker_count()
-    total = sum(hi - lo for _, _, lo, hi in tasks)
+    workers = min(worker_count(), len(tasks))
+    steps = sum(ctx.points[q].plan.steps * len(values) for (_, q), values in fids.items())
+    serial_s = steps * (STEP_S + STEP_DIM2_S * ctx.state0.dim**2)
     with _single_blas_thread():
-        if workers > 1 and total >= 4 * workers:
+        if workers > 1 and serial_s >= POOL_MIN_S:
+            from concurrent.futures import ProcessPoolExecutor
+
             for first in firsts:
                 ctx.exact(first)
             with ProcessPoolExecutor(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,22 @@ class TestShotBounds:
         p = ShotParams(k=3, w=3, S=8, R=2, n_qubits=16, eps_stat=0.5)
         prep, dyn = shot_lower_bounds(p)
         assert dyn == pytest.approx(prep)  # k = w and S = 4R
+
+    def test_types(self):
+        good = dict(k=1, w=1, S=4, R=1, n_qubits=4, eps_stat=0.1)
+        with pytest.raises(TypeError):
+            ShotParams(**dict(good, k=1.5, w=True, S=0.5))
+        for name in ("k", "w", "S", "R", "n_qubits"):
+            for bad in (1.5, 2.0, True, "2", None):
+                with pytest.raises(TypeError, match=name):
+                    ShotParams(**dict(good, **{name: bad}))
+        for bad in (True, "0.1", None):
+            with pytest.raises(TypeError, match="eps_stat"):
+                ShotParams(**dict(good, eps_stat=bad))
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ShotParams(**dict(good, eps_stat=bad))
+        ShotParams(**dict(good, k=np.int64(2), eps_stat=1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

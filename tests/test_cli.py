@@ -258,6 +258,28 @@ class TestCliErrors:
                 assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
                 assert "invalid shot_params" in capsys.readouterr().err
 
+    def test_mistyped_shot_params_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
+        for shots in (dict(good, k=1.5, w=True, S=0.5), dict(good, eps_stat=float("inf"))):
+            cfg = write_config(tmp_path, shot_params=shots)
+            assert cli.main(["bounds", "--config", str(cfg)]) == cli.EXIT_CONFIG
+            assert "invalid shot_params" in capsys.readouterr().err
+
+    def test_oversized_trajectories_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "MAX_TRAJECTORIES", 30)
+        cfg = write_config(tmp_path, protocols=["arc"])
+        for config, flag in ((cfg, "--trajectories"), (write_config(tmp_path, "big.json", trajectories=31), None)):
+            for command in ("run", "ptrace"):
+                argv = [command, "--config", str(config)] + ([flag, "31"] if flag else [])
+                assert cli.main(argv) == cli.EXIT_CONFIG
+                assert "must be an integer from 1 to 30" in capsys.readouterr().err
+        assert cli.main(["run", "--config", str(cfg), "--trajectories", "0"]) == cli.EXIT_CONFIG
+        big = write_config(tmp_path, "trace.json", protocols=["arc"], ptrace_trajectories=31)
+        assert cli.main(["ptrace", "--config", str(big)]) == cli.EXIT_CONFIG
+        assert "ptrace_trajectories" in capsys.readouterr().err
+
     def test_unmapped_failures_exit_3(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         for exc in (MemoryError(), RuntimeError("worker pool\nbroke"), KeyError("x")):
@@ -315,3 +337,25 @@ def test_noise_free_ptrace_never_imports_numpy_random(tmp_path):
         timeout=120,
     )
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_small_commands_never_import_the_pool(tmp_path):
+    """ptrace, bounds and a run below the pool threshold stay in one process."""
+    cfg = write_config(tmp_path, protocols=["arc"], ptrace_trajectories=3)
+    src = Path(cli.__file__).resolve().parents[1]
+    commands = [[name, "--config", str(cfg), "--out", str(tmp_path / name)]
+                for name in ("run", "ptrace", "bounds")]
+    code = (
+        "import sys; from arcsim import cli; "
+        f"codes = [cli.main(argv) for argv in {commands!r}]; "
+        "print(*codes, *(name in sys.modules for name in "
+        "('concurrent.futures.process', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="2"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["0", "0", "0", "False", "False"], proc.stderr

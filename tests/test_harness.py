@@ -432,6 +432,7 @@ class TestWorkerCount:
         assert np.array_equal(states[0], states[1])
 
     def test_bytes_independent_of_worker_count(self, monkeypatch):
+        monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)  # pool even for small ensembles
         # more trajectories than one block, so the pool splits each plan point
         cases = [
             ("mfim", {"n_list": [5, 10]}, {"noise_std": 0.2, "trajectories": BLOCK_SIZE + 6}),
@@ -450,6 +451,40 @@ class TestWorkerCount:
                     ptrace_csv(run_ptrace(config_from_dict(trace))),
                 ))
             assert outputs[0] == outputs[1], model
+
+    def test_pool_only_for_large_estimates(self, monkeypatch):
+        import concurrent.futures
+
+        built = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setenv("ARC_SIM_THREADS", "3")
+        cfg = mfim_config(
+            trajectories=BLOCK_SIZE + 6, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]}
+        )
+        # arc and rc, two blocks each: 4 tasks and 2 * 134 * 15 trajectory-steps at dim 16
+        estimate = 2 * (BLOCK_SIZE + 6) * 15 * (harness.STEP_S + harness.STEP_DIM2_S * 16**2)
+        assert estimate < harness.POOL_MIN_S
+        outputs = []
+        for threshold, pools in (
+            (harness.POOL_MIN_S, []), (estimate * 1.001, []), (estimate * 0.999, [3])
+        ):
+            monkeypatch.setattr(harness, "POOL_MIN_S", threshold)
+            built.clear()
+            outputs.append(series_csv(run_ensemble(cfg)))
+            assert built == pools, threshold
+        assert outputs[0] == outputs[1] == outputs[2]
+        # one task cannot be shared, and never more workers than tasks
+        monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)
+        for trajectories, pools in ((BLOCK_SIZE, []), (BLOCK_SIZE + 1, [2])):
+            built.clear()
+            run_ensemble(mfim_config(protocols=["rc"], trajectories=trajectories))
+            assert built == pools, trajectories
 
     def test_protocol_ids_stable(self):
         # seed paths depend on these ids; changing them silently would break
@@ -477,6 +512,39 @@ class TestConfigValidation:
             for too_big in (largest + 1, 10**12):
                 with pytest.raises(ConfigError, match="exceeds the cap of 1024"):
                     config_from_dict({"model": model, "params": {key: too_big}})
+
+
+    def test_counts_reject_bools(self):
+        for key in ("trajectories", "ptrace_trajectories", "master_seed"):
+            for bad in (True, 2.0, "2", None):
+                with pytest.raises(ConfigError, match=key):
+                    config_from_dict({"model": "mfim", key: bad})
+        plans = (
+            {"mode": "fixed_dt", "n_list": [5, True]},
+            {"mode": "fixed_t", "dt_list": [0.1, True]},
+            {"mode": "fixed_t", "dt_list": [float("inf")]},
+            {"mode": "fixed_dt", "dt": "0.02"},
+            {"mode": "fixed_t", "t": None},
+        )
+        for plan in plans:
+            with pytest.raises(ConfigError, match="plan|step"):
+                config_from_dict({"model": "mfim", "plan": plan})
+        for key, bad in (("noise_std", "0.1"), ("noise_std", float("nan")), ("model", ["mfim"]),
+                         ("initial_state", 3), ("out", 1), ("include_bounds", "no")):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"model": "mfim", key: bad})
+
+    def test_trajectory_cap(self, monkeypatch):
+        assert harness.MAX_TRAJECTORIES == 100_000
+        for key in ("trajectories", "ptrace_trajectories"):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer from 1 to 100000"):
+                config_from_dict({"model": "mfim", key: 10**9})
+        monkeypatch.setattr(harness, "MAX_TRAJECTORIES", 2000)  # the default trajectory count
+        for key in ("trajectories", "ptrace_trajectories"):
+            assert getattr(config_from_dict({"model": "mfim", key: 2000}), key) == 2000
+            for bad in (2001, 0):
+                with pytest.raises(ConfigError, match=f"{key} must be an integer from 1 to 2000"):
+                    config_from_dict({"model": "mfim", key: bad})
 
 
 class TestDtGroups:
@@ -518,6 +586,7 @@ class TestDtGroups:
         monkeypatch.setattr(harness, "_worker_init", lambda ctx: record("worker") or init(ctx))
         monkeypatch.setattr(_Context, "__init__", lambda self, c: record("context") or ctx_init(self, c))
         monkeypatch.setenv("ARC_SIM_THREADS", "2")
+        monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)  # pool even for small ensembles
         cfg = mfim_config(
             plan={"mode": "fixed_t", "t": 0.2, "dt_list": [0.1, 0.05, 0.1]}, trajectories=20
         )
