@@ -4,17 +4,7 @@ The package root holds the library names the README documents; everything
 else is imported from its own module.
 """
 
-from .compilers import (
-    StepPlan,
-    TrajectoryRecord,
-    run_arc,
-    run_block,
-    run_equal_weight,
-    run_exact,
-    run_protocol,
-    run_rc,
-    run_trotter1,
-)
+from .compilers import StepPlan, TrajectoryRecord, run_block, run_exact
 from .hamiltonians import basis_state, build_kerr, build_mfim, build_rabi
 from .linalg import HermitianOperator, mixed_state
 from .moments import NoiseModel

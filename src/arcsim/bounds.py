@@ -1,4 +1,4 @@
-"""Liouvillian calculus and averaged per-step error bounds for the protocols.
+"""Averaged per-step error bounds for the protocols.
 
 The three circuit-depth bounds share the prefactor t^2/(2N) times the average
 over the supplied exact-trajectory states of a per-step bracket:
@@ -27,7 +27,7 @@ import numpy as np
 
 from .compilers import StepPlan
 from .hamiltonians import Decomposition
-from .linalg import HermitianOperator, QuantumState, commutator, hs_norm
+from .linalg import QuantumState, commutator, hs_norm
 
 
 @dataclass(eq=False)
@@ -79,14 +79,12 @@ class ShotParams:
             raise ValueError("qubit count must be >= 1")
         if not 0 < self.eps_stat < math.inf:
             raise ValueError("statistical error must be positive and finite")
-
-
-def liouvillian(h: HermitianOperator, rho: QuantumState) -> np.ndarray:
-    """Generator action -i [H, rho]; the result is Hermitian and traceless."""
-    r = rho.density()
-    if h.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: operator {h.dim}, state {rho.dim}")
-    return -1j * commutator(h.matrix, r)
+        try:
+            finite = all(map(math.isfinite, shot_lower_bounds(self)))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError("shot bounds overflow a float: lower k, w, S or R, or raise eps_stat")
 
 
 def _pair_commutator_sum(mats: list[np.ndarray]) -> np.ndarray:
@@ -142,28 +140,6 @@ def _arc_brackets(collective, terms) -> np.ndarray:
 
 def _mean_bound(plan: StepPlan, brackets: np.ndarray) -> float:
     return plan.total_time**2 / (2.0 * plan.steps) * float(np.mean(brackets))
-
-
-def trotter1_bound(
-    decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
-) -> float:
-    """Averaged commutator bound (t^2/2N) * mean_i ||sum_{j<k} [L_j, L_k](rho_i)||."""
-    return _mean_bound(plan, _brackets(decomposition, exact_states)[0])
-
-
-def rc_bound(
-    decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
-) -> float:
-    """Fixed-weight bound with the lambda-weighted sum of individual generators."""
-    _, collective, terms = _brackets(decomposition, exact_states)
-    return _mean_bound(plan, _rc_brackets(decomposition, collective, terms))
-
-
-def arc_bound(
-    decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
-) -> float:
-    """Adaptive bound with the squared sum of square-rooted generator norms."""
-    return _mean_bound(plan, _arc_brackets(*_brackets(decomposition, exact_states)[1:]))
 
 
 def bound_report(

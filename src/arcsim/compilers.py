@@ -246,8 +246,8 @@ def _fixed_weights(p: ProbabilityDistribution) -> WeightPolicy:
 def _arc_weights(decomposition: Decomposition) -> WeightPolicy:
     """Measure every term's moments on every trajectory and take the optimal weights.
 
-    The noise perturbs each trajectory's L x 4 moments (term-major, as L
-    moments_of calls would draw them).
+    The noise perturbs each trajectory's L x 4 moments, term-major, in the
+    order NoiseModel.perturb would draw them one term at a time.
     """
     terms = decomposition.terms
 
@@ -361,8 +361,16 @@ def run_block(
     bits of its states depend on the block it runs in (the width of each
     product), so callers fix the blocks.
 
-    "exact" steps nothing: its records are read off the reference. A mixed
-    state0 runs as one trajectory by step_trotter1 and step_random.
+    "arc" measures the four moments <H_j^k> of every term on each
+    trajectory's own current state, perturbs them by `noise` (additive
+    Gaussian per scalar), converts them to double-commutator norms and
+    samples from the optimal distribution. "exact" steps nothing: its
+    records are read off the reference. A mixed state0 runs as one
+    trajectory by step_trotter1 and step_random; its "arc" weights come from
+    the finite-difference estimator at its default time offset.
+
+    A single trajectory is `run_block(name, state0, decomposition, plan,
+    [stream])[0]`.
     """
     fixed = _fixed_distribution(name, decomposition)
     size = len(streams)
@@ -432,59 +440,3 @@ def run_block(
         )
         for m, q in enumerate(plans)
     ]
-
-
-def run_trotter1(
-    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
-    exact_states: list[QuantumState] | None = None,
-) -> TrajectoryRecord:
-    """First-order product formula for N steps."""
-    return run_block("trotter1", state0, decomposition, plan, [0], exact_states=exact_states)[0]
-
-
-def run_rc(
-    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
-    stream=0,
-    exact_states: list[QuantumState] | None = None,
-) -> TrajectoryRecord:
-    """Random compilation with fixed weights p_j = ||H_j||_inf / lambda."""
-    return run_block("rc", state0, decomposition, plan, [stream], exact_states=exact_states)[0]
-
-
-def run_equal_weight(
-    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
-    stream=0,
-    exact_states: list[QuantumState] | None = None,
-) -> TrajectoryRecord:
-    """Random compilation sampling every term with probability 1/L."""
-    return run_block("equal", state0, decomposition, plan, [stream], exact_states=exact_states)[0]
-
-
-def run_arc(
-    state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
-    noise: NoiseModel = EXACT,
-    stream=0,
-    exact_states: list[QuantumState] | None = None,
-) -> TrajectoryRecord:
-    """Adaptive random compilation: re-derive the sampling weights every step.
-
-    Each step measures the four moments of every term on the trajectory's own
-    current state (perturbed per the noise model), converts them to
-    double-commutator norms, and samples from the optimal distribution. Mixed
-    states take the finite-difference estimator at its default time offset.
-    """
-    return run_block(
-        "arc", state0, decomposition, plan, [stream], noise=noise, exact_states=exact_states
-    )[0]
-
-
-def run_protocol(
-    name: str, state0: QuantumState, decomposition: Decomposition, plan: StepPlan, *,
-    noise: NoiseModel = EXACT,
-    stream=0,
-    exact_states: list[QuantumState] | None = None,
-) -> TrajectoryRecord:
-    """Dispatch a protocol by name: trotter1 | rc | arc | equal | exact."""
-    return run_block(
-        name, state0, decomposition, plan, [stream], noise=noise, exact_states=exact_states
-    )[0]

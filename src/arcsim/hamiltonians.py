@@ -102,12 +102,9 @@ class Decomposition:
     def total_operator(self) -> HermitianOperator:
         return HermitianOperator(self.total(), label="total")
 
-    def drop_zero_terms(self, tol: float = 0.0) -> "Decomposition":
-        """Copy without terms whose Schatten-inf norm is <= tol."""
-        kept = tuple(
-            t for t, n in zip(self.terms, self.inf_norms) if n > tol
-        )
-        return Decomposition(kept)
+    def drop_zero_terms(self) -> "Decomposition":
+        """Copy without terms whose Schatten-inf norm is 0."""
+        return Decomposition(tuple(t for t, n in zip(self.terms, self.inf_norms) if n > 0.0))
 
 
 def _embed_qubit_ops(site_ops: dict[int, np.ndarray], structure: HilbertStructure) -> np.ndarray:
@@ -116,16 +113,6 @@ def _embed_qubit_ops(site_ops: dict[int, np.ndarray], structure: HilbertStructur
     for site in range(structure.qubit_sites):
         out = kron(out, site_ops.get(site, I2))
     return out
-
-
-def pauli_on_site(which: str, site: int, structure: HilbertStructure) -> HermitianOperator:
-    """Pauli x/y/z on one site, identity on every other tensor factor."""
-    if which not in PAULI:
-        raise ValueError(f"unknown Pauli {which!r}; expected one of x, y, z")
-    if not 0 <= site < structure.qubit_sites:
-        raise ValueError(f"site {site} out of range for {structure.qubit_sites} qubits")
-    mat = _embed_qubit_ops({site: PAULI[which]}, structure)
-    return HermitianOperator(mat, label=f"sigma_{which}[{site}]")
 
 
 def annihilator(structure: HilbertStructure) -> np.ndarray:

@@ -64,6 +64,12 @@ MAX_DIM = 1024
 # 100 bytes together, so about 10 MB at the cap; configs are rejected before
 # any of it is allocated.
 MAX_TRAJECTORIES = 100_000
+# Largest step count a plan point may ask for, as an n_list entry or as
+# t / dt. The exact reference holds one state per step (160 MB at MAX_DIM and
+# the cap), and a block of BLOCK_SIZE trajectories one fidelity, index, tau
+# and L probabilities per trajectory and step (about 60 MB for three terms);
+# plans are rejected before either is allocated.
+MAX_STEPS = 10_000
 # The trajectories of all plan points with bit-equal dt are ordered longest
 # first, as (N descending, point, m), and stepped in blocks of BLOCK_SIZE
 # along that order. The partition is fixed because the last bits of a
@@ -191,7 +197,10 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
             "plan n_list must be a nonempty list",
         )
         for n in n_list:
-            _require(_is_int(n) and n >= 1, f"bad step count {n!r}")
+            _require(
+                _is_int(n) and 1 <= n <= MAX_STEPS,
+                f"step count must be an integer from 1 to {MAX_STEPS}, got {n!r}",
+            )
         spec.n_list = list(n_list)
     else:
         spec.t = _real(raw.get("t", 1.0), "plan t")
@@ -203,6 +212,10 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
         )
         for dt in dt_list:
             _require(_real(dt, "plan step size") > 0, f"bad step size {dt!r}")
+            _require(
+                spec.t / dt <= MAX_STEPS,
+                f"plan t / dt = {spec.t / dt:g} exceeds the step cap of {MAX_STEPS}",
+            )
         spec.dt_list = [float(dt) for dt in dt_list]
     return spec
 
@@ -404,32 +417,31 @@ class _Context:
         self.decomp, self.structure = build_model(config)
         self.state0 = basis_state(config.initial_state, self.structure)
         self.points = config.plan.points()
+        # dt -> its plan points, longest first: (N descending, point)
+        self.groups: dict[float, list[int]] = {}
+        for q in sorted(range(len(self.points)), key=lambda q: -self.points[q].plan.steps):
+            self.groups.setdefault(self.points[q].plan.dt, []).append(q)
         self._exact: dict[float, list] = {}
+        self._orders: dict[tuple[int, float], list[tuple[int, int]]] = {}
 
     def exact(self, point_idx: int) -> list:
         plan = self.points[point_idx].plan
         if plan.dt not in self._exact:
-            longest = max(
-                (p.plan for p in self.points if p.plan.dt == plan.dt), key=lambda q: q.steps
-            )
+            longest = self.points[self.groups[plan.dt][0]].plan
             with _single_blas_thread():
                 self._exact[plan.dt] = run_exact(self.state0, self.decomp.total_operator, longest)
         return self._exact[plan.dt][: plan.steps]
 
-    def group(self, point_idx: int) -> list[int]:
-        """Plan points with point_idx's dt, in index order."""
-        dt = self.points[point_idx].plan.dt
-        return [q for q, point in enumerate(self.points) if point.plan.dt == dt]
-
     def order(self, protocol: str, point_idx: int) -> list[tuple[int, int]]:
-        """(point, trajectory) pairs of point_idx's dt group, longest first: (N descending, point, m)."""
+        """(point, trajectory) pairs of point_idx's dt group, longest first: (N descending, point, m).
+
+        Built once per trajectory count and dt, and shared by every block of the group.
+        """
         count = 1 if protocol in DETERMINISTIC_PROTOCOLS else self.config.trajectories
-        steps = [point.plan.steps for point in self.points]
-        return [
-            (q, m)
-            for q in sorted(self.group(point_idx), key=lambda q: -steps[q])
-            for m in range(count)
-        ]
+        key = (count, self.points[point_idx].plan.dt)
+        if key not in self._orders:
+            self._orders[key] = [(q, m) for q in self.groups[key[1]] for m in range(count)]
+        return self._orders[key]
 
     def run_block(self, protocol: str, members: list[tuple[int, int]]) -> list[TrajectoryRecord]:
         """The (point, trajectory) pairs of one dt group, ordered longest first, as one block."""
@@ -524,10 +536,10 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     Each block of each dt group's fixed partition is one pool task, or one
     serial run. The pool runs only for an ensemble whose estimated serial
     time reaches POOL_MIN_S, with at most one worker per task. Every exact
-    reference is computed here before the pool starts, so the workers share
-    the parent's.
+    reference and every order is built here before the pool starts, so the
+    workers share the parent's.
     """
-    firsts = sorted({ctx.group(q)[0] for q in range(len(ctx.points))})
+    firsts = sorted(min(group) for group in ctx.groups.values())
     orders = {
         (protocol, first): ctx.order(protocol, first)
         for protocol in config.protocols

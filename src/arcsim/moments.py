@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import (
     HermitianOperator,
     QuantumState,
-    basis_coordinates,
     commutator,
     eigenbasis,
     evolve_unitary,
@@ -49,16 +48,6 @@ class NoiseModel:
 EXACT = NoiseModel(0.0)
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """First four moments <H>, <H^2>, <H^3>, <H^4> of one term on one state."""
-
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-
-
 def double_commutator_norm(h: HermitianOperator, state: QuantumState) -> float:
     """Exact ||[H, [H, rho]]|| by direct matrix arithmetic (the brute-force oracle)."""
     rho = state.density()
@@ -87,24 +76,6 @@ def moment_block(h: HermitianOperator, coords: np.ndarray) -> np.ndarray:
     return moments
 
 
-def moments_of(
-    h: HermitianOperator,
-    state: QuantumState,
-    noise: NoiseModel = EXACT,
-    rng: np.random.Generator | None = None,
-) -> MomentSet:
-    """Moments <H^k>, k = 1..4, of a pure state, each independently perturbed.
-
-    The one-column case of moment_block.
-    """
-    if not state.is_pure:
-        raise ValueError("moment measurement needs a pure state; use the finite-difference path")
-    if h.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {h.dim}, state {state.dim}")
-    raw = moment_block(h, basis_coordinates(h, state.data.reshape(-1, 1)))[:, 0]
-    return MomentSet(*noise.perturb(raw, rng))
-
-
 def norms_from_moments(moments: np.ndarray) -> np.ndarray:
     """Pure-state formula sqrt(6 m2^2 - 8 m1 m3 + 2 m4) over the last axis (m1..m4).
 
@@ -113,11 +84,6 @@ def norms_from_moments(moments: np.ndarray) -> np.ndarray:
     m1, m2, m3, m4 = np.moveaxis(moments, -1, 0)
     radicand = 6.0 * m2 * m2 - 8.0 * m1 * m3 + 2.0 * m4
     return np.sqrt(np.maximum(radicand, 0.0))
-
-
-def norm_from_moments(m: MomentSet) -> float:
-    """Pure-state formula sqrt(6 m2^2 - 8 m1 m3 + 2 m4), radicand clamped at 0."""
-    return float(norms_from_moments(np.array([m.m1, m.m2, m.m3, m.m4])))
 
 
 def _tr_product(a: np.ndarray, b: np.ndarray) -> np.longdouble:

@@ -14,8 +14,8 @@ from .compilers import (
     step_trotter1,
 )
 from .hamiltonians import Decomposition
-from .linalg import HermitianOperator, fidelity, hs_norm, kron, pure_state, mixed_state
-from .moments import double_commutator_norm, moments_of, norm_finite_difference, norm_from_moments
+from .linalg import HermitianOperator, basis_coordinates, fidelity, hs_norm, kron, pure_state, mixed_state
+from .moments import double_commutator_norm, moment_block, norm_finite_difference, norms_from_moments
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
@@ -52,7 +52,7 @@ def _check_moment_formula(rng) -> tuple[bool, str]:
         h = _random_hermitian(rng, 8)
         psi = _random_pure(rng, 8)
         exact = double_commutator_norm(h, psi)
-        est = norm_from_moments(moments_of(h, psi))
+        est = norms_from_moments(moment_block(h, basis_coordinates(h, psi.data[:, None])).T)[0]
         worst = max(worst, abs(est - exact) / (1.0 + exact))
     return worst <= 1e-8, f"worst relative deviation {worst:.2e} over 20 states"
 

@@ -10,16 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from arcsim.bounds import arc_bound, check_cauchy_schwarz, rc_bound
+from arcsim.bounds import bound_report, check_cauchy_schwarz
 from arcsim.compilers import ProbabilityDistribution, StepPlan, cost, optimal_distribution, run_exact
 from arcsim.emit import series_csv
 from arcsim.hamiltonians import Decomposition, basis_state, build_kerr, build_mfim, build_rabi
-from arcsim.linalg import HermitianOperator, mixed_state, pure_state
+from arcsim.linalg import HermitianOperator, basis_coordinates, mixed_state, pure_state
 from arcsim.moments import (
     double_commutator_norm,
-    moments_of,
+    moment_block,
     norm_finite_difference,
-    norm_from_moments,
+    norms_from_moments,
 )
 from arcsim.harness import config_from_dict, run_ensemble, run_ptrace
 
@@ -80,7 +80,7 @@ def test_criterion_01_moment_formula_oracle_equivalence():
             h = random_hermitian(rng, dim)
             psi = random_pure(rng, dim)
             exact = double_commutator_norm(h, psi)
-            est = norm_from_moments(moments_of(h, psi))
+            est = norms_from_moments(moment_block(h, basis_coordinates(h, psi.data[:, None])).T)[0]
             worst = max(worst, abs(est - exact) / (1.0 + exact))
     elapsed = time.time() - start
     _report(
@@ -170,8 +170,8 @@ def test_criterion_05_bound_ordering_on_paper_configs():
     details, ok = [], True
     for name, dec, structure, ket in configs:
         exact = run_exact(basis_state(ket, structure), dec.total_operator, plan)
-        a = arc_bound(dec, exact, plan)
-        r = rc_bound(dec, exact, plan)
+        report = bound_report(dec, exact, plan)
+        a, r = report.arc, report.rc
         ok = ok and a <= r * (1 + 1e-9)
         details.append(f"{name}: arc {a:.4f} <= rc {r:.4f}")
     elapsed = time.time() - start

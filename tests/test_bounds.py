@@ -6,13 +6,9 @@ import pytest
 from arcsim.bounds import (
     BoundReport,
     ShotParams,
-    arc_bound,
     bound_report,
     check_cauchy_schwarz,
-    liouvillian,
-    rc_bound,
     shot_lower_bounds,
-    trotter1_bound,
 )
 from arcsim.compilers import StepPlan, run_exact
 from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_mfim
@@ -29,37 +25,6 @@ def random_hermitian(rng, dim, scale=1.0):
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return pure_state(v / np.linalg.norm(v))
-
-
-class TestLiouvillian:
-    def test_commuting_gives_zero(self):
-        zero = pure_state(np.array([1, 0], dtype=complex))
-        assert hs_norm(liouvillian(HermitianOperator(PAULI["z"]), zero)) == pytest.approx(0.0)
-
-    def test_traceless(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            h = random_hermitian(rng, 5)
-            out = liouvillian(h, random_pure(rng, 5))
-            assert abs(np.trace(out)) <= 1e-12
-
-    def test_sigma_z_on_plus(self):
-        out = liouvillian(HermitianOperator(PAULI["z"]), PLUS)
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        expected = -1j * (np.outer(minus, plus) - np.outer(plus, minus))
-        assert np.allclose(out, expected)
-        assert hs_norm(out) == pytest.approx(np.sqrt(2))
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-12  # Hermitian result
-
-    def test_composition_equals_double_commutator(self):
-        rng = np.random.default_rng(1)
-        h = random_hermitian(rng, 4)
-        rho = random_pure(rng, 4)
-        once = liouvillian(h, rho)
-        twice = -1j * commutator(h.matrix, once)
-        direct = -commutator(h.matrix, commutator(h.matrix, rho.density()))
-        assert np.max(np.abs(twice - direct)) <= 1e-10
 
 
 def mfim_fixture(n_steps=50, t=1.0):
@@ -79,18 +44,18 @@ class TestTrotterBound:
         dec = Decomposition((d1, d2))
         plan = StepPlan(1.0, 5)
         exact = run_exact(random_pure(rng, 4), dec.total_operator, plan)
-        assert trotter1_bound(dec, exact, plan) <= 1e-10
+        assert bound_report(dec, exact, plan).trotter1 <= 1e-10
 
     def test_single_term_vanishes(self):
         rng = np.random.default_rng(3)
         dec = Decomposition((random_hermitian(rng, 4),))
         plan = StepPlan(1.0, 5)
         exact = run_exact(random_pure(rng, 4), dec.total_operator, plan)
-        assert trotter1_bound(dec, exact, plan) == 0.0
+        assert bound_report(dec, exact, plan).trotter1 == 0.0
 
     def test_mfim_regression(self):
         dec, exact, plan = mfim_fixture()
-        val = trotter1_bound(dec, exact, plan)
+        val = bound_report(dec, exact, plan).trotter1
         assert val > 0
         assert val == pytest.approx(0.024724450223511548, rel=1e-6)
 
@@ -104,22 +69,22 @@ class TestTrotterBound:
         swapped = Decomposition((t2, t1))
         plan = StepPlan(1.0, 5)
         exact = run_exact(random_pure(rng, 4), dec.total_operator, plan)
-        assert trotter1_bound(swapped, exact, plan) == pytest.approx(
-            trotter1_bound(dec, exact, plan), rel=1e-10
+        assert bound_report(swapped, exact, plan).trotter1 == pytest.approx(
+            bound_report(dec, exact, plan).trotter1, rel=1e-10
         )
 
     def test_three_term_order_dependence_is_small_for_mfim(self):
         dec, exact, plan = mfim_fixture(n_steps=10)
         permuted = Decomposition((dec.terms[2], dec.terms[0], dec.terms[1]))
-        a = trotter1_bound(dec, exact, plan)
-        b = trotter1_bound(permuted, exact, plan)
+        a = bound_report(dec, exact, plan).trotter1
+        b = bound_report(permuted, exact, plan).trotter1
         assert a != b
         assert abs(a - b) <= 0.01 * a
 
     def test_empty_states_rejected(self):
         dec, _, plan = mfim_fixture(n_steps=5)
         with pytest.raises(ValueError):
-            trotter1_bound(dec, [], plan)
+            bound_report(dec, [], plan)
 
 
 class TestBoundOrdering:
@@ -129,7 +94,8 @@ class TestBoundOrdering:
             dec = Decomposition(tuple(random_hermitian(rng, 4) for _ in range(3)))
             plan = StepPlan(0.5, 4)
             exact = run_exact(random_pure(rng, 4), dec.total_operator, plan)
-            assert arc_bound(dec, exact, plan) <= rc_bound(dec, exact, plan) * (1 + 1e-9)
+            report = bound_report(dec, exact, plan)
+            assert report.arc <= report.rc * (1 + 1e-9)
 
     def test_rc_rejects_zero_norm_term(self):
         dec, st = build_mfim(3, 1.0, 0.5, 0.0)
@@ -137,9 +103,9 @@ class TestBoundOrdering:
         plan = StepPlan(1.0, 4)
         exact = run_exact(psi, dec.total_operator, plan)
         with pytest.raises(ValueError):
-            rc_bound(dec, exact, plan)
+            bound_report(dec, exact, plan)
         # dropping the zero term makes it computable
-        assert rc_bound(dec.drop_zero_terms(), exact, plan) > 0
+        assert bound_report(dec.drop_zero_terms(), exact, plan).rc > 0
 
     def test_inverse_n_scaling(self):
         dec, st = build_mfim(4, 1.0, 0.5, 0.3)
@@ -148,11 +114,8 @@ class TestBoundOrdering:
         for n in (25, 50):
             plan = StepPlan(1.0, n)
             exact = run_exact(psi, dec.total_operator, plan)
-            vals[n] = {
-                "trotter1": trotter1_bound(dec, exact, plan),
-                "rc": rc_bound(dec, exact, plan),
-                "arc": arc_bound(dec, exact, plan),
-            }
+            report = bound_report(dec, exact, plan)
+            vals[n] = {key: getattr(report, key) for key in ("trotter1", "rc", "arc")}
         for key in vals[25]:
             assert vals[50][key] * 2 == pytest.approx(vals[25][key], rel=0.05)
 
@@ -305,6 +268,15 @@ class TestShotBounds:
             with pytest.raises(ValueError, match="positive and finite"):
                 ShotParams(**dict(good, eps_stat=bad))
         ShotParams(**dict(good, k=np.int64(2), eps_stat=1))
+
+    def test_bounds_must_be_finite(self):
+        good = dict(k=1, w=1, S=4, R=1, n_qubits=4, eps_stat=0.1)
+        for bad in ({"w": 1000}, {"k": 1000}, {"R": 10**400}, {"S": 10**400}, {"eps_stat": 1e-200},
+                    {"eps_stat": 1e-160}):
+            with pytest.raises(ValueError, match="shot bounds overflow"):
+                ShotParams(**dict(good, **bad))
+        prep, dyn = shot_lower_bounds(ShotParams(**dict(good, w=600, eps_stat=1e-10)))
+        assert math.isfinite(prep) and math.isfinite(dyn)
 
     def test_validation(self):
         with pytest.raises(ValueError):

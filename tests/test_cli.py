@@ -280,6 +280,25 @@ class TestCliErrors:
         assert cli.main(["ptrace", "--config", str(big)]) == cli.EXIT_CONFIG
         assert "ptrace_trajectories" in capsys.readouterr().err
 
+    def test_oversized_step_counts_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        for plan in (
+            {"mode": "fixed_t", "t": 1e300, "dt_list": [1e-10]},
+            {"mode": "fixed_dt", "dt": 0.02, "n_list": [5, harness.MAX_STEPS + 1]},
+        ):
+            cfg = write_config(tmp_path, plan=plan)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert "step" in capsys.readouterr().err
+
+    def test_overflowing_shot_bounds_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
+        for bad in ({"w": 1000}, {"R": 10**400}, {"S": 10**400}, {"eps_stat": 1e-200}):
+            cfg = write_config(tmp_path, shot_params=dict(good, **bad))
+            assert cli.main(["bounds", "--config", str(cfg)]) == cli.EXIT_CONFIG
+            assert "shot bounds overflow" in capsys.readouterr().err
+
     def test_unmapped_failures_exit_3(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         for exc in (MemoryError(), RuntimeError("worker pool\nbroke"), KeyError("x")):

@@ -11,13 +11,8 @@ from arcsim.compilers import (
     TrajectoryRecord,
     cost,
     optimal_distribution,
-    run_arc,
     run_block,
-    run_equal_weight,
     run_exact,
-    run_protocol,
-    run_rc,
-    run_trotter1,
     step_random,
     step_trotter1,
 )
@@ -37,9 +32,8 @@ from arcsim.moments import (
     EXACT,
     NoiseModel,
     moment_block,
-    moments_of,
     norm_finite_difference,
-    norm_from_moments,
+    norms_from_moments,
 )
 from arcsim.rng import TrajectoryStream, trajectory_stream
 
@@ -277,7 +271,7 @@ class TestStepRandom:
     def test_seeded_replay(self):
         dec, st = build_mfim(4, 1.0, 0.5, 0.3)
         psi = basis_state("0011", st)
-        rec = run_rc(psi, dec, StepPlan(1.0, 12), stream=trajectory_stream(42, 1, 0, 0))
+        (rec,) = run_block("rc", psi, dec, StepPlan(1.0, 12), [trajectory_stream(42, 1, 0, 0)])
         assert rec.indices.tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 2]
         assert rec.final_fidelity == pytest.approx(0.9384235770461044, rel=1e-9)
 
@@ -289,39 +283,40 @@ class TestRunners:
         self.plan = StepPlan(0.4, 8)
 
     def test_record_shapes_and_tau_consistency(self):
-        for runner in (run_rc, run_equal_weight):
-            rec = runner(self.psi, self.dec, self.plan, stream=trajectory_stream(9))
+        for name in ("rc", "equal"):
+            (rec,) = run_block(name, self.psi, self.dec, self.plan, [trajectory_stream(9)])
             assert len(rec.fidelities) == self.plan.steps
             for k in range(self.plan.steps):
                 p_used = rec.probabilities[k, rec.indices[k]]
                 assert rec.taus[k] == pytest.approx(self.plan.dt / p_used, rel=1e-12)
 
     def test_rc_weights(self):
-        rec = run_rc(self.psi, self.dec, self.plan, stream=trajectory_stream(9))
+        (rec,) = run_block("rc", self.psi, self.dec, self.plan, [trajectory_stream(9)])
         expect = np.array(self.dec.inf_norms) / self.dec.lam
         assert np.allclose(rec.probabilities, expect[None, :])
 
     def test_equal_weights(self):
-        rec = run_equal_weight(self.psi, self.dec, self.plan, stream=trajectory_stream(9))
+        (rec,) = run_block("equal", self.psi, self.dec, self.plan, [trajectory_stream(9)])
         assert np.allclose(rec.probabilities, 1 / 3)
 
     def test_rc_zero_norm_term_gets_zero_probability(self):
         dec, st = build_mfim(3, 1.0, 0.5, 0.0)  # h_z = 0 zeroes the third term
         psi = basis_state("011", st)
-        rec = run_rc(psi, dec, StepPlan(0.2, 5), stream=trajectory_stream(2))
+        (rec,) = run_block("rc", psi, dec, StepPlan(0.2, 5), [trajectory_stream(2)])
         assert np.all(rec.probabilities[:, 2] == 0.0)
         assert 2 not in set(rec.indices.tolist())
 
     def test_rc_all_zero_rejected(self):
         zero = HermitianOperator(np.zeros((2, 2), dtype=complex))
         with pytest.raises(ValueError):
-            run_rc(pure_state(np.array([1, 0], dtype=complex)), Decomposition((zero,)), StepPlan(1.0, 2))
+            psi = pure_state(np.array([1, 0], dtype=complex))
+            run_block("rc", psi, Decomposition((zero,)), StepPlan(1.0, 2), [0])
 
     def test_arc_single_term_is_exact(self):
         rng = np.random.default_rng(6)
         dec = Decomposition((random_hermitian(rng, 4),))
         psi = random_pure(rng, 4)
-        rec = run_arc(psi, dec, StepPlan(0.8, 6), stream=trajectory_stream(3))
+        (rec,) = run_block("arc", psi, dec, StepPlan(0.8, 6), [trajectory_stream(3)])
         assert np.allclose(rec.fidelities, 1.0, atol=1e-10)
 
     def test_arc_skips_eigenstate_term(self):
@@ -331,28 +326,24 @@ class TestRunners:
         dec = Decomposition((t1, t2))
         plus = np.array([1, 1]) / np.sqrt(2)
         psi = pure_state(np.kron(np.array([1, 0]), plus).astype(complex))
-        rec = run_arc(psi, dec, StepPlan(0.5, 10), stream=trajectory_stream(4))
+        (rec,) = run_block("arc", psi, dec, StepPlan(0.5, 10), [trajectory_stream(4)])
         assert np.all(rec.probabilities[:, 0] == 0.0)
         assert 0 not in set(rec.indices.tolist())
 
     def test_arc_probabilities_valid_under_noise(self):
-        rec = run_arc(
-            self.psi,
-            self.dec,
-            self.plan,
-            noise=NoiseModel(0.3),
-            stream=trajectory_stream(5),
+        (rec,) = run_block(
+            "arc", self.psi, self.dec, self.plan, [trajectory_stream(5)], noise=NoiseModel(0.3)
         )
         assert np.all(rec.probabilities >= 0)
         assert np.allclose(rec.probabilities.sum(axis=1), 1.0, atol=1e-12)
 
     def test_arc_varies_probabilities(self):
-        rec = run_arc(self.psi, self.dec, self.plan, stream=trajectory_stream(6))
+        (rec,) = run_block("arc", self.psi, self.dec, self.plan, [trajectory_stream(6)])
         assert np.std(rec.probabilities[:, 0]) > 0
 
     def test_arc_mixed_state_path(self):
         rho = mixed_state(0.6 * self.psi.density() + 0.4 * np.eye(16) / 16)
-        rec = run_arc(rho, self.dec, StepPlan(0.1, 3), stream=trajectory_stream(7))
+        (rec,) = run_block("arc", rho, self.dec, StepPlan(0.1, 3), [trajectory_stream(7)])
         assert rec.probabilities.shape == (3, 3)
         assert np.allclose(rec.probabilities.sum(axis=1), 1.0)
         assert np.all(np.isnan(rec.fidelities))  # mixed reference has no pure target
@@ -364,7 +355,7 @@ class TestRunners:
             assert np.linalg.norm(s.data) == pytest.approx(1.0, abs=1e-10)
 
     def test_trotter_runner_matches_manual_loop(self):
-        rec = run_trotter1(self.psi, self.dec, self.plan)
+        (rec,) = run_block("trotter1", self.psi, self.dec, self.plan, [0])
         state = self.psi
         for _ in range(self.plan.steps):
             state = step_trotter1(state, self.dec, self.plan)
@@ -372,14 +363,14 @@ class TestRunners:
 
     def test_protocol_dispatch(self):
         for name in ("trotter1", "rc", "arc", "equal", "exact"):
-            rec = run_protocol(name, self.psi, self.dec, self.plan, stream=trajectory_stream(8))
+            (rec,) = run_block(name, self.psi, self.dec, self.plan, [trajectory_stream(8)])
             assert rec.protocol == name
         with pytest.raises(ValueError):
-            run_protocol("magnus", self.psi, self.dec, self.plan)
+            run_block("magnus", self.psi, self.dec, self.plan, [0])
 
     def test_same_stream_reproduces(self):
-        r1 = run_arc(self.psi, self.dec, self.plan, stream=trajectory_stream(11, 2, 0, 5))
-        r2 = run_arc(self.psi, self.dec, self.plan, stream=trajectory_stream(11, 2, 0, 5))
+        (r1,) = run_block("arc", self.psi, self.dec, self.plan, [trajectory_stream(11, 2, 0, 5)])
+        (r2,) = run_block("arc", self.psi, self.dec, self.plan, [trajectory_stream(11, 2, 0, 5)])
         assert np.array_equal(r1.indices, r2.indices)
         assert np.array_equal(r1.fidelities, r2.fidelities)
 
@@ -487,10 +478,10 @@ def reference_run_arc(
     for k in range(n):
         rng = stream.step(k)
         if state.is_pure:
-            dcn = [
-                norm_from_moments(moments_of(term, state, noise, rng))
-                for term in decomposition.terms
-            ]
+            dcn = []
+            for term in decomposition.terms:
+                raw = moment_block(term, basis_coordinates(term, state.data[:, None]))[:, 0]
+                dcn.append(float(norms_from_moments(noise.perturb(raw, rng))))
         else:
             dcn = [
                 norm_finite_difference(term, state, fd_dt, noise, rng)
@@ -556,13 +547,13 @@ class TestSteppingLoopReference:
                 noise = NoiseModel(noise_std)
                 for pid, name in enumerate(PROTOCOL_NAMES):
                     for exact_states in (None, run_exact(state0, dec.total_operator, plan)):
-                        got = run_protocol(
+                        (got,) = run_block(
                             name,
                             state0,
                             dec,
                             plan,
+                            [trajectory_stream(5, case, pid)],
                             noise=noise,
-                            stream=trajectory_stream(5, case, pid),
                             exact_states=exact_states,
                         )
                         want = reference_run(
@@ -586,8 +577,8 @@ class TestSteppingLoopReference:
     def test_int_seed_stream_matches_reference(self):
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)
         psi, plan = basis_state("011", st), StepPlan(0.3, 5)
-        for runner, name in ((run_rc, "rc"), (run_equal_weight, "equal"), (run_arc, "arc")):
-            got = runner(psi, dec, plan, stream=3)
+        for name in ("rc", "equal", "arc"):
+            (got,) = run_block(name, psi, dec, plan, [3])
             want = reference_run(name, psi, dec, plan, EXACT, 3, None)
             self._assert_same_record(got, want, name)
 
@@ -598,7 +589,7 @@ class TestSteppingLoopReference:
         for name in PROTOCOL_NAMES:
             for wrong in (states[:-1], states + states[:1]):
                 with pytest.raises(ValueError, match=f"expected 5 exact states, got {len(wrong)}"):
-                    run_protocol(name, psi, dec, plan, stream=trajectory_stream(1), exact_states=wrong)
+                    run_block(name, psi, dec, plan, [trajectory_stream(1)], exact_states=wrong)
 
 
 class TestChannelMatching:
@@ -649,9 +640,9 @@ class TestBlockEngine:
                         name, psi, dec, plan, streams, noise=NoiseModel(noise_std), exact_states=exact
                     )
                     for m, got in enumerate(block):
-                        want = run_protocol(
-                            name, psi, dec, plan, noise=NoiseModel(noise_std),
-                            stream=trajectory_stream(3, case, pid, m), exact_states=exact,
+                        (want,) = run_block(
+                            name, psi, dec, plan, [trajectory_stream(3, case, pid, m)],
+                            noise=NoiseModel(noise_std), exact_states=exact,
                         )
                         where = (label, noise_std, name, m)
                         assert np.array_equal(got.indices, want.indices), where
@@ -735,8 +726,8 @@ class TestDiagonalShortcut:
             for _ in range(4):
                 w = h.matrix @ w
                 want.append(np.vdot(psi.data, w).real)
-            m = moments_of(h, psi)
-            assert np.allclose([m.m1, m.m2, m.m3, m.m4], want, rtol=1e-12, atol=1e-12)
+            m = moment_block(h, basis_coordinates(h, psi.data[:, None]))[:, 0]
+            assert np.allclose(m, want, rtol=1e-12, atol=1e-12)
 
     def test_eigenstate_weight_is_exactly_zero(self):
         # power-of-two eigenvalue: every moment ratio is exact, so no rounding residue
@@ -744,7 +735,7 @@ class TestDiagonalShortcut:
         v = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
         for phase in np.linspace(0.0, 3.0, 7):
             psi = pure_state(v * np.exp(1j * phase * np.arange(4)))
-            assert norm_from_moments(moments_of(h, psi)) == 0.0
+            assert norms_from_moments(moment_block(h, basis_coordinates(h, psi.data[:, None])).T)[0] == 0.0
 
 
 class TestMixedStepBlocks:

@@ -11,8 +11,8 @@ from arcsim.hamiltonians import (
     build_kerr,
     build_mfim,
     build_rabi,
-    pauli_on_site,
 )
+from arcsim.hamiltonians import _embed_qubit_ops
 from arcsim.linalg import HermitianOperator, commutator, hs_norm, kron
 
 
@@ -32,29 +32,26 @@ class TestHilbertStructure:
 
 
 class TestPauliOnSite:
+    """Single-site Pauli operators as build_mfim embeds them."""
+
     def test_first_site_is_leftmost_factor(self):
         st = HilbertStructure(qubit_sites=2)
-        op = pauli_on_site("z", 0, st)
-        assert np.allclose(op.matrix, kron(PAULI["z"], I2))
+        op = _embed_qubit_ops({0: PAULI["z"]}, st)
+        assert np.allclose(op, kron(PAULI["z"], I2))
 
     def test_sigma_z_convention_on_0011(self):
         st = HilbertStructure(qubit_sites=4)
         psi = basis_state("0011", st)
-        op = pauli_on_site("z", 0, st)
-        val = np.vdot(psi.data, op.matrix @ psi.data).real
+        op = _embed_qubit_ops({0: PAULI["z"]}, st)
+        val = np.vdot(psi.data, op @ psi.data).real
         assert val == pytest.approx(1.0)  # site 0 holds |0>, sigma_z|0> = +|0>
 
     def test_x_flips_site_one(self):
         st = HilbertStructure(qubit_sites=2)
-        op = pauli_on_site("x", 1, st)
+        op = _embed_qubit_ops({1: PAULI["x"]}, st)
         ket00 = basis_state("00", st).data
         ket01 = basis_state("01", st).data
-        assert np.allclose(op.matrix @ ket00, ket01)
-
-    def test_site_out_of_range(self):
-        st = HilbertStructure(qubit_sites=2)
-        with pytest.raises(ValueError):
-            pauli_on_site("x", 2, st)
+        assert np.allclose(op @ ket00, ket01)
 
 
 class TestAnnihilator:
@@ -133,7 +130,7 @@ class TestBuildMfim:
         dec, st = build_mfim(4, 1.0, 0.7, 0.0)
         flip = np.eye(st.dim, dtype=complex)
         for i in range(4):
-            flip = flip @ pauli_on_site("x", i, st).matrix
+            flip = flip @ _embed_qubit_ops({i: PAULI["x"]}, st)
         assert hs_norm(commutator(dec.total(), flip)) <= 1e-10
 
 

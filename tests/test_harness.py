@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from arcsim.compilers import StepPlan, run_protocol
+from arcsim.compilers import StepPlan, run_block
 from arcsim import harness
 from arcsim.emit import ptrace_csv, series_csv
 from arcsim.harness import (
@@ -140,7 +140,7 @@ class TestRunEnsemble:
         dec = Decomposition((HermitianOperator((m + m.conj().T) / 2),))
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi = pure_state(v / np.linalg.norm(v))
-        rec = run_protocol("rc", psi, dec, StepPlan(1.0, 10), stream=trajectory_stream(1))
+        (rec,) = run_block("rc", psi, dec, StepPlan(1.0, 10), [trajectory_stream(1)])
         assert rec.final_fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_seed_determinism(self):
@@ -546,6 +546,19 @@ class TestConfigValidation:
                 with pytest.raises(ConfigError, match=f"{key} must be an integer from 1 to 2000"):
                     config_from_dict({"model": "mfim", key: bad})
 
+    def test_step_cap(self, monkeypatch):
+        assert harness.MAX_STEPS == 10_000
+        monkeypatch.setattr(harness, "MAX_STEPS", 50)
+        ok = config_from_dict({"model": "mfim", "plan": {"mode": "fixed_dt", "n_list": [5, 50]}})
+        assert [p.plan.steps for p in ok.plan.points()] == [5, 50]
+        with pytest.raises(ConfigError, match="step count must be an integer from 1 to 50, got 51"):
+            config_from_dict({"model": "mfim", "plan": {"mode": "fixed_dt", "n_list": [5, 51]}})
+        ok = config_from_dict({"model": "mfim", "plan": {"mode": "fixed_t", "t": 1.0, "dt_list": [0.02]}})
+        assert [p.plan.steps for p in ok.plan.points()] == [50]
+        for t, dt in ((1.0, 0.01), (1e300, 1e-10)):
+            with pytest.raises(ConfigError, match="exceeds the step cap of 50"):
+                config_from_dict({"model": "mfim", "plan": {"mode": "fixed_t", "t": t, "dt_list": [dt]}})
+
 
 class TestDtGroups:
     def test_group_order_is_longest_first(self):
@@ -553,8 +566,9 @@ class TestDtGroups:
             plan={"mode": "fixed_t", "t": 0.2, "dt_list": [0.1, 0.05, 0.1]}, trajectories=2
         )
         ctx = _Context(cfg)
-        assert [ctx.group(q) for q in range(3)] == [[0, 2], [1], [0, 2]]
+        assert ctx.groups == {0.1: [0, 2], 0.05: [1]}
         assert ctx.order("rc", 2) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert ctx.order("rc", 0) is ctx.order("arc", 2)  # built once per count and dt
         assert ctx.order("trotter1", 0) == [(0, 0), (2, 0)]
         cfg = mfim_config(plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 15, 10]}, trajectories=2)
         assert _Context(cfg).order("arc", 0) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]

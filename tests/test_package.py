@@ -15,11 +15,6 @@ ROOT_NAMES = {
     "StepPlan",
     "TrajectoryRecord",
     "run_block",
-    "run_protocol",
-    "run_arc",
-    "run_rc",
-    "run_equal_weight",
-    "run_trotter1",
     "run_exact",
     "basis_state",
     "build_mfim",
@@ -66,3 +61,25 @@ def test_perfbench_probe_imports_resolve():
     assert {name for _, name in imports} >= {"basis_state", "build_model", "load_config", "worker_count"}
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_every_public_definition_has_a_caller():
+    """Every public module-level function or class is a package-root name or used in src/arcsim."""
+    paths = (ROOT / "src" / "arcsim").glob("*.py")
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in ROOT_NAMES | used
+    )
+    assert not unused, unused
