@@ -2,19 +2,30 @@
 
 Exit codes: 0 success, 2 config error, 3 numerical or any other runtime
 failure, 4 I/O error.
+
+When the CLI is the first to load numpy and no thread count is set in
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS, it starts
+OpenBLAS on one thread. Its products are at most dim 1024 and mostly dim
+<= 100, where a second BLAS thread is slower, and an idle one still spins
+(about a third of a `ptrace` or `bounds` command's CPU on 2 cores).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .bounds import ShotParams, bound_report, shot_lower_bounds
-from .emit import bounds_json, emit_svg, ptrace_csv, ptrace_json, result_json, series_csv, write_text
-from .harness import (
+import numpy as np  # noqa: E402
+
+from .bounds import ShotParams, bound_report, shot_lower_bounds  # noqa: E402
+from .emit import bounds_json, emit_svg, ptrace_csv, ptrace_json, result_json, series_csv, write_text  # noqa: E402
+from .harness import (  # noqa: E402
     ConfigError,
     ExperimentConfig,
     _Context,

@@ -189,7 +189,7 @@ def build_rabi(omega: float, Omega: float, g: float, D: int) -> tuple[Decomposit
     return Decomposition(terms), structure
 
 
-_KET = re.compile(r"(?P<sign>[+-])?\s*(?P<coef>\d+(?:\.\d+)?)?\s*\|(?P<label>[^|⟩>]*)[⟩>]")
+_KET = re.compile(r"(?P<sign>[+-])?\s*(?P<coef>\d+(?:\.\d+)?)?\s*\|(?P<label>[^|⟩>]*)[⟩>]", re.ASCII)
 _GLUE = set("()+-*/√. \t0123456789sqrt")
 
 
@@ -212,10 +212,11 @@ def _basis_index(label: str, structure: HilbertStructure) -> int:
 
 
 def _fock_level(text: str, structure: HilbertStructure) -> int:
-    try:
-        n = int(text.strip())
-    except ValueError:
-        raise ValueError(f"bad Fock level {text!r}") from None
+    digits = text.strip()
+    # ASCII digits only: int() would also read "1_0" as 10 and "١" as 1
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad Fock level {text!r}")
+    n = int(digits)
     if not 0 <= n < structure.fock_dim:
         raise ValueError(f"Fock level {n} outside truncation 0..{structure.fock_dim - 1}")
     return n
@@ -260,4 +261,6 @@ def basis_state(spec: str, structure: HilbertStructure) -> QuantumState:
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-12:
         raise ValueError(f"state spec {spec!r} sums to the zero vector")
+    if not np.isfinite(nrm):
+        raise ValueError(f"state spec {spec!r} has amplitudes too large to normalize")
     return pure_state(v / nrm, structure)

@@ -38,7 +38,7 @@ from .hamiltonians import (
     build_rabi,
 )
 from .moments import NoiseModel
-from .rng import stream_keys
+from .rng import _ziggurat, stream_keys
 
 PROTOCOL_IDS = {name: i for i, name in enumerate(PROTOCOL_NAMES)}
 
@@ -536,8 +536,8 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     Each block of each dt group's fixed partition is one pool task, or one
     serial run. The pool runs only for an ensemble whose estimated serial
     time reaches POOL_MIN_S, with at most one worker per task. Every exact
-    reference and every order is built here before the pool starts, so the
-    workers share the parent's.
+    reference and every order, and for noisy `arc` the ziggurat table, is
+    built here before the pool starts, so the workers share the parent's.
     """
     firsts = sorted(min(group) for group in ctx.groups.values())
     orders = {
@@ -569,6 +569,8 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
 
             for first in firsts:
                 ctx.exact(first)
+            if "arc" in config.protocols and config.noise_std > 0:
+                _ziggurat()  # forked workers inherit `numpy.random` and the table
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(ctx,)
             ) as pool:

@@ -378,3 +378,52 @@ def test_small_commands_never_import_the_pool(tmp_path):
         timeout=120,
     )
     assert proc.stdout.split() == ["0", "0", "0", "False", "False"], proc.stderr
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+THREADS = "from arcsim.harness import _openblas_threads; print(_openblas_threads()[1]())"
+
+
+def run_without_thread_vars(argv, **extra) -> subprocess.CompletedProcess:
+    """argv in a fresh interpreter whose environment sets no BLAS thread variable but `extra`."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        argv, env=dict(env, PYTHONPATH=str(SRC), **extra), capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+def python_output(code: str, **extra) -> list[str]:
+    return run_without_thread_vars([sys.executable, "-c", code], **extra).stdout.decode().split()
+
+
+@pytest.mark.skipif(harness._openblas_threads() is None, reason="numpy is not on OpenBLAS here")
+class TestBlasThreadPin:
+    def test_cli_starts_openblas_on_one_thread(self):
+        assert python_output(f"import arcsim.cli; {THREADS}") == ["1"]
+
+    def test_user_thread_count_wins(self):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            code = f"import os, arcsim.cli; {THREADS}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+            bare = python_output(f"import numpy; {THREADS}", **{var: "2"})
+            pinned = python_output(code, **{var: "2"})
+            # OpenBLAS caps a requested count at the CPUs it sees
+            assert pinned == [bare[0], "2" if var == "OPENBLAS_NUM_THREADS" else "None"], var
+            if len(os.sched_getaffinity(0)) >= 2:
+                assert pinned[0] == "2", var
+
+    def test_import_after_numpy_leaves_environment_alone(self):
+        code = "import os, numpy; before = dict(os.environ); import arcsim.cli; print(dict(os.environ) == before)"
+        assert python_output(code) == ["True"]
+
+    def test_rabi_bytes_independent_of_the_pin(self, tmp_path):
+        cfg = write_config(
+            tmp_path, model="rabi", protocols=["arc"], noise_std=0.0, trajectories=6,
+            ptrace_trajectories=3, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [20]},
+        )
+        for command in ("run", "ptrace", "bounds"):
+            argv = [sys.executable, "-m", "arcsim.cli", command, "--config", str(cfg)]
+            outputs = [run_without_thread_vars(argv, **extra).stdout
+                       for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
+            assert outputs[0] == outputs[1], command

@@ -253,6 +253,19 @@ class TestBasisState:
         with pytest.raises(ValueError):
             basis_state("|7⟩", st)
 
+    def test_fock_level_ascii_digits_only(self):
+        # int() alone would read "1_0" as 10 and the Arabic-Indic "١" as 1
+        st = HilbertStructure(qubit_sites=1, fock_dim=50)
+        assert np.argmax(np.abs(basis_state("|10,0>", st).data)) == 20
+        for spec in ("|1_0,0>", "|١,1>", "|+5,0>", "١|1,0>", "1_0,0", "５,1"):
+            with pytest.raises(ValueError):
+                basis_state(spec, st)
+
+    def test_oversized_amplitudes_rejected(self):
+        st = HilbertStructure(fock_dim=4)
+        with pytest.raises(ValueError, match="too large"):
+            basis_state("9" * 400 + "|0⟩", st)
+
     def test_malformed_spec(self):
         st = HilbertStructure(qubit_sites=2)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arcsim.compilers import StepPlan, run_block
-from arcsim import harness
+from arcsim import harness, rng
 from arcsim.emit import ptrace_csv, series_csv
 from arcsim.harness import (
     BLOCK_SIZE,
@@ -485,6 +485,28 @@ class TestWorkerCount:
             built.clear()
             run_ensemble(mfim_config(protocols=["rc"], trajectories=trajectories))
             assert built == pools, trajectories
+
+    def test_pool_starts_after_the_ziggurat_table(self, monkeypatch):
+        # forked workers inherit the parent's table (and numpy.random) instead of each building it
+        import concurrent.futures
+
+        filled = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                filled.append(rng._ziggurat.cache_info().currsize)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)  # pool even for small ensembles
+        monkeypatch.setenv("ARC_SIM_THREADS", "2")
+        # only noisy arc draws Gaussians
+        for protocols, noise_std, want in ((["arc"], 0.1, 1), (["rc"], 0.1, 0), (["arc"], 0.0, 0)):
+            rng._ziggurat.cache_clear()
+            filled.clear()
+            cfg = mfim_config(protocols=protocols, noise_std=noise_std, trajectories=BLOCK_SIZE + 1)
+            run_ensemble(cfg)
+            assert filled == [want], (protocols, noise_std)
 
     def test_protocol_ids_stable(self):
         # seed paths depend on these ids; changing them silently would break

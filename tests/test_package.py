@@ -4,7 +4,10 @@ import ast
 import contextlib
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -40,14 +43,30 @@ def test_readme_library_example_runs():
 
 
 def test_package_root_holds_the_documented_names():
+    # dir() lists the lazily resolved names too, whether or not they were read yet
     public = {
         name
-        for name, value in vars(arcsim).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(arcsim)
+        if not name.startswith("_") and not isinstance(getattr(arcsim, name), types.ModuleType)
     }
     assert public == ROOT_NAMES
     documented = set(re.findall(r"\w+", library_section()))
     assert ROOT_NAMES <= documented, sorted(ROOT_NAMES - documented)
+
+
+def test_root_names_are_their_modules_objects():
+    for name in sorted(ROOT_NAMES):
+        value = getattr(arcsim, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import sys, arcsim; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 def test_perfbench_probe_imports_resolve():
