@@ -92,6 +92,8 @@ def _load(args) -> ExperimentConfig:
         check_trajectories(args.trajectories, "--trajectories")
         config.trajectories = args.trajectories
     if args.noise_std is not None:
+        if not np.isfinite(args.noise_std):
+            raise ConfigError(f"--noise-std must be a finite number, got {args.noise_std!r}")
         if args.noise_std < 0:
             raise ConfigError("--noise-std must be nonnegative")
         config.noise_std = args.noise_std

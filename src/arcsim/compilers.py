@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -74,15 +74,6 @@ class ProbabilityDistribution:
 
     def __len__(self) -> int:
         return len(self.p)
-
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        return np.cumsum(self.p)
-
-    def sample(self, u: float) -> int:
-        """Inverse-CDF sample over the term order for a uniform u in [0, 1)."""
-        idx = int(np.searchsorted(self._cdf, u, side="right"))
-        return min(idx, len(self.p) - 1)
 
 
 @dataclass(frozen=True)
@@ -182,17 +173,10 @@ def cost(djj_values, p) -> float:
     return total
 
 
-def _evolve(state: QuantumState, term: HermitianOperator, tau: float) -> QuantumState:
-    if not state.is_pure:
-        return evolve_unitary(state, term.eig, tau)
-    coords = basis_coordinates(term, state.data.reshape(-1, 1))
-    return QuantumState(rotate_coordinates(term, coords, np.array([tau]))[:, 0], state.structure)
-
-
 def step_trotter1(state: QuantumState, decomposition: Decomposition, plan: StepPlan) -> QuantumState:
     """One first-order product step: terms applied in listed order, term 1 first."""
     for term in decomposition.terms:
-        state = _evolve(state, term, plan.dt)
+        state = evolve_unitary(state, term, plan.dt)
     return state
 
 
@@ -206,9 +190,9 @@ def step_random(
     """Sample a term by inverse CDF and apply exp(-i H_j tau_j), tau_j = dt / p_j."""
     if len(p) != len(decomposition):
         raise ValueError("distribution length does not match term count")
-    j = p.sample(rng.random())
+    j = int(_sample(p.p[None], np.array([rng.random()]))[0])
     tau = plan.dt / p.p[j]
-    return _evolve(state, decomposition.terms[j], tau), j, tau
+    return evolve_unitary(state, decomposition.terms[j], tau), j, tau
 
 
 def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -> list[QuantumState]:
@@ -216,7 +200,7 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
     states = []
     state = state0
     for _ in range(plan.steps):
-        state = evolve_unitary(state, full_h.eig, plan.dt)
+        state = evolve_unitary(state, full_h, plan.dt)
         states.append(state)
     return states
 
@@ -228,6 +212,15 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
 WeightPolicy = Callable[
     [np.ndarray, np.ndarray | None], tuple[np.ndarray, list[np.ndarray] | None]
 ]
+
+
+def _sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF term index of each (M, L) probability row for its uniform in [0, 1).
+
+    Index j is the count of the row's CDF entries at or below u, capped at
+    L - 1, which is searchsorted(cdf, u, side="right") on a non-decreasing CDF.
+    """
+    return np.minimum((np.cumsum(p, axis=1) <= u[:, None]).sum(axis=1), p.shape[1] - 1)
 
 
 def _optimal_rows(djj: np.ndarray) -> np.ndarray:
@@ -417,8 +410,7 @@ def run_block(
                 )
             c = k % DRAW_CHUNK
             p, coords = weights(state, None if chunk_noise is None else chunk_noise[:width, c])
-            u = chunk_u[:width, c]
-            j = np.minimum((np.cumsum(p, axis=1) <= u[:, None]).sum(axis=1), len(terms) - 1)
+            j = _sample(p, chunk_u[:width, c])
             indices[k, :width], taus[k, :width], probs[k, :width] = j, dt / p[np.arange(width), j], p
             out = _apply_terms(terms, state, j, taus[k, :width], coords)
             state = _normalized(out)

@@ -21,6 +21,8 @@ _PALETTE = ("#c0392b", "#27ae60", "#8e44ad", "#2980b9", "#d68910")
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     v = float(value)
@@ -29,35 +31,29 @@ def _fmt(value) -> str:
     return repr(v)
 
 
+def _csv(header, rows) -> str:
+    """One comma-separated line per row, header first, every field through _fmt."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+
+
+def _series_rows(result: EnsembleResult) -> list[list]:
+    return [[getattr(sp, column) for column in SERIES_COLUMNS] for sp in result.series]
+
+
 def series_csv(result: EnsembleResult) -> str:
-    lines = [",".join(SERIES_COLUMNS)]
-    for sp in result.series:
-        lines.append(
-            ",".join(
-                (
-                    sp.protocol,
-                    sp.x_kind,
-                    _fmt(sp.x_value),
-                    _fmt(sp.mean_fidelity),
-                    _fmt(sp.stderr),
-                    str(sp.trajectories),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(SERIES_COLUMNS, _series_rows(result))
 
 
 def ptrace_csv(table: PTraceTable) -> str:
     n_terms = table.probabilities.shape[1]
-    header = ["step"] + [f"p{j + 1}" for j in range(n_terms)] + ["sampled_index", "tau"]
-    lines = [",".join(header)]
-    for i, step in enumerate(table.steps):
-        row = [str(int(step))]
-        row += [_fmt(p) for p in table.probabilities[i]]
-        row.append(str(int(table.sampled_indices[i])))
-        row.append(_fmt(table.taus[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["step", *(f"p{j + 1}" for j in range(n_terms)), "sampled_index", "tau"]
+    columns = (table.steps, table.probabilities, table.sampled_indices, table.taus)
+    return _csv(header, ([step, *p, j, tau] for step, p, j, tau in zip(*columns)))
+
+
+def _json(config: ExperimentConfig, **fields) -> str:
+    """A JSON document of the config followed by fields, in their order."""
+    return json.dumps({"config": config.to_dict(), **fields}, indent=2) + "\n"
 
 
 _ORDER_NOTE = "order-of-growth values; constants unspecified"
@@ -77,32 +73,19 @@ def _bound_dict(report: BoundReport) -> dict:
 def result_json(
     result: EnsembleResult, bounds: list[BoundReport] | None = None
 ) -> str:
-    doc = {
-        "config": result.config.to_dict(),
-        "series": [
-            {
-                "protocol": sp.protocol,
-                "x_kind": sp.x_kind,
-                "x_value": sp.x_value,
-                "mean_fidelity": sp.mean_fidelity,
-                "stderr": sp.stderr,
-                "trajectories": sp.trajectories,
-            }
-            for sp in result.series
-        ],
-    }
+    fields = {"series": [dict(zip(SERIES_COLUMNS, row)) for row in _series_rows(result)]}
     if result.extrapolated:
-        doc["extrapolated"] = dict(result.extrapolated)
+        fields["extrapolated"] = dict(result.extrapolated)
     if bounds is not None:
-        doc["bounds"] = [{"note": _ORDER_NOTE, **_bound_dict(b)} for b in bounds]
-    return json.dumps(doc, indent=2) + "\n"
+        fields["bounds"] = [{"note": _ORDER_NOTE, **_bound_dict(b)} for b in bounds]
+    return _json(result.config, **fields)
 
 
 def ptrace_json(table: PTraceTable) -> str:
-    doc = {
-        "config": table.config.to_dict(),
-        "term_labels": list(table.labels),
-        "ptrace": [
+    return _json(
+        table.config,
+        term_labels=list(table.labels),
+        ptrace=[
             {
                 "step": int(table.steps[i]),
                 "p": [float(x) for x in table.probabilities[i]],
@@ -111,8 +94,7 @@ def ptrace_json(table: PTraceTable) -> str:
             }
             for i in range(len(table.steps))
         ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    )
 
 
 def bounds_json(
@@ -128,8 +110,7 @@ def bounds_json(
     or None when the config gives no shot parameters.
     """
     t0 = points[0].plan.total_time
-    doc = {
-        "config": config.to_dict(),
+    fields = {
         "note": _ORDER_NOTE,
         "state_independent": {
             "note": "per unit simulation-error budget",
@@ -144,8 +125,8 @@ def bounds_json(
     }
     if shots is not None:
         prep, dyn = shots
-        doc["shots"] = {"note": _ORDER_NOTE, "arc_state_preparation": prep, "dynamics": dyn}
-    return json.dumps(doc, indent=2) + "\n"
+        fields["shots"] = {"note": _ORDER_NOTE, "arc_state_preparation": prep, "dynamics": dyn}
+    return _json(config, **fields)
 
 
 def write_text(path, text: str) -> None:

@@ -59,10 +59,9 @@ DEFAULT_DT_LIST = [0.01, 0.02, 0.04, 0.05, 0.1]
 # before any is allocated.
 MAX_DIM = 1024
 # Largest trajectory count a config or --trajectories may ask for. Per
-# protocol and plan point the harness holds one fidelity float and one
-# (point, trajectory) pair of its dt group's order per trajectory, about
-# 100 bytes together, so about 10 MB at the cap; configs are rejected before
-# any of it is allocated.
+# protocol and plan point the harness holds one fidelity float per
+# trajectory, 800 kB at the cap; configs are rejected before any of it is
+# allocated.
 MAX_TRAJECTORIES = 100_000
 # Largest step count a plan point may ask for, as an n_list entry or as
 # t / dt. The exact reference holds one state per step (160 MB at MAX_DIM and
@@ -422,7 +421,6 @@ class _Context:
         for q in sorted(range(len(self.points)), key=lambda q: -self.points[q].plan.steps):
             self.groups.setdefault(self.points[q].plan.dt, []).append(q)
         self._exact: dict[float, list] = {}
-        self._orders: dict[tuple[int, float], list[tuple[int, int]]] = {}
 
     def exact(self, point_idx: int) -> list:
         plan = self.points[point_idx].plan
@@ -432,16 +430,15 @@ class _Context:
                 self._exact[plan.dt] = run_exact(self.state0, self.decomp.total_operator, longest)
         return self._exact[plan.dt][: plan.steps]
 
-    def order(self, protocol: str, point_idx: int) -> list[tuple[int, int]]:
-        """(point, trajectory) pairs of point_idx's dt group, longest first: (N descending, point, m).
+    def members(self, protocol: str, point_idx: int, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Pairs lo..hi-1 of point_idx's dt group, longest first: (N descending, point, m).
 
-        Built once per trajectory count and dt, and shared by every block of the group.
+        Each of the group's points runs `count` trajectories, so pair i is
+        (group[i // count], i % count) and no list of the whole group is built.
         """
         count = 1 if protocol in DETERMINISTIC_PROTOCOLS else self.config.trajectories
-        key = (count, self.points[point_idx].plan.dt)
-        if key not in self._orders:
-            self._orders[key] = [(q, m) for q in self.groups[key[1]] for m in range(count)]
-        return self._orders[key]
+        group = self.groups[self.points[point_idx].plan.dt]
+        return [(group[i // count], i % count) for i in range(lo, hi)]
 
     def run_block(self, protocol: str, members: list[tuple[int, int]]) -> list[TrajectoryRecord]:
         """The (point, trajectory) pairs of one dt group, ordered longest first, as one block."""
@@ -521,7 +518,7 @@ def _worker_init(ctx: _Context) -> None:
 
 def _chunk_fidelities(ctx: _Context, protocol: str, point_idx: int, lo: int, hi: int) -> list:
     """Final fidelities of trajectories lo..hi-1 of the dt group whose first point is point_idx."""
-    records = ctx.run_block(protocol, ctx.order(protocol, point_idx)[lo:hi])
+    records = ctx.run_block(protocol, ctx.members(protocol, point_idx, lo, hi))
     return [rec.final_fidelity for rec in records]
 
 
@@ -536,28 +533,21 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     Each block of each dt group's fixed partition is one pool task, or one
     serial run. The pool runs only for an ensemble whose estimated serial
     time reaches POOL_MIN_S, with at most one worker per task. Every exact
-    reference and every order, and for noisy `arc` the ziggurat table, is
-    built here before the pool starts, so the workers share the parent's.
+    reference, and for noisy `arc` the ziggurat table, is built here before
+    the pool starts, so the workers share the parent's.
     """
     firsts = sorted(min(group) for group in ctx.groups.values())
-    orders = {
-        (protocol, first): ctx.order(protocol, first)
-        for protocol in config.protocols
-        for first in firsts
-    }
+    counts = {p: 1 if p in DETERMINISTIC_PROTOCOLS else config.trajectories for p in config.protocols}
     tasks = [  # (protocol, first point of a dt group, lo, hi)
         (protocol, first, lo, hi)
-        for (protocol, first), order in orders.items()
-        for lo, hi in _blocks(len(order))
-    ]
-    fids = {
-        (protocol, q): np.empty(1 if protocol in DETERMINISTIC_PROTOCOLS else config.trajectories)
         for protocol in config.protocols
-        for q in range(len(ctx.points))
-    }
+        for first in firsts
+        for lo, hi in _blocks(counts[protocol] * len(ctx.groups[ctx.points[first].plan.dt]))
+    ]
+    fids = {(p, q): np.empty(counts[p]) for p in config.protocols for q in range(len(ctx.points))}
 
     def store(protocol, first, lo, values):
-        for (q, m), value in zip(orders[(protocol, first)][lo:], values):
+        for (q, m), value in zip(ctx.members(protocol, first, lo, lo + len(values)), values):
             fids[(protocol, q)][m] = value
 
     workers = min(worker_count(), len(tasks))

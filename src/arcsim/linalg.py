@@ -65,13 +65,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[0]
-
-    def phases(self, tau: float) -> np.ndarray:
-        return np.exp(-1j * self.eigenvalues * tau)
-
 
 def _eigensystem(m: np.ndarray) -> EigenSystem:
     vals, vecs = np.linalg.eigh(m)
@@ -244,36 +237,31 @@ def basis_coordinates(h: HermitianOperator, block: np.ndarray) -> np.ndarray:
     return block if vectors is None else vectors.conj().T @ block
 
 
-def _rotate(values: np.ndarray, vectors: np.ndarray | None, coords: np.ndarray, taus) -> np.ndarray:
-    out = np.exp(-1j * values[:, None] * taus) * coords
-    return out if vectors is None else vectors @ out
-
-
 def rotate_coordinates(h: HermitianOperator, coords: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(-i h tau_m) applied to column m, given the block's basis_coordinates under h.
 
     The result is not renormalized.
     """
-    return _rotate(*eigenbasis(h), coords, taus)
+    values, vectors = eigenbasis(h)
+    out = np.exp(-1j * values[:, None] * taus) * coords
+    return out if vectors is None else vectors @ out
 
 
-def evolve_unitary(state: QuantumState, eig: EigenSystem, tau: float) -> QuantumState:
-    """Apply U = V diag(exp(-i e tau)) V^dag to the state.
+def evolve_unitary(state: QuantumState, h: HermitianOperator, tau: float) -> QuantumState:
+    """exp(-i h tau) applied to the state.
 
-    Pure states stay pure and mixed states stay unit-trace PSD; the cached
-    eigenbasis makes each application O(dim^2) for pure states, which take
-    the block kernel as a one-column block.
+    A pure state steps through the block kernels as a one-column block, so
+    a diagonal h needs no basis change; a mixed state is conjugated by
+    U = V diag(exp(-i e tau)) V^dag from h's cached eigensystem.
     """
-    if eig.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {eig.dim}, state {state.dim}")
-    v = eig.eigenvectors
+    if h.dim != state.dim:
+        raise ValueError(f"dimension mismatch: operator {h.dim}, state {state.dim}")
     if state.is_pure:
-        column = v.conj().T @ state.data.reshape(-1, 1)
-        out = _rotate(eig.eigenvalues, v, column, np.array([tau]))
-        return QuantumState(out[:, 0], state.structure)
-    u = (v * eig.phases(tau)) @ v.conj().T
-    rho = u @ state.data @ u.conj().T
-    return QuantumState(rho, state.structure)
+        coords = basis_coordinates(h, state.data.reshape(-1, 1))
+        return QuantumState(rotate_coordinates(h, coords, np.array([tau]))[:, 0], state.structure)
+    v = h.eig.eigenvectors
+    u = (v * np.exp(-1j * h.eig.eigenvalues * tau)) @ v.conj().T
+    return QuantumState(u @ state.data @ u.conj().T, state.structure)
 
 
 def fidelities(target: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -110,8 +110,8 @@ def norm_finite_difference(
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: operator {h.dim}, state {rho.dim}")
     r0 = rho.density()
-    r1 = evolve_unitary(rho, h.eig, -dt).density()
-    r2 = evolve_unitary(rho, h.eig, dt).density()
+    r1 = evolve_unitary(rho, h, -dt).density()
+    r2 = evolve_unitary(rho, h, dt).density()
     scalars = np.array(
         [
             _tr_product(r1, r1),

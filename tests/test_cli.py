@@ -280,6 +280,15 @@ class TestCliErrors:
         assert cli.main(["ptrace", "--config", str(big)]) == cli.EXIT_CONFIG
         assert "ptrace_trajectories" in capsys.readouterr().err
 
+    def test_non_finite_noise_std_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        cfg = write_config(tmp_path, protocols=["arc"])
+        finite = "--noise-std must be a finite number"
+        for value, message in (("nan", finite), ("inf", finite), ("-inf", finite), ("-0.5", "must be nonnegative")):
+            for command in ("run", "ptrace", "bounds"):
+                assert cli.main([command, "--config", str(cfg), f"--noise-std={value}"]) == cli.EXIT_CONFIG
+                assert message in capsys.readouterr().err
+
     def test_oversized_step_counts_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
         for plan in (

@@ -38,6 +38,11 @@ from arcsim.moments import (
 from arcsim.rng import TrajectoryStream, trajectory_stream
 
 
+def sample(p: ProbabilityDistribution, u: float) -> int:
+    """The term index that the steppers' inverse-CDF rule gives one uniform."""
+    return int(compilers._sample(p.p[None], np.array([u]))[0])
+
+
 def random_hermitian(rng, dim, scale=1.0):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator(scale * (m + m.conj().T) / 2)
@@ -65,17 +70,17 @@ class TestProbabilityDistribution:
 
     def test_inverse_cdf_sampling(self):
         p = ProbabilityDistribution(np.array([0.25, 0.5, 0.25]))
-        assert p.sample(0.0) == 0
-        assert p.sample(0.24) == 0
-        assert p.sample(0.25) == 1
-        assert p.sample(0.74) == 1
-        assert p.sample(0.75) == 2
-        assert p.sample(0.999999) == 2
+        assert sample(p, 0.0) == 0
+        assert sample(p, 0.24) == 0
+        assert sample(p, 0.25) == 1
+        assert sample(p, 0.74) == 1
+        assert sample(p, 0.75) == 2
+        assert sample(p, 0.999999) == 2
 
     def test_zero_weight_never_sampled(self):
         p = ProbabilityDistribution(np.array([0.5, 0.0, 0.5]))
         rng = np.random.default_rng(0)
-        samples = {p.sample(rng.random()) for _ in range(500)}
+        samples = {sample(p, rng.random()) for _ in range(500)}
         assert 1 not in samples
 
 
@@ -221,6 +226,31 @@ class TestStepPlan:
             StepPlan(1.0, 0)
         with pytest.raises(ValueError):
             StepPlan(0.0, 5)
+
+
+class TestExactOnDiagonalTotals:
+    """An exactly diagonal total takes evolve_unitary's no-basis-change shortcut."""
+
+    @pytest.mark.parametrize(
+        "build, args, ket",
+        [
+            (build_mfim, (4, 1.0, 0.0, 0.3), "(|0011⟩+|0101⟩)/√2"),
+            (build_kerr, (0.3, 1.0, 0.0, 50), "(|1⟩+|5⟩)/√2"),
+            (build_rabi, (1.0, 1.0, 0.0, 50), "(|2,0⟩+|5,0⟩)/√2"),
+        ],
+    )
+    def test_matches_stepping_with_the_full_eigensystem(self, build, args, ket):
+        dec, st = build(*args)
+        h = dec.total_operator
+        assert h.diagonal is not None
+        plan = StepPlan(1.0, 50)
+        # the reference: V (exp(-i e dt) * V^dag psi) from the eigendecomposition, every step
+        v, e = h.eig.eigenvectors, h.eig.eigenvalues
+        state = basis_state(ket, st)
+        for got in run_exact(state, h, plan):
+            column = v.conj().T @ state.data.reshape(-1, 1)
+            state = QuantumState((v @ (np.exp(-1j * e[:, None] * np.array([plan.dt])) * column))[:, 0], st)
+            assert np.array_equal(got.data, state.data)
 
 
 class TestTrotterStep:

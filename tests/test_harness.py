@@ -1,6 +1,8 @@
 import json
 import os
 import pickle
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -589,11 +591,31 @@ class TestDtGroups:
         )
         ctx = _Context(cfg)
         assert ctx.groups == {0.1: [0, 2], 0.05: [1]}
-        assert ctx.order("rc", 2) == [(0, 0), (0, 1), (2, 0), (2, 1)]
-        assert ctx.order("rc", 0) is ctx.order("arc", 2)  # built once per count and dt
-        assert ctx.order("trotter1", 0) == [(0, 0), (2, 0)]
+        assert ctx.members("rc", 2, 0, 4) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert ctx.members("rc", 0, 1, 4) == ctx.members("arc", 2, 1, 4)  # one layout per count and dt
+        assert ctx.members("trotter1", 0, 0, 2) == [(0, 0), (2, 0)]
         cfg = mfim_config(plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 15, 10]}, trajectories=2)
-        assert _Context(cfg).order("arc", 0) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
+        assert _Context(cfg).members("arc", 0, 0, 6) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
+        assert _Context(cfg).members("arc", 0, 3, 5) == [(2, 1), (0, 0)]
+
+    def test_bookkeeping_is_one_float_per_trajectory(self, monkeypatch):
+        # 20,000 trajectories at 10 plan points of one dt: the fidelity arrays take 1.6 MB, and a
+        # list of the group's 200,000 (point, trajectory) pairs would add about 20 MB
+        monkeypatch.setenv("ARC_SIM_THREADS", "1")
+        record = types.SimpleNamespace(final_fidelity=0.5)
+        monkeypatch.setattr(_Context, "run_block", lambda self, protocol, members: [record] * len(members))
+        cfg = mfim_config(
+            protocols=["rc"], trajectories=20_000, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": DEFAULT_N_LIST}
+        )
+        ctx = _Context(cfg)
+        tracemalloc.start()
+        try:
+            fids = harness._ensemble_fidelities(ctx, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fids) == 10 and all(np.all(values == 0.5) for values in fids.values())
+        assert peak < 10_000_000
 
     def test_ensemble_matches_single_trajectories(self, monkeypatch):
         monkeypatch.setenv("ARC_SIM_THREADS", "1")
@@ -637,7 +659,7 @@ class TestDtGroups:
         ctx = _Context(cfg)
         ctx.exact(0)
         clone = pickle.loads(pickle.dumps(ctx))
-        runs = [c.run_block("arc", c.order("arc", 0)) for c in (ctx, clone)]
+        runs = [c.run_block("arc", c.members("arc", 0, 0, 3)) for c in (ctx, clone)]
         for a, b in zip(*runs):
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.final_state.data, b.final_state.data)

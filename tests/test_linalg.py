@@ -151,19 +151,19 @@ class TestEvolve:
         rng = np.random.default_rng(6)
         h = random_hermitian(rng, 4)
         psi = random_pure(rng, 4)
-        out = evolve_unitary(psi, h.eig, 0.0)
+        out = evolve_unitary(psi, h, 0.0)
         assert np.allclose(out.data, psi.data)
 
     def test_pi_half_rotation(self):
         h = HermitianOperator(SZ)
-        out = evolve_unitary(pure_state(PLUS), h.eig, np.pi / 2)
+        out = evolve_unitary(pure_state(PLUS), h, np.pi / 2)
         assert fidelity(pure_state(MINUS), out) == pytest.approx(1.0)
 
     def test_purity_preserved_for_mixed(self):
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 3)
         rho = mixed_state(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        out = evolve_unitary(rho, h.eig, 0.37)
+        out = evolve_unitary(rho, h, 0.37)
         assert out.purity() == pytest.approx(rho.purity(), abs=1e-10)
 
     def test_preserves_hs_inner(self):
@@ -172,26 +172,34 @@ class TestEvolve:
         r1 = random_pure(rng, 4).density()
         r2 = random_pure(rng, 4).density()
         before = hs_inner(r1, r2)
-        e1 = evolve_unitary(mixed_state(r1), h.eig, 0.9)
-        e2 = evolve_unitary(mixed_state(r2), h.eig, 0.9)
+        e1 = evolve_unitary(mixed_state(r1), h, 0.9)
+        e2 = evolve_unitary(mixed_state(r2), h, 0.9)
         assert hs_inner(e1.data, e2.data) == pytest.approx(before, abs=1e-8)
 
     def test_dimension_mismatch(self):
         h = HermitianOperator(SZ)
         with pytest.raises(ValueError):
-            evolve_unitary(random_pure(np.random.default_rng(0), 4), h.eig, 0.1)
+            evolve_unitary(random_pure(np.random.default_rng(0), 4), h, 0.1)
 
     def test_matches_pade_exponential(self):
-        # independent route: scipy's Pade expm instead of the eigenbasis
+        # independent route: scipy's Pade expm instead of the eigenbasis, on
+        # dense and diagonal operators and on pure and mixed states
         expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(10)
         for _ in range(5):
-            h = random_hermitian(rng, 6)
+            dense = random_hermitian(rng, 6)
+            diagonal = HermitianOperator(np.diag(rng.normal(size=6)))
+            assert diagonal.diagonal is not None and dense.diagonal is None
             psi = random_pure(rng, 6)
+            w = rng.dirichlet(np.ones(3))
+            rho = mixed_state(sum(wk * random_pure(rng, 6).density() for wk in w))
             tau = rng.uniform(-2, 2)
-            direct = expm(-1j * h.matrix * tau) @ psi.data
-            ours = evolve_unitary(psi, h.eig, tau).data
-            assert np.max(np.abs(direct - ours)) <= 1e-12
+            for h in (dense, diagonal):
+                u = expm(-1j * h.matrix * tau)
+                ours = evolve_unitary(psi, h, tau).data
+                assert np.max(np.abs(u @ psi.data - ours)) <= 1e-12
+                ours = evolve_unitary(rho, h, tau).data
+                assert np.max(np.abs(u @ rho.data @ u.conj().T - ours)) <= 1e-12
 
 
 class TestFidelity:
