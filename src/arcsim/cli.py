@@ -29,6 +29,7 @@ from .harness import (  # noqa: E402
     ConfigError,
     ExperimentConfig,
     _Context,
+    check_noise_std,
     check_trajectories,
     load_config,
     run_ensemble,
@@ -92,11 +93,7 @@ def _load(args) -> ExperimentConfig:
         check_trajectories(args.trajectories, "--trajectories")
         config.trajectories = args.trajectories
     if args.noise_std is not None:
-        if not np.isfinite(args.noise_std):
-            raise ConfigError(f"--noise-std must be a finite number, got {args.noise_std!r}")
-        if args.noise_std < 0:
-            raise ConfigError("--noise-std must be nonnegative")
-        config.noise_std = args.noise_std
+        config.noise_std = check_noise_std(args.noise_std, "--noise-std")
     if args.out is not None:
         config.out = args.out
     if args.format is not None:

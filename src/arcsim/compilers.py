@@ -180,21 +180,6 @@ def step_trotter1(state: QuantumState, decomposition: Decomposition, plan: StepP
     return state
 
 
-def step_random(
-    state: QuantumState,
-    decomposition: Decomposition,
-    plan: StepPlan,
-    p: ProbabilityDistribution,
-    rng: np.random.Generator,
-) -> tuple[QuantumState, int, float]:
-    """Sample a term by inverse CDF and apply exp(-i H_j tau_j), tau_j = dt / p_j."""
-    if len(p) != len(decomposition):
-        raise ValueError("distribution length does not match term count")
-    j = int(_sample(p.p[None], np.array([rng.random()]))[0])
-    tau = plan.dt / p.p[j]
-    return evolve_unitary(state, decomposition.terms[j], tau), j, tau
-
-
 def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -> list[QuantumState]:
     """Exact evolution, returning the state after each of the N steps."""
     states = []
@@ -304,12 +289,12 @@ def _run_mixed(
     name: str, rho0: QuantumState, decomposition: Decomposition, plan: StepPlan, streams,
     noise: NoiseModel, exact_states: list[QuantumState], fixed: ProbabilityDistribution | None,
 ) -> TrajectoryRecord:
-    """One density-matrix trajectory, stepped by step_trotter1 or step_random.
+    """One density-matrix trajectory, stepped by step_trotter1 or by the block's sampler.
 
-    Step k draws from its stream's step(k) generator: "arc" first the
-    finite-difference estimator's noise, term by term, then the uniform.
+    Its draws are a one-stream block's: at step k, "arc" first draws the
+    finite-difference estimator's six scalar errors per term, then the uniform.
     """
-    n = plan.steps
+    n, terms = plan.steps, decomposition.terms
     fids = np.empty(n)
     state = rho0
     if name == "trotter1":
@@ -317,17 +302,19 @@ def _run_mixed(
             state = step_trotter1(state, decomposition, plan)
             fids[k] = _step_fidelity(exact_states[k], state)
         return TrajectoryRecord(name, plan, fids, state)
-    stream = TrajectoryStream(_keys_of(streams)[0])
-    indices, taus, probs = np.empty(n, dtype=int), np.empty(n), np.empty((n, len(decomposition)))
-    p = fixed
+    noise_shape = (len(terms), 6) if name == "arc" and noise.std > 0.0 else None
+    errors, u = stream_draws(_keys_of(streams)[:1], 0, [n], noise_shape, noise.std)
+    indices, taus, probs = np.empty(n, dtype=int), np.empty(n), np.empty((n, len(terms)))
     for k in range(n):
-        rng = stream.step(k)
         if name == "arc":
-            p = optimal_distribution(
-                [norm_finite_difference(h, state, noise=noise, rng=rng) for h in decomposition.terms]
-            )
-        state, indices[k], taus[k] = step_random(state, decomposition, plan, p, rng)
-        probs[k] = p.p
+            errs = [None] * len(terms) if errors is None else errors[0, k]
+            djj = [norm_finite_difference(h, state, errors=e) for h, e in zip(terms, errs)]
+            probs[k] = _optimal_rows(np.array([djj]))[0]
+        else:
+            probs[k] = fixed.p
+        indices[k] = j = _sample(probs[k : k + 1], u[0, k : k + 1])[0]
+        taus[k] = plan.dt / probs[k, j]
+        state = evolve_unitary(state, terms[j], taus[k])
         fids[k] = _step_fidelity(exact_states[k], state)
     return TrajectoryRecord(name, plan, fids, state, indices, taus, probs)
 
@@ -359,8 +346,9 @@ def run_block(
     Gaussian per scalar), converts them to double-commutator norms and
     samples from the optimal distribution. "exact" steps nothing: its
     records are read off the reference. A mixed state0 runs as one
-    trajectory by step_trotter1 and step_random; its "arc" weights come from
-    the finite-difference estimator at its default time offset.
+    trajectory through the same draws, sampler and weight rule, a step at a
+    time; its "arc" weights come from the finite-difference estimator at its
+    default time offset, with six scalar errors per term as its noise.
 
     A single trajectory is `run_block(name, state0, decomposition, plan,
     [stream])[0]`.

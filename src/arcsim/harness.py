@@ -69,6 +69,11 @@ MAX_TRAJECTORIES = 100_000
 # and L probabilities per trajectory and step (about 60 MB for three terms);
 # plans are rejected before either is allocated.
 MAX_STEPS = 10_000
+# Largest measurement noise std a config or --noise-std may ask for. numpy's
+# Gaussians are below 14 in magnitude, so a perturbed moment or overlap is
+# within 1.4e101 of its exact value and no radicand product (8 (1.4e101)^2 ~
+# 1.6e203 for moments of that size) nears the float64 maximum, 1.8e308.
+MAX_NOISE_STD = 1e100
 # The trajectories of all plan points with bit-equal dt are ordered longest
 # first, as (N descending, point, m), and stepped in blocks of BLOCK_SIZE
 # along that order. The partition is fixed because the last bits of a
@@ -236,6 +241,14 @@ def check_trajectories(count, name: str) -> None:
     )
 
 
+def check_noise_std(value, name: str) -> float:
+    """A noise level as a float: reject it unless it is a finite number in [0, MAX_NOISE_STD]."""
+    std = _real(value, name)
+    _require(std >= 0, f"{name} must be nonnegative")
+    _require(std <= MAX_NOISE_STD, f"{name} must be at most {MAX_NOISE_STD:g}, got {std!r}")
+    return std
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -291,8 +304,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     trajectories = raw.get("trajectories", 2000)
     check_trajectories(trajectories, "trajectories")
-    noise_std = _real(raw.get("noise_std", 0.0), "noise_std")
-    _require(noise_std >= 0, "noise_std must be nonnegative")
+    noise_std = check_noise_std(raw.get("noise_std", 0.0), "noise_std")
     master_seed = raw.get("master_seed", 0)
     _require(
         _is_int(master_seed) and 0 <= master_seed < 2**64,

@@ -44,20 +44,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr(ab) for Hermitian a and b.
-
-    Raises if the trace has a significant imaginary part, which indicates a
-    non-Hermitian input.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    val = complex(np.einsum("ij,ji->", a, b))
-    if abs(val.imag) > 1e-8 * (1.0 + abs(val)):
-        raise ValueError("Tr(ab) is not real; inputs are not both Hermitian")
-    return float(val.real)
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Eigenvalues (real, ascending) and unitary eigenvector matrix (columns)."""
@@ -182,11 +168,6 @@ class QuantumState:
         if self.is_pure:
             return np.outer(self.data, self.data.conj())
         return self.data
-
-    def purity(self) -> float:
-        if self.is_pure:
-            return 1.0
-        return hs_inner(self.data, self.data)
 
 
 def pure_state(vector, structure: Any = None) -> QuantumState:

@@ -9,10 +9,12 @@ how work is scheduled across processes.
 Every draw is a pure function of (key, step) (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so a block's draws are computed
 here as arrays, bit-identical to numpy's SeedSequence, Philox4x64-10,
-Generator.random and the fast path of Generator.normal. `TrajectoryStream`
-is the numpy reference and the fallback; `numpy.random` is imported only
-when a stream is stepped, stream_key derives a key, or the first Gaussian
-is drawn.
+Generator.random and the fast path of Generator.normal; pure blocks and
+one-trajectory mixed runs alike draw through stream_draws.
+`TrajectoryStream.step` is the numpy reference those draws are tested
+against, and a numpy generator at the same counter is the fallback for
+Gaussians off the fast path. `numpy.random` is imported only when a stream
+is stepped, stream_key derives a key, or the first Gaussian is drawn.
 """
 
 from __future__ import annotations

@@ -289,6 +289,17 @@ class TestCliErrors:
                 assert cli.main([command, "--config", str(cfg), f"--noise-std={value}"]) == cli.EXIT_CONFIG
                 assert message in capsys.readouterr().err
 
+    def test_oversized_noise_std_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        cfg = write_config(tmp_path, protocols=["arc"])
+        big = write_config(tmp_path, "big.json", protocols=["arc"], noise_std=1e300)
+        for argv, name in (([str(cfg), "--noise-std=1e300"], "--noise-std"), ([str(big)], "noise_std")):
+            for command in ("run", "ptrace", "bounds"):
+                assert cli.main([command, "--config", *argv]) == cli.EXIT_CONFIG
+                assert f"{name} must be at most {harness.MAX_NOISE_STD:g}" in capsys.readouterr().err
+        at_cap = write_config(tmp_path, "cap.json", noise_std=harness.MAX_NOISE_STD)
+        assert harness.load_config(at_cap).noise_std == harness.MAX_NOISE_STD
+
     def test_oversized_step_counts_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
         for plan in (

@@ -13,7 +13,6 @@ from arcsim.compilers import (
     optimal_distribution,
     run_block,
     run_exact,
-    step_random,
     step_trotter1,
 )
 from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_kerr, build_mfim, build_rabi
@@ -21,6 +20,7 @@ from arcsim.linalg import (
     HermitianOperator,
     QuantumState,
     basis_coordinates,
+    evolve_unitary,
     fidelity,
     hs_norm,
     kron,
@@ -293,10 +293,11 @@ class TestStepRandom:
         dec = Decomposition((random_hermitian(rng_h, 3),))
         psi = random_pure(rng_h, 3)
         plan = StepPlan(0.4, 4)
-        p = ProbabilityDistribution(np.array([1.0]))
-        state, j, tau = step_random(psi, dec, plan, p, np.random.default_rng(0))
-        assert j == 0
-        assert tau == pytest.approx(plan.dt)
+        for state0 in (psi, mixed_state(psi.density())):
+            for name in ("rc", "equal", "arc"):
+                (rec,) = run_block(name, state0, dec, plan, [trajectory_stream(0)])
+                assert rec.indices.tolist() == [0] * plan.steps
+                assert rec.taus == pytest.approx(plan.dt)
 
     def test_seeded_replay(self):
         dec, st = build_mfim(4, 1.0, 0.5, 0.3)
@@ -304,6 +305,16 @@ class TestStepRandom:
         (rec,) = run_block("rc", psi, dec, StepPlan(1.0, 12), [trajectory_stream(42, 1, 0, 0)])
         assert rec.indices.tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 2]
         assert rec.final_fidelity == pytest.approx(0.9384235770461044, rel=1e-9)
+
+    def test_mixed_state_builds_no_generator(self, monkeypatch):
+        """A noise-free mixed trajectory draws through the block's array draws, as a block does."""
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        rho = mixed_state(0.7 * basis_state("011", st).density() + 0.3 * np.eye(8) / 8)
+        streams = [trajectory_stream(4, pid) for pid in range(3)]
+        monkeypatch.setattr("arcsim.rng._new_philox", lambda key: pytest.fail("numpy generator built"))
+        for name, stream in zip(("rc", "equal", "arc"), streams):
+            (rec,) = run_block(name, rho, dec, StepPlan(0.3, 5), [stream])
+            assert rec.indices.shape == (5,)
 
 
 class TestRunners:
@@ -436,6 +447,19 @@ def _as_stream(stream) -> TrajectoryStream:
     return trajectory_stream(int(stream))
 
 
+def step_random(
+    state: QuantumState,
+    decomposition: Decomposition,
+    plan: StepPlan,
+    p: ProbabilityDistribution,
+    rng: np.random.Generator,
+) -> tuple[QuantumState, int, float]:
+    """Sample a term by inverse CDF and apply exp(-i H_j tau_j), tau_j = dt / p_j."""
+    j = sample(p, rng.random())
+    tau = plan.dt / p.p[j]
+    return evolve_unitary(state, decomposition.terms[j], tau), j, tau
+
+
 def reference_run_trotter1(
     state0: QuantumState,
     decomposition: Decomposition,
@@ -514,7 +538,7 @@ def reference_run_arc(
                 dcn.append(float(norms_from_moments(noise.perturb(raw, rng))))
         else:
             dcn = [
-                norm_finite_difference(term, state, fd_dt, noise, rng)
+                norm_finite_difference(term, state, fd_dt, noise.perturb(np.zeros(6), rng))
                 for term in decomposition.terms
             ]
         p = optimal_distribution(dcn)

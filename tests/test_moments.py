@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator
-from arcsim.linalg import HermitianOperator, basis_coordinates, mixed_state, pure_state
+from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator, basis_state, build_mfim
+from arcsim.linalg import HermitianOperator, basis_coordinates, evolve_unitary, mixed_state, pure_state
 from arcsim.moments import (
+    FD_WEIGHTS,
     NoiseModel,
     double_commutator_norm,
     moment_block,
@@ -30,6 +31,28 @@ def random_pure(rng, dim):
 def moments(h, state):
     """<H^k>, k = 1..4, of one pure state through the block kernel."""
     return moment_block(h, basis_coordinates(h, state.data[:, None]))[:, 0]
+
+
+def six_scalar_fd(h, rho, dt, errors=None):
+    """The finite-difference estimator as measured: six purity/overlap scalars, summed in clongdouble.
+
+    rho1 = exp(+iH dt) rho exp(-iH dt), rho2 its time reverse; `errors` are
+    the six scalars' additive measurement errors.
+    """
+    r0 = rho.density()
+    r1 = evolve_unitary(rho, h, -dt).density()
+    r2 = evolve_unitary(rho, h, dt).density()
+
+    def tr(a, b):
+        return np.einsum("ij,ji->", a.astype(np.clongdouble), b.astype(np.clongdouble)).real
+
+    scalars = np.array(
+        [tr(r1, r1), tr(r2, r2), tr(r0, r0), tr(r1, r2), tr(r1, r0), tr(r2, r0)], dtype=np.longdouble
+    )
+    if errors is not None:
+        scalars = (scalars.astype(float) + errors).astype(np.longdouble)
+    weights = np.array([1.0, 1.0, 4.0, 2.0, -4.0, -4.0], dtype=np.longdouble)
+    return float(np.sqrt(max(float(weights @ scalars), 0.0)) / dt**2)
 
 
 def random_mixed(rng, dim, rank=2):
@@ -140,6 +163,13 @@ class TestFiniteDifference:
         rho = mixed_state(np.eye(2) / 2)
         assert norm_finite_difference(HermitianOperator(SZ), rho, dt=1e-3) <= 1e-8
 
+    def test_commuting_diagonal_term_is_exactly_zero(self):
+        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
+        rho = mixed_state(0.7 * basis_state("011", st).density() + 0.3 * np.eye(8) / 8)
+        for h in (term for term in dec.terms if term.diagonal is not None):  # zz and z
+            for dt in (1e-2, 1e-3, 1e-5):
+                assert norm_finite_difference(h, rho, dt) == 0.0, (h.label, dt)
+
     def test_halving_dt_quarters_error(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4, scale=2.0)
@@ -168,13 +198,32 @@ class TestFiniteDifference:
     def test_noise_perturbs_six_scalars(self):
         rho = mixed_state(np.outer([1, 1], [1, 1]) / 2)
         h = HermitianOperator(SZ)
-        rng1 = trajectory_stream(7).step(0)
-        rng2 = trajectory_stream(7).step(0)
-        v1 = norm_finite_difference(h, rho, dt=1e-2, noise=NoiseModel(1e-6), rng=rng1)
-        v2 = norm_finite_difference(h, rho, dt=1e-2, noise=NoiseModel(1e-6), rng=rng2)
-        assert v1 == v2  # same stream, same perturbation
-        drawn = trajectory_stream(7).step(0).normal(0, 1e-6, size=6)
-        assert drawn.shape == (6,)
+        errors = trajectory_stream(7).step(0).normal(0, 1e-6, size=6)
+        noisy = norm_finite_difference(h, rho, dt=1e-2, errors=errors)
+        assert noisy != norm_finite_difference(h, rho, dt=1e-2)
+        assert noisy == pytest.approx(six_scalar_fd(h, rho, 1e-2, errors), rel=1e-8)
+
+    def test_matches_six_scalar_definition(self):
+        rng = np.random.default_rng(11)
+        for case in range(10):
+            h = random_hermitian(rng, 4, scale=2.0)
+            if case % 2:  # a diagonal term, which the closed form takes without a basis change
+                h = HermitianOperator(np.diag(h.eig.eigenvalues))
+            rho = random_mixed(rng, 4)
+            for dt in (1e-2, 1e-3):
+                # std 1e-6 errors, signed to raise the radicand, so neither form clamps it to 0
+                errors = np.sign(FD_WEIGHTS) * np.abs(rng.normal(0.0, 1e-6, size=6))
+                for e in (None, errors):
+                    want = six_scalar_fd(h, rho, dt, e)
+                    assert norm_finite_difference(h, rho, dt, e) == pytest.approx(want, rel=1e-8)
+
+    def test_accurate_at_small_dt(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            h = random_hermitian(rng, 4, scale=2.0)
+            rho = random_mixed(rng, 4)
+            exact = double_commutator_norm(h, rho)
+            assert norm_finite_difference(h, rho, dt=1e-5) == pytest.approx(exact, rel=1e-6)
 
 
 class TestNoiseModel:
