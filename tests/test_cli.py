@@ -168,6 +168,16 @@ class TestCliPtraceBounds:
         assert code == 0
         assert out.read_text().startswith("step,p1,p2,p3")
 
+    def test_shipped_trace_indices_are_frozen(self, tmp_path):
+        # the sampled_index column of the shipped strong-coupling trace, frozen as exact integers
+        config = Path(__file__).resolve().parents[1] / "configs" / "rabi_trace_strong_coupling.json"
+        out = tmp_path / "trace.csv"
+        assert cli.main(["ptrace", "--config", str(config), "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")
+        assert rows[0].split(",")[-2] == "sampled_index"
+        column = "".join(row.split(",")[-2] for row in rows[1:])
+        assert column == "02222222020210002002022222122022221002200020220022"
+
     def test_ptrace_wrong_protocol_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, protocols=["rc"])
         assert cli.main(["ptrace", "--config", str(cfg)]) == cli.EXIT_CONFIG

@@ -792,6 +792,25 @@ class TestDiagonalShortcut:
             assert norms_from_moments(moment_block(h, basis_coordinates(h, psi.data[:, None])).T)[0] == 0.0
 
 
+class TestFrozenIndices:
+    def test_noisy_mfim_arc_block(self):
+        # 16 trajectories x 20 steps at noise 0.1, frozen as exact integers; the
+        # block's Gaussians leave the ziggurat's fast path on many of its steps
+        dec, st = build_mfim(4, 1.0, 0.5, 0.3)
+        streams = [trajectory_stream(11, m) for m in range(16)]
+        records = run_block(
+            "arc", basis_state("0011", st), dec, StepPlan(20 * 0.02, 20), streams, noise=NoiseModel(0.1)
+        )
+        assert ["".join(map(str, rec.indices)) for rec in records] == [
+            "10111111112111010000", "11112110111101011012", "01111011011201111112",
+            "01111121011101011200", "12212112101101010110", "11111111011010021021",
+            "21111222112121112020", "11211111110110200111", "11011211102011111010",
+            "11101111121110200100", "21001221112112110021", "02121111111112121110",
+            "12111111110020010001", "10111111120022110201", "01111111111210111100",
+            "11110111011111111111",
+        ]
+
+
 class TestMixedStepBlocks:
     """A block of trajectories with one dt and different step counts, run longest first."""
 
