@@ -43,9 +43,7 @@ class BoundReport:
 
     def __post_init__(self):
         if self.arc > self.rc * (1.0 + 1e-9):
-            raise np.linalg.LinAlgError(
-                f"adaptive bound {self.arc} exceeds fixed-weight bound {self.rc}"
-            )
+            raise np.linalg.LinAlgError(f"adaptive bound {self.arc} exceeds fixed-weight bound {self.rc}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,7 @@ def bound_report(
     )
 
 
-def check_cauchy_schwarz(
-    decomposition: Decomposition, rho: QuantumState
-) -> tuple[float, float, bool]:
+def check_cauchy_schwarz(decomposition: Decomposition, rho: QuantumState) -> tuple[float, float, bool]:
     """Compare (sum_j sqrt||L_j^2(rho)||)^2 against lambda sum_j ||L_j^2(rho)||/||H_j||_inf."""
     terms = _brackets(decomposition, [rho])[2]
     rhs = float(_rc_brackets(decomposition, 0.0, terms)[0])

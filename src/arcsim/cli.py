@@ -26,14 +26,8 @@ import numpy as np  # noqa: E402
 from .bounds import ShotParams, bound_report, shot_lower_bounds  # noqa: E402
 from .emit import bounds_json, emit_svg, ptrace_csv, ptrace_json, result_json, series_csv, write_text  # noqa: E402
 from .harness import (  # noqa: E402
-    ConfigError,
-    ExperimentConfig,
-    _Context,
-    check_noise_std,
-    check_trajectories,
-    load_config,
-    run_ensemble,
-    run_ptrace,
+    ConfigError, ExperimentConfig, _Context, check_noise_std, check_trajectories, load_config,
+    run_ensemble, run_ptrace,
 )
 
 EXIT_OK = 0
@@ -52,22 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override master seed (u64)")
-        p.add_argument(
-            "--trajectories", type=int, default=None, help="override trajectory count"
-        )
-        p.add_argument(
-            "--noise-std", type=float, default=None, help="override measurement noise std"
-        )
+        p.add_argument("--trajectories", type=int, default=None, help="override trajectory count")
+        p.add_argument("--noise-std", type=float, default=None, help="override measurement noise std")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=None, help="output format"
-        )
+        p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
 
     run_p = sub.add_parser("run", help="fidelity experiments over a step-size plan")
     add_common(run_p)
-    run_p.add_argument(
-        "--svg", action="store_true", help="also render a line chart next to --out"
-    )
+    run_p.add_argument("--svg", action="store_true", help="also render a line chart next to --out")
     run_p.set_defaults(func=cmd_run)
 
     ptrace_p = sub.add_parser("ptrace", help="per-step adaptive probability trace")

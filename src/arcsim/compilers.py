@@ -8,6 +8,11 @@ weights ("rc"), equal weights ("equal"), or weights re-derived every step
 from moment measurements on the current state ("arc", the adaptive random
 compiler). First-order product stepping ("trotter1") runs the same loop
 without sampling, and "exact" reads the reference trajectory itself.
+
+In "rc", "equal" and "trotter1" every term's time slice is fixed for the
+whole run, so each term's step exp(-i H_j tau_j) is built once per block;
+"arc" measures one product of power rows per term and reuses the basis
+change for its step. The exact reference is closed-form, not stepped.
 """
 
 from __future__ import annotations
@@ -21,16 +26,13 @@ import numpy as np
 
 from .hamiltonians import Decomposition
 from .linalg import (
-    HermitianOperator,
-    QuantumState,
-    basis_coordinates,
-    column_norms,
-    evolve_unitary,
-    fidelities,
-    fidelity,
-    rotate_coordinates,
+    HermitianOperator, QuantumState, basis_coordinates, column_norms, eigenbasis,
+    evolve_columns, evolve_unitary, fidelities, fidelity, rotate_coordinates,
 )
-from .moments import EXACT, NoiseModel, moment_block, norm_finite_difference, norms_from_moments
+from .moments import (
+    EXACT, NoiseModel, moments_of_weights, norm_finite_difference, norms_from_moments,
+    power_rows, squared_moduli,
+)
 from .rng import TrajectoryStream, stream_draws, stream_key
 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
@@ -40,6 +42,10 @@ ZERO_WEIGHT_EPS = 1e-14
 # Steps whose draws a block makes at once: enough to amortize the array
 # work, few enough to keep the draw buffers small.
 DRAW_CHUNK = 8
+# Exact states per closed-form product. A fixed width keeps each state's last
+# bits independent of the step count, so plan points that share dt can share
+# one reference.
+EXACT_CHUNK = 16
 
 
 def _reject_non_finite(p: np.ndarray) -> None:
@@ -181,22 +187,25 @@ def step_trotter1(state: QuantumState, decomposition: Decomposition, plan: StepP
 
 
 def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -> list[QuantumState]:
-    """Exact evolution, returning the state after each of the N steps."""
+    """Exact evolution, returning the state after each of the N steps.
+
+    A pure state's state k is V (exp(-i e k dt) * V^dag psi0) in closed form,
+    with no stepping, computed EXACT_CHUNK steps per product so that its last
+    bits do not depend on N. A mixed state steps through evolve_unitary.
+    """
+    if full_h.dim != state0.dim:
+        raise ValueError(f"dimension mismatch: operator {full_h.dim}, state {state0.dim}")
+    if not state0.is_pure:
+        states = [state0]
+        for _ in range(plan.steps):
+            states.append(evolve_unitary(states[-1], full_h, plan.dt))
+        return states[1:]
+    times = np.arange(1, -(-plan.steps // EXACT_CHUNK) * EXACT_CHUNK + 1) * plan.dt
     states = []
-    state = state0
-    for _ in range(plan.steps):
-        state = evolve_unitary(state, full_h, plan.dt)
-        states.append(state)
+    for first in range(0, plan.steps, EXACT_CHUNK):  # one chunk at a time, so no second copy
+        block = evolve_columns(full_h, state0.data, times[first : first + EXACT_CHUNK])
+        states.extend(QuantumState(col, state0.structure) for col in block.T[: plan.steps - first])
     return states
-
-
-# A weight policy maps a (dim, M) block of pure states and the step's (M, L, 4)
-# measurement noise (None when noise-free) to the (M, L) probabilities and,
-# when it changed basis to measure, each term's basis_coordinates of the
-# block for reuse.
-WeightPolicy = Callable[
-    [np.ndarray, np.ndarray | None], tuple[np.ndarray, list[np.ndarray] | None]
-]
 
 
 def _sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -217,26 +226,24 @@ def _optimal_rows(djj: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _fixed_weights(p: ProbabilityDistribution) -> WeightPolicy:
-    return lambda block, noise: (np.broadcast_to(p.p, (block.shape[1], len(p))), None)
+def _arc_weights(terms, powers, block: np.ndarray, noise: np.ndarray | None):
+    """(M, L) optimal weights from every term's moments on every trajectory, and the coordinates.
 
-
-def _arc_weights(decomposition: Decomposition) -> WeightPolicy:
-    """Measure every term's moments on every trajectory and take the optimal weights.
-
-    The noise perturbs each trajectory's L x 4 moments, term-major, in the
-    order NoiseModel.perturb would draw them one term at a time.
+    Each term's moments are one product with its power_rows; the diagonal
+    terms, whose coordinates are the block itself, share its squared moduli.
+    The (M, L, 4) noise (None when noise-free) perturbs each trajectory's
+    moments, term-major, in the order NoiseModel.perturb would draw them one
+    term at a time.
     """
-    terms = decomposition.terms
-
-    def weights(block, noise):
-        coords = [basis_coordinates(h, block) for h in terms]
-        raw = np.stack([moment_block(h, c).T for h, c in zip(terms, coords)], axis=1)
-        if noise is not None:
-            raw += noise
-        return _optimal_rows(norms_from_moments(raw)), coords
-
-    return weights
+    coords = [basis_coordinates(h, block) for h in terms]
+    shared = squared_moduli(block)
+    raw = np.stack([
+        moments_of_weights(rows, shared if c is block else squared_moduli(c)).T
+        for rows, c in zip(powers, coords)
+    ], axis=1)
+    if noise is not None:
+        raw += noise
+    return _optimal_rows(norms_from_moments(raw)), coords
 
 
 def _fixed_distribution(name: str, decomposition: Decomposition) -> ProbabilityDistribution | None:
@@ -262,15 +269,17 @@ def _normalized(block: np.ndarray) -> np.ndarray:
     return block / norms
 
 
-def _apply_terms(terms, block: np.ndarray, indices: np.ndarray, taus: np.ndarray, coords):
-    """Apply terms[indices[m]] for time taus[m] to column m, reusing coords where measured."""
-    out = np.empty_like(block)
-    for j, term in enumerate(terms):
-        cols = np.flatnonzero(indices == j)
-        if cols.size:
-            c = coords[j][:, cols] if coords else basis_coordinates(term, block[:, cols])
-            out[:, cols] = rotate_coordinates(term, c, taus[cols])
-    return out
+def _fixed_step(h: HermitianOperator, tau: float) -> np.ndarray:
+    """exp(-i h tau) for a whole run: U = V diag(exp(-i e tau)) V^dag, or a diagonal h's phases."""
+    _, vectors = eigenbasis(h)
+    if vectors is None:
+        return rotate_coordinates(h, np.ones((h.dim, 1)), np.array([tau]))[:, 0]
+    return rotate_coordinates(h, vectors.conj().T, np.full(h.dim, tau))
+
+
+def _apply_step(step: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A _fixed_step applied to every column of a block (not renormalized)."""
+    return step[:, None] * block if step.ndim == 1 else step @ block
 
 
 def _keys_of(streams) -> np.ndarray:
@@ -330,12 +339,14 @@ def run_block(
     an (M, 2) array of their keys. `plan` is one StepPlan for every stream, or a list of one per stream
     with bit-equal dt and non-increasing step counts; the block then steps
     only its still-running prefix. A pure state0 becomes a (dim, M) block
-    with one column per stream. With a weight policy, step k asks the
-    policy for p on the current block and samples each trajectory's term
-    with its uniform. A block's draws (the uniforms and the arc policy's
+    with one column per stream. Step k takes p ("arc" measures it on the
+    current block, "rc" and "equal" fix it) and samples each trajectory's
+    term with its uniform. A block's draws (the uniforms and the arc
     measurement noise) are made DRAW_CHUNK steps at a time by
     rng.stream_draws, bit-identical to what each stream's step(k) generator
-    would draw. Without a policy, "trotter1" makes a product step. Every
+    would draw; with a fixed p the chunk's terms are sampled at once. Fixed
+    time slices apply each term's _fixed_step, built once per call;
+    "trotter1" applies every term in order. Every
     trajectory is scored against the exact state after each step. Record m
     is trajectory m. Its draws come from its own stream alone, but the last
     bits of its states depend on the block it runs in (the width of each
@@ -377,10 +388,11 @@ def run_block(
     fids = np.full((n, size), math.nan)
     indices = taus = probs = None
     if name == "arc":
-        weights = _arc_weights(decomposition)
-    else:
-        weights = None if fixed is None else _fixed_weights(fixed)
-    if weights is not None:
+        powers = [power_rows(h) for h in terms]
+    else:  # every term's time slice is fixed for the run: dt / p_j, or dt for trotter1
+        slices = [dt] * len(terms) if fixed is None else [dt / pj if pj > 0 else None for pj in fixed.p]
+        steps = [None if tau is None else _fixed_step(h, tau) for h, tau in zip(terms, slices)]
+    if name != "trotter1":
         keys = _keys_of(streams)
         ends = np.array([q.steps for q in plans])
         indices = np.empty((n, size), dtype=int)
@@ -391,22 +403,35 @@ def run_block(
     state = np.repeat(state0.data[:, None], size, axis=1)
     width = size  # trajectories 0..width-1 are still running
     for k, reference in enumerate(exact_states):
-        if weights is not None:
-            if k % DRAW_CHUNK == 0:
+        if name == "trotter1":
+            for step in steps:
+                out = _apply_step(step, state)
+                state = _normalized(out)
+        else:
+            c = k % DRAW_CHUNK
+            if c == 0:
                 chunk_noise, chunk_u = stream_draws(
                     keys[:width], k, np.minimum(ends[:width], k + DRAW_CHUNK), noise_shape, noise.std
                 )
-            c = k % DRAW_CHUNK
-            p, coords = weights(state, None if chunk_noise is None else chunk_noise[:width, c])
-            j = _sample(p, chunk_u[:width, c])
+                if name != "arc":  # the chunk's samples from the one CDF
+                    chunk_j = _sample(fixed.p[None], chunk_u.ravel()).reshape(chunk_u.shape)
+            if name == "arc":
+                step_noise = None if chunk_noise is None else chunk_noise[:width, c]
+                p, coords = _arc_weights(terms, powers, state, step_noise)
+                j = _sample(p, chunk_u[:width, c])
+            else:
+                p, j = np.broadcast_to(fixed.p, (width, len(terms))), chunk_j[:width, c]
             indices[k, :width], taus[k, :width], probs[k, :width] = j, dt / p[np.arange(width), j], p
-            out = _apply_terms(terms, state, j, taus[k, :width], coords)
+            out = np.empty_like(state)
+            for term in range(len(terms)):
+                cols = np.flatnonzero(j == term)
+                if not cols.size:
+                    continue
+                if name == "arc":
+                    out[:, cols] = rotate_coordinates(terms[term], coords[term][:, cols], taus[k, cols])
+                else:
+                    out[:, cols] = _apply_step(steps[term], state[:, cols])
             state = _normalized(out)
-        else:
-            first, dts = np.zeros(width, dtype=int), np.full(width, dt)
-            for term in terms:
-                out = _apply_terms([term], state, first, dts, None)
-                state = _normalized(out)
         if reference.is_pure:
             fids[k, :width] = fidelities(reference.data, state)
         while width and plans[width - 1].steps == k + 1:

@@ -70,9 +70,7 @@ def _bound_dict(report: BoundReport) -> dict:
     }
 
 
-def result_json(
-    result: EnsembleResult, bounds: list[BoundReport] | None = None
-) -> str:
+def result_json(result: EnsembleResult, bounds: list[BoundReport] | None = None) -> str:
     fields = {"series": [dict(zip(SERIES_COLUMNS, row)) for row in _series_rows(result)]}
     if result.extrapolated:
         fields["extrapolated"] = dict(result.extrapolated)
@@ -193,16 +191,10 @@ def emit_svg(result: EnsembleResult, path) -> None:
         f'transform="rotate(-90 14 {top + plot_h / 2:.1f})">mean fidelity</text>'
     )
     for idx, protocol in enumerate(protocols):
-        pts = sorted(
-            (sp.x_value, sp.mean_fidelity)
-            for sp in result.series
-            if sp.protocol == protocol
-        )
+        pts = sorted((sp.x_value, sp.mean_fidelity) for sp in result.series if sp.protocol == protocol)
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
         color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.8"/>'
-        )
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.8"/>')
         ly = top + 14 + 16 * idx
         lx = left + plot_w - 110
         parts.append(

@@ -199,9 +199,7 @@ def _basis_index(label: str, structure: HilbertStructure) -> int:
     has_qubits = structure.qubit_sites > 0
     if has_fock and has_qubits:
         if "," not in label:
-            raise ValueError(
-                f"hybrid ket {label!r} must be 'n,qubits' (Fock level, qubit string)"
-            )
+            raise ValueError(f"hybrid ket {label!r} must be 'n,qubits' (Fock level, qubit string)")
         fock_part, qubit_part = label.split(",", 1)
         n = _fock_level(fock_part, structure)
         q = _qubit_index(qubit_part, structure)
@@ -225,9 +223,7 @@ def _fock_level(text: str, structure: HilbertStructure) -> int:
 def _qubit_index(text: str, structure: HilbertStructure) -> int:
     bits = text.strip()
     if len(bits) != structure.qubit_sites or any(c not in "01" for c in bits):
-        raise ValueError(
-            f"qubit string {bits!r} must be {structure.qubit_sites} characters of 0/1"
-        )
+        raise ValueError(f"qubit string {bits!r} must be {structure.qubit_sites} characters of 0/1")
     return int(bits, 2)
 
 

@@ -15,27 +15,17 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import ShotParams
 from .compilers import (
-    DETERMINISTIC_PROTOCOLS,
-    PROTOCOL_NAMES,
-    StepPlan,
-    TrajectoryRecord,
-    run_block,
-    run_exact,
+    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, run_block, run_exact,
 )
 from .hamiltonians import (
-    Decomposition,
-    HilbertStructure,
-    basis_state,
-    build_kerr,
-    build_mfim,
-    build_rabi,
+    Decomposition, HilbertStructure, basis_state, build_kerr, build_mfim, build_rabi,
 )
 from .moments import NoiseModel
 from .rng import _ziggurat, stream_keys
@@ -47,11 +37,7 @@ DEFAULT_PARAMS = {
     "kerr": {"delta": 0.3, "K": 1.0, "eps": 0.5, "D": 50},
     "rabi": {"omega": 1.0, "Omega": 1.0, "g": 0.2, "D": 50},
 }
-DEFAULT_INITIAL_STATE = {
-    "mfim": "0011",
-    "kerr": "(|1⟩+|5⟩)/√2",
-    "rabi": "(|2,0⟩+|5,0⟩)/√2",
-}
+DEFAULT_INITIAL_STATE = {"mfim": "0011", "kerr": "(|1⟩+|5⟩)/√2", "rabi": "(|2,0⟩+|5,0⟩)/√2"}
 DEFAULT_N_LIST = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
 DEFAULT_DT_LIST = [0.01, 0.02, 0.04, 0.05, 0.1]
 # Largest Hilbert-space dimension a config may ask for: every operator is a
@@ -115,10 +101,7 @@ class PlanSpec:
 
     def points(self) -> list[PlanPoint]:
         if self.mode == "fixed_dt":
-            return [
-                PlanPoint("steps", float(n), StepPlan(n * self.dt, n))
-                for n in self.n_list
-            ]
+            return [PlanPoint("steps", float(n), StepPlan(n * self.dt, n)) for n in self.n_list]
         out = []
         for dt in self.dt_list:
             n = max(1, round(self.t / dt))
@@ -196,10 +179,7 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
         spec.dt = _real(raw.get("dt", 0.02), "plan dt")
         _require(spec.dt > 0, "plan dt must be positive")
         n_list = raw.get("n_list", DEFAULT_N_LIST)
-        _require(
-            isinstance(n_list, list) and len(n_list) > 0,
-            "plan n_list must be a nonempty list",
-        )
+        _require(isinstance(n_list, list) and len(n_list) > 0, "plan n_list must be a nonempty list")
         for n in n_list:
             _require(
                 _is_int(n) and 1 <= n <= MAX_STEPS,
@@ -210,10 +190,7 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
         spec.t = _real(raw.get("t", 1.0), "plan t")
         _require(spec.t > 0, "plan t must be positive")
         dt_list = raw.get("dt_list", DEFAULT_DT_LIST)
-        _require(
-            isinstance(dt_list, list) and len(dt_list) > 0,
-            "plan dt_list must be a nonempty list",
-        )
+        _require(isinstance(dt_list, list) and len(dt_list) > 0, "plan dt_list must be a nonempty list")
         for dt in dt_list:
             _require(_real(dt, "plan step size") > 0, f"bad step size {dt!r}")
             _require(
@@ -252,22 +229,7 @@ def check_noise_std(value, name: str) -> float:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     _require(isinstance(raw, dict), "config must be a JSON object")
-    known = {
-        "model",
-        "params",
-        "initial_state",
-        "protocols",
-        "plan",
-        "trajectories",
-        "noise_std",
-        "master_seed",
-        "out",
-        "format",
-        "include_bounds",
-        "ptrace_trajectories",
-        "shot_params",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     _require(not unknown, f"unknown config keys {sorted(unknown)}")
 
     model = raw.get("model")
@@ -292,10 +254,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(dim <= MAX_DIM, f"{model} Hilbert dimension {dim} exceeds the cap of {MAX_DIM}")
 
     protocols = raw.get("protocols", ["arc", "rc"])
-    _require(
-        isinstance(protocols, list) and len(protocols) > 0,
-        "protocols must be a nonempty list",
-    )
+    _require(isinstance(protocols, list) and len(protocols) > 0, "protocols must be a nonempty list")
     for name in protocols:
         _require(name in PROTOCOL_NAMES, f"unknown protocol {name!r}")
     _require(len(set(protocols)) == len(protocols), "duplicate protocol names")
@@ -329,18 +288,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"invalid shot_params: {exc}") from None
 
     return ExperimentConfig(
-        model=model,
-        params=params,
-        initial_state=initial_state,
-        protocols=list(protocols),
-        plan=plan,
-        trajectories=trajectories,
-        noise_std=noise_std,
-        master_seed=master_seed,
-        out=out,
-        format=fmt,
-        include_bounds=include_bounds,
-        ptrace_trajectories=ptrace_m,
+        model=model, params=params, initial_state=initial_state, protocols=list(protocols),
+        plan=plan, trajectories=trajectories, noise_std=noise_std, master_seed=master_seed,
+        out=out, format=fmt, include_bounds=include_bounds, ptrace_trajectories=ptrace_m,
         shot_params=shot_params,
     )
 
@@ -456,13 +406,9 @@ class _Context:
         """The (point, trajectory) pairs of one dt group, ordered longest first, as one block."""
         pid = PROTOCOL_IDS[protocol]
         return run_block(
-            protocol,
-            self.state0,
-            self.decomp,
-            [self.points[q].plan for q, _ in members],
+            protocol, self.state0, self.decomp, [self.points[q].plan for q, _ in members],
             stream_keys(self.config.master_seed, [(pid, q, m) for q, m in members]),
-            noise=NoiseModel(self.config.noise_std),
-            exact_states=self.exact(members[0][0]),
+            noise=NoiseModel(self.config.noise_std), exact_states=self.exact(members[0][0]),
         )
 
     def run_one(self, protocol: str, point_idx: int, m: int) -> TrajectoryRecord:
@@ -572,7 +518,7 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
             for first in firsts:
                 ctx.exact(first)
             if "arc" in config.protocols and config.noise_std > 0:
-                _ziggurat()  # forked workers inherit `numpy.random` and the table
+                _ziggurat()  # forked workers inherit the table
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(ctx,)
             ) as pool:
@@ -601,17 +547,11 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
             m = len(values)
             mean = float(np.sum(values) / m)
             stderr = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-            series.append(
-                SeriesPoint(protocol, point.x_kind, point.x_value, mean, stderr, m)
-            )
+            series.append(SeriesPoint(protocol, point.x_kind, point.x_value, mean, stderr, m))
     extrapolated = {}
     if config.plan.mode == "fixed_t" and len(ctx.points) >= 3:
         for protocol in config.protocols:
-            pts = [
-                (sp.x_value, sp.mean_fidelity)
-                for sp in series
-                if sp.protocol == protocol
-            ]
+            pts = [(sp.x_value, sp.mean_fidelity) for sp in series if sp.protocol == protocol]
             extrapolated[protocol] = extrapolate_zero_dt(pts)
     return EnsembleResult(series=series, extrapolated=extrapolated, config=config, context=ctx)
 
@@ -639,17 +579,10 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
     steps = np.arange(1, n + 1)
     if len(records) == 1:
         rec = records[0]
-        return PTraceTable(
-            ctx.decomp.labels, steps, rec.probabilities, rec.indices, rec.taus, config
-        )
+        return PTraceTable(ctx.decomp.labels, steps, rec.probabilities, rec.indices, rec.taus, config)
     probs = np.mean([rec.probabilities for rec in records], axis=0)
     return PTraceTable(
-        ctx.decomp.labels,
-        steps,
-        probs,
-        np.full(n, -1, dtype=int),
-        np.full(n, np.nan),
-        config,
+        ctx.decomp.labels, steps, probs, np.full(n, -1, dtype=int), np.full(n, np.nan), config
     )
 
 

@@ -85,9 +85,7 @@ class HermitianOperator:
         m = as_complex_matrix(self.matrix)
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > HERMITICITY_ATOL:
-            raise ValueError(
-                f"matrix {self.label!r} is not Hermitian (max deviation {dev:.3e})"
-            )
+            raise ValueError(f"matrix {self.label!r} is not Hermitian (max deviation {dev:.3e})")
         m = (m + m.conj().T) / 2
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -117,8 +115,12 @@ class HermitianOperator:
 
     @cached_property
     def schatten_inf(self) -> float:
-        """Largest absolute eigenvalue (largest singular value for Hermitian input)."""
-        return float(np.max(np.abs(self.eig.eigenvalues)))
+        """Largest absolute eigenvalue (largest singular value for Hermitian input).
+
+        A diagonal matrix's eigenvalues are its diagonal, so it needs no eigh.
+        """
+        values = self.eig.eigenvalues if self.diagonal is None else self.diagonal
+        return float(np.max(np.abs(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +223,25 @@ def basis_coordinates(h: HermitianOperator, block: np.ndarray) -> np.ndarray:
 def rotate_coordinates(h: HermitianOperator, coords: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(-i h tau_m) applied to column m, given the block's basis_coordinates under h.
 
-    The result is not renormalized.
+    The phases exp(-i e tau) = cos(e tau) - i sin(e tau) are written into
+    one complex array. One coords column serves every tau. The result is not
+    renormalized.
     """
     values, vectors = eigenbasis(h)
-    out = np.exp(-1j * values[:, None] * taus) * coords
+    angle = values[:, None] * taus
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.negative(np.sin(angle, out=out.imag), out=out.imag)
+    out *= coords
     return out if vectors is None else vectors @ out
+
+
+def evolve_columns(h: HermitianOperator, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i h t) psi for every t in times, as the columns of a (dim, len(times)) block.
+
+    One basis change serves every column: V (exp(-i e t) * V^dag psi).
+    """
+    return rotate_coordinates(h, basis_coordinates(h, psi[:, None]), times)
 
 
 def evolve_unitary(state: QuantumState, h: HermitianOperator, tau: float) -> QuantumState:
@@ -255,9 +271,7 @@ def fidelity(target_pure: QuantumState, other: QuantumState) -> float:
     if not target_pure.is_pure:
         raise ValueError("fidelity target must be a pure state")
     if target_pure.dim != other.dim:
-        raise ValueError(
-            f"dimension mismatch: target {target_pure.dim}, other {other.dim}"
-        )
+        raise ValueError(f"dimension mismatch: target {target_pure.dim}, other {other.dim}")
     if other.is_pure:
         return float(fidelities(target_pure.data, other.data.reshape(-1, 1))[0])
     f = float(np.real(np.vdot(target_pure.data, other.data @ target_pure.data)))

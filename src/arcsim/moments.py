@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    HermitianOperator,
-    QuantumState,
-    commutator,
-    eigenbasis,
-    hs_norm,
-)
+from .linalg import HermitianOperator, QuantumState, commutator, eigenbasis, hs_norm
 
 
 @dataclass
@@ -57,24 +51,41 @@ def double_commutator_norm(h: HermitianOperator, state: QuantumState) -> float:
     return hs_norm(commutator(h.matrix, commutator(h.matrix, rho)))
 
 
-def moment_block(h: HermitianOperator, coords: np.ndarray) -> np.ndarray:
-    """Moments <H^k>, k = 1..4 (rows), of every column of a block of pure states.
-
-    Takes the block's basis_coordinates c under h, so one basis change serves
-    all four moments: <H^k> = sum_i |c_i|^2 e_i^k / sum_i |c_i|^2. Every sum
-    runs in the same order, so on an eigenstate whose eigenvalue is 0 or a
-    power of two each ratio is that eigenvalue's power exactly, and the
-    double-commutator radicand is exactly 0.
-    """
+def power_rows(h: HermitianOperator) -> np.ndarray:
+    """Rows e**0 .. e**4 of h's eigenvalues e, as (5, dim), each the previous times e."""
     values, _ = eigenbasis(h)
-    weights = coords.real * coords.real + coords.imag * coords.imag
-    power = np.ones_like(values)
-    total = power @ weights
-    moments = np.empty((4, weights.shape[1]))
-    for k in range(4):
-        power = power * values
-        moments[k] = (power @ weights) / total
-    return moments
+    powers = [np.ones_like(values)]
+    for _ in range(4):
+        powers.append(powers[-1] * values)
+    return np.array(powers)
+
+
+def squared_moduli(coords: np.ndarray) -> np.ndarray:
+    """|c|**2 of every entry, the weights that moments_of_weights takes."""
+    return coords.real * coords.real + coords.imag * coords.imag
+
+
+def moments_of_weights(powers: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Moments <H^k>, k = 1..4 (rows), of every column of a block, from one product.
+
+    `powers` is power_rows(h) and `weights` the squared_moduli of the block's
+    basis_coordinates under h: <H^k> = sum_i w_i e_i^k / sum_i w_i, with all
+    five sums in one product, stacked as five (1, dim) @ (dim, M) rows so that
+    every sum of a column runs in the same order (a single (5, dim) GEMM may
+    take its last row through another kernel). On an eigenstate whose
+    eigenvalue is 0 or a power of two each ratio is therefore that
+    eigenvalue's power exactly, and the double-commutator radicand is exactly 0.
+    """
+    sums = np.matmul(powers[:, None, :], weights)[:, 0]
+    return sums[1:] / sums[0]
+
+
+def moment_block(h: HermitianOperator, coords: np.ndarray) -> np.ndarray:
+    """Moments <H^k>, k = 1..4 (rows), of every column of a block, from its basis_coordinates under h.
+
+    The engine calls moments_of_weights with its power rows and weights built once.
+    """
+    return moments_of_weights(power_rows(h), squared_moduli(coords))
 
 
 def norms_from_moments(moments: np.ndarray) -> np.ndarray:

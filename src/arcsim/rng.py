@@ -9,12 +9,14 @@ how work is scheduled across processes.
 Every draw is a pure function of (key, step) (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so a block's draws are computed
 here as arrays, bit-identical to numpy's SeedSequence, Philox4x64-10,
-Generator.random and the fast path of Generator.normal; pure blocks and
-one-trajectory mixed runs alike draw through stream_draws.
+Generator.random and Generator.normal; pure blocks and one-trajectory mixed
+runs alike draw through stream_draws. Gaussians follow numpy's ziggurat,
+whose layer widths ship with the package: the fast path for every word at
+once, then the wedge and tail tests, in arrays, for the few that leave it.
 `TrajectoryStream.step` is the numpy reference those draws are tested
-against, and a numpy generator at the same counter is the fallback for
-Gaussians off the fast path. `numpy.random` is imported only when a stream
-is stepped, stream_key derives a key, or the first Gaussian is drawn.
+against. `numpy.random` is imported only when a stream is stepped,
+stream_key derives a key, or a Gaussian lands within rounding of one of
+numpy's acceptance thresholds and is replayed by a numpy generator.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +104,13 @@ def stream_keys(master_seed: int, paths) -> np.ndarray:
     return np.stack([words[0] | words[1] << np.uint64(32), words[2] | words[3] << np.uint64(32)], axis=1)
 
 
+# numpy's ziggurat: the tail's start r and the 1/r it multiplies by. A rabs
+# less than _KI_BAND above ki, or a wedge test within _TIE of its threshold,
+# may be decided either way by numpy's exact tables: a numpy generator replays it.
+_NOR_R, _NOR_INV_R = 3.6541528853610088, 0.27366123732975828
+_KI_BAND, _TIE = 8, 1e-12
+
+
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit product a * b, from 32-bit halves.
 
@@ -149,36 +159,26 @@ def _new_philox(key) -> tuple:
     return bits, np.random.Generator(bits), bits.state
 
 
-def _moved(philox: tuple, key: np.ndarray, k: int) -> np.random.Generator:
-    """philox's generator, moved through the state setter to key and counter (0, 0, 0, k)."""
-    bits, generator, state = philox
-    state["state"]["key"] = key
-    state["state"]["counter"] = np.array([0, 0, 0, int(k)], dtype=np.uint64)
-    bits.state = state
-    return generator
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's layer widths wi, shipped as package data, and conservative acceptance bounds ki.
+
+    numpy's bound is floor(2**52 x_{i-1}/x_i) with x_i = 2**52 wi[i] and
+    x_{-1} = x_255 (ki[1] = 0); 2 less stays below it whatever the rounding
+    of the table, and _KI_BAND more stays above it.
+    """
+    wi = np.frombuffer(Path(__file__).with_name("ziggurat_wi.bin").read_bytes(), dtype="<f8")
+    ki = np.floor(np.roll(wi, 1) / wi * 2.0**52).astype(np.uint64) - np.uint64(2)
+    ki[1] = 0
+    ki.flags.writeable = False
+    return wi, ki
 
 
 @cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's layer widths wi, read from its generator, and conservative acceptance bounds ki.
-
-    A word with layer i, sign 0 and rabs = 1 makes standard_normal() return
-    exactly wi[i] (layer 1, never accepted, goes through the wedge test with a
-    zero uniform, which returns it). numpy's bound is floor(2**52 x_{i-1}/x_i)
-    with x_i = 2**52 wi[i] and x_{-1} = x_255 (ki[1] = 0); 2 less stays below
-    it whatever the rounding of the table.
-    """
-    bits, gen, state = _new_philox(np.zeros(2, dtype=np.uint64))
-    wi = np.empty(256)
-    for i in range(256):
-        state["buffer"] = np.array([i | 1 << 9, 0, 0, 0], dtype=np.uint64)
-        state["buffer_pos"] = 0
-        bits.state = state
-        wi[i] = gen.standard_normal()
-    ki = np.floor(np.roll(wi, 1) / wi * 2.0**52).astype(np.uint64) - np.uint64(2)
-    ki[1] = 0
-    wi.flags.writeable = ki.flags.writeable = False
-    return wi, ki
+def _heights() -> np.ndarray:
+    """The wedge tests' densities f[i] = exp(-x_i**2 / 2) at the layer edges, and f[0] = 1."""
+    x = _ziggurat()[0][1:] * 2.0**52
+    return np.concatenate([[1.0], np.exp(-0.5 * x * x)])
 
 
 def standard_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +214,10 @@ class TrajectoryStream:
         return _new_philox(self.key)
 
     def step(self, k: int) -> np.random.Generator:
-        return _moved(self._philox, self.key, k)
+        bits, generator, state = self._philox
+        state["state"]["counter"] = np.array([0, 0, 0, int(k)], dtype=np.uint64)
+        bits.state = state  # through the state setter, which also clears the buffer
+        return generator
 
 
 def trajectory_stream(master_seed: int, *path: int) -> TrajectoryStream:
@@ -229,28 +232,99 @@ def stream_draws(
     For (M, 2) keys, returns (noise, uniforms) of shapes (M, S, *shape) and
     (M, S), S = max(stops) - start, NaN past each stream's stop; with shape
     None there is no normal draw and noise is None. Entry (m, s) is
-    bit-identical to what TrajectoryStream(keys[m]).step(start + s) draws. A
-    (stream, step) whose Gaussians leave the ziggurat's fast path is redrawn
-    from a generator at that counter.
+    bit-identical to what TrajectoryStream(keys[m]).step(start + s) draws.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     stops = np.asarray(stops)
     cols = int(stops.max()) - start
     m, s = np.nonzero(np.arange(start, start + cols) < stops[:, None])
-    normals = 0 if shape is None else math.prod(shape)
-    words = philox_words(keys[m], start + s, normals + 1)
     u = np.full((len(keys), cols), np.nan)
-    u[m, s] = uniforms(words[:, normals])
     if shape is None:
+        u[m, s] = uniforms(philox_words(keys[m], start + s, 1)[:, 0])
         return None, u
-    x, fast = standard_normals(words[:, :normals])
-    drawn = 0.0 + std * x  # Generator.normal computes loc + scale * x
-    replay = None
-    for i in np.flatnonzero(~fast.all(axis=1)):
-        replay = replay or _new_philox(keys[m[i]])
-        gen = _moved(replay, keys[m[i]], start + s[i])
-        drawn[i] = gen.normal(0.0, std, size=normals)
-        u[m[i], s[i]] = gen.random()
+    normals = math.prod(shape)
+    x, u[m, s] = _gaussians(keys[m], start + s, normals)
     noise = np.full((len(keys), cols, normals), np.nan)
-    noise[m, s] = drawn
+    noise[m, s] = 0.0 + std * x  # Generator.normal computes loc + scale * x
     return noise.reshape(len(keys), cols, *shape), u
+
+
+def _gaussians(keys: np.ndarray, steps: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """standard_normal() `count` times, then random(), on each (key, step) stream: (x, u).
+
+    Words are fetched one counter past what the fast path needs; rows with a
+    Gaussian off the fast path continue numpy's loop in _slow_rows.
+    """
+    words = philox_words(keys, steps, 4 * (count // 4 + 2))
+    x, fast = standard_normals(words[:, :count])
+    u = uniforms(words[:, count])
+    slow = np.flatnonzero(~fast.all(axis=1))
+    for i in _slow_rows(keys[slow], steps[slow], words[slow], count, x, u, slow) if slow.size else ():
+        gen = TrajectoryStream(keys[i]).step(steps[i])
+        x[i], u[i] = gen.standard_normal(size=count), gen.random()
+    return x, u
+
+
+def _slow_rows(keys, steps, words, count: int, x, u, rows) -> list[int]:
+    """numpy's random_standard_normal continued past the fast path, writing x[rows] and u[rows].
+
+    Gaussian g of a row starts at word g + d, d being the extra words its
+    slow Gaussians before g took. Each pass fills every row's fast Gaussians
+    up to its next slow one and decides that one: layer i >= 1 tests the
+    wedge with the next word's uniform (accepted: one extra word; rejected:
+    two, and the Gaussian restarts), layer 0 samples the tail. A row out of
+    words starts all rows again with twice as many. Returns the rows that a
+    numpy generator must replay: a rabs within _KI_BAND of ki, or a wedge
+    test within _TIE of its threshold, which numpy's table and libm's exp
+    might decide either way.
+    """
+    ki, f = _ziggurat()[1], _heights()
+    lane = np.arange(count)
+    values, fast = standard_normals(words)
+    src, g, d = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+    unsure = []
+    while src.size:
+        if np.any(count + d >= words.shape[1]):
+            return _slow_rows(keys, steps, philox_words(keys, steps, 2 * words.shape[1]), count, x, u, rows)
+        i, at, settled = src[:, None], lane + d[:, None], lane < g[:, None]
+        ahead = fast[i, at] | settled
+        nxt = np.where(ahead.all(axis=1), count, ahead.argmin(axis=1))
+        x[rows[src]] = np.where(settled | (lane >= nxt[:, None]), x[rows[src]], values[i, at])
+        done = nxt == count
+        u[rows[src[done]]] = uniforms(words[src[done], count + d[done]])
+        src, g, d = src[~done], nxt[~done], d[~done]
+        k = g + d
+        word = words[src, k]
+        layer = (word & np.uint64(0xFF)).astype(np.intp)
+        rabs = (word >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+        value = values[src, k]
+        lhs = (f[layer - 1] - f[layer]) * uniforms(words[src, k + 1]) + f[layer]
+        wedge = lhs - np.exp(-0.5 * value * value)
+        doubt = (rabs < ki[layer] + np.uint64(_KI_BAND)) | ((layer > 0) & (np.abs(wedge) < _TIE))
+        accept = (layer > 0) & (wedge < 0)
+        x[rows[src[accept]], g[accept]] = value[accept]
+        d += 2 - accept
+        g += accept
+        for t in np.flatnonzero((layer == 0) & ~doubt):
+            tail = _tail(words[src[t]], k[t] + 1, int(rabs[t]))
+            if tail is None:  # out of words, which the next pass finds
+                d[t] = words.shape[1]
+            else:
+                x[rows[src[t]], g[t]], d[t], g[t] = tail[0], d[t] + tail[1] - 2, g[t] + 1
+        unsure.extend(rows[src[doubt]].tolist())
+        src, g, d = src[~doubt], g[~doubt], d[~doubt]
+    return unsure
+
+
+def _tail(words: np.ndarray, pos: int, rabs: int) -> tuple[float, int] | None:
+    """numpy's tail beyond r from pairs of uniforms at words pos, pos + 1, ...: (value, words taken).
+
+    libm's log1p, which numpy's C code calls; None if the words run out.
+    """
+    for first in range(pos, len(words) - 1, 2):
+        u1, u2 = uniforms(words[first : first + 2]).tolist()
+        xx = -_NOR_INV_R * math.log1p(-u1)
+        yy = -math.log1p(-u2)
+        if yy + yy > xx * xx:
+            return (-(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx), first + 2 - pos
+    return None

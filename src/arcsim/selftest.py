@@ -6,12 +6,7 @@ import numpy as np
 
 from .bounds import check_cauchy_schwarz
 from .compilers import (
-    ProbabilityDistribution,
-    StepPlan,
-    cost,
-    optimal_distribution,
-    run_exact,
-    step_trotter1,
+    ProbabilityDistribution, StepPlan, cost, optimal_distribution, run_exact, step_trotter1,
 )
 from .hamiltonians import Decomposition
 from .linalg import HermitianOperator, basis_coordinates, fidelity, hs_norm, kron, pure_state, mixed_state
@@ -32,9 +27,7 @@ def _random_mixed(rng: np.random.Generator, dim: int, rank: int = 2):
     vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
     w = rng.uniform(0.2, 1.0, size=rank)
     w /= w.sum()
-    rho = sum(
-        wi * np.outer(v, v.conj()) / np.vdot(v, v).real for wi, v in zip(w, vecs)
-    )
+    rho = sum(wi * np.outer(v, v.conj()) / np.vdot(v, v).real for wi, v in zip(w, vecs))
     return mixed_state(rho)
 
 

@@ -388,6 +388,26 @@ def test_noise_free_ptrace_never_imports_numpy_random(tmp_path):
     assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+def test_noisy_run_never_imports_numpy_random(tmp_path):
+    """Noisy arc draws its Gaussians in arrays, slow path included, so numpy.random stays unloaded."""
+    cfg = write_config(tmp_path, protocols=["arc", "rc"], noise_std=0.1, trajectories=40)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys; from arcsim import cli, rng; slow = []; walk = rng._slow_rows; "
+        "rng._slow_rows = lambda *a: slow.append(1) or walk(*a); "
+        f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'r.csv')!r}]); "
+        "print(code, len(slow) > 0, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["0", "True", "False"], proc.stderr
+
+
 def test_small_commands_never_import_the_pool(tmp_path):
     """ptrace, bounds and a run below the pool threshold stay in one process."""
     cfg = write_config(tmp_path, protocols=["arc"], ptrace_trajectories=3)

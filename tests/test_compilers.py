@@ -244,13 +244,18 @@ class TestExactOnDiagonalTotals:
         h = dec.total_operator
         assert h.diagonal is not None
         plan = StepPlan(1.0, 50)
-        # the reference: V (exp(-i e dt) * V^dag psi) from the eigendecomposition, every step
+        psi0 = basis_state(ket, st)
+        # the closed form: state k is exp(-i d k dt) * psi0 on the diagonal d
+        angle = h.diagonal[:, None] * (np.arange(1, plan.steps + 1) * plan.dt)
+        closed = (np.cos(angle) - 1j * np.sin(angle)) * psi0.data[:, None]
+        # the stepped reference: V (exp(-i e dt) * V^dag psi) from the eigendecomposition, every step
         v, e = h.eig.eigenvectors, h.eig.eigenvalues
-        state = basis_state(ket, st)
-        for got in run_exact(state, h, plan):
+        state = psi0
+        for k, got in enumerate(run_exact(psi0, h, plan)):
+            assert np.array_equal(got.data, QuantumState(closed[:, k], st).data)
             column = v.conj().T @ state.data.reshape(-1, 1)
             state = QuantumState((v @ (np.exp(-1j * e[:, None] * np.array([plan.dt])) * column))[:, 0], st)
-            assert np.array_equal(got.data, state.data)
+            assert np.allclose(got.data, state.data, rtol=1e-12, atol=0)
 
 
 class TestTrotterStep:
@@ -615,12 +620,22 @@ class TestSteppingLoopReference:
                         )
                         where = f"{name} on {label} at noise {noise_std}"
                         assert got.protocol == want.protocol, where
-                        self._assert_same_record(got, want, where)
+                        self._assert_same_record(got, want, where, self._atol(name, state0))
 
     @staticmethod
-    def _assert_same_record(got, want, where):
-        assert np.array_equal(got.fidelities, want.fidelities, equal_nan=True), where
-        assert np.array_equal(got.final_state.data, want.final_state.data), where
+    def _atol(name, state0):
+        """Pure rc, equal and trotter1 apply each term's precomputed exp(-i H_j tau_j), which
+        rounds differently from the reference's per-step basis change (see TestFixedStepLoop)."""
+        return 1e-12 if state0.is_pure and name in ("rc", "equal", "trotter1") else 0.0
+
+    @staticmethod
+    def _assert_same_record(got, want, where, atol=0.0):
+        if atol:
+            assert np.allclose(got.fidelities, want.fidelities, rtol=0, atol=atol), where
+            assert np.allclose(got.final_state.data, want.final_state.data, rtol=0, atol=atol), where
+        else:
+            assert np.array_equal(got.fidelities, want.fidelities, equal_nan=True), where
+            assert np.array_equal(got.final_state.data, want.final_state.data), where
         for field in ("indices", "taus", "probabilities"):
             a, b = getattr(got, field), getattr(want, field)
             if b is None:
@@ -634,7 +649,7 @@ class TestSteppingLoopReference:
         for name in ("rc", "equal", "arc"):
             (got,) = run_block(name, psi, dec, plan, [3])
             want = reference_run(name, psi, dec, plan, EXACT, 3, None)
-            self._assert_same_record(got, want, name)
+            self._assert_same_record(got, want, name, self._atol(name, psi))
 
     def test_wrong_length_exact_states_rejected(self):
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)
@@ -644,6 +659,56 @@ class TestSteppingLoopReference:
             for wrong in (states[:-1], states + states[:1]):
                 with pytest.raises(ValueError, match=f"expected 5 exact states, got {len(wrong)}"):
                     run_block(name, psi, dec, plan, [trajectory_stream(1)], exact_states=wrong)
+
+
+def fixed_step_loop(name, state0, decomposition, plan, stream, exact_states):
+    """rc, equal and trotter1 on a pure state, stepping with each term's exp(-i H_j tau_j)
+    built once (U = V diag(exp(-i e tau)) V^dag, or a diagonal term's phases)."""
+    size = len(decomposition)
+    p = None if name == "trotter1" else ProbabilityDistribution(
+        np.asarray(decomposition.inf_norms) if name == "rc" else np.full(size, 1.0 / size)
+    )
+    steps = []
+    for j, h in enumerate(decomposition.terms):
+        tau = plan.dt if p is None else plan.dt / p.p[j]
+        if h.diagonal is None:
+            steps.append(rotate_coordinates(h, h.eig.eigenvectors.conj().T, np.full(h.dim, tau)))
+        else:
+            steps.append(rotate_coordinates(h, np.ones((h.dim, 1)), np.array([tau]))[:, 0])
+
+    def apply(step, state):
+        column = state.data.reshape(-1, 1)
+        return QuantumState((step[:, None] * column if step.ndim == 1 else step @ column)[:, 0])
+
+    n = plan.steps
+    fids, indices, taus = np.empty(n), np.empty(n, dtype=int), np.empty(n)
+    state = state0
+    for k in range(n):
+        if p is None:
+            for step in steps:
+                state = apply(step, state)
+        else:
+            indices[k] = j = sample(p, stream.step(k).random())
+            taus[k] = plan.dt / p.p[j]
+            state = apply(steps[j], state)
+        fids[k] = fidelity(exact_states[k], state)
+    if p is None:
+        return TrajectoryRecord(name, plan, fids, state)
+    return TrajectoryRecord(name, plan, fids, state, indices, taus, np.tile(p.p, (n, 1)))
+
+
+class TestFixedStepLoop:
+    def test_bit_identical_to_fixed_step_loop(self):
+        plan = StepPlan(0.6, 6)
+        for case, (label, state0, dec) in enumerate(loop_cases()):
+            if not state0.is_pure:
+                continue
+            exact = run_exact(state0, dec.total_operator, plan)
+            for pid, name in enumerate(("rc", "equal", "trotter1")):
+                stream = trajectory_stream(5, case, pid)
+                (got,) = run_block(name, state0, dec, plan, [stream], exact_states=exact)
+                want = fixed_step_loop(name, state0, dec, plan, stream, exact)
+                TestSteppingLoopReference._assert_same_record(got, want, f"{name} on {label}")
 
 
 class TestChannelMatching:

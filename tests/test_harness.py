@@ -489,7 +489,7 @@ class TestWorkerCount:
             assert built == pools, trajectories
 
     def test_pool_starts_after_the_ziggurat_table(self, monkeypatch):
-        # forked workers inherit the parent's table (and numpy.random) instead of each building it
+        # forked workers inherit the parent's table instead of each reading it
         import concurrent.futures
 
         filled = []

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from arcsim.harness import build_model, load_config
 from arcsim.hamiltonians import PAULI, I2, annihilator, build_mfim, HilbertStructure
 from arcsim.linalg import (
     HermitianOperator,
@@ -127,6 +130,21 @@ class TestSchattenInf:
         a = annihilator(st)
         n_op = HermitianOperator(a.conj().T @ a)
         assert n_op.schatten_inf == pytest.approx(6.0)
+
+    def test_diagonal_terms_skip_eigh(self):
+        # every shipped model's diagonal terms: max |diagonal| equals the eigen-based value exactly
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        diagonal = 0
+        for path in sorted(configs.glob("*.json")):
+            dec, _ = build_model(load_config(path))
+            for h in dec.terms:
+                if h.diagonal is None:
+                    continue
+                diagonal += 1
+                value = h.schatten_inf
+                assert "eig" not in vars(h), (path.name, h.label)  # no eigendecomposition built
+                assert value == float(np.max(np.abs(h.eig.eigenvalues))), (path.name, h.label)
+        assert diagonal == 12
 
 
 class TestEvolve:

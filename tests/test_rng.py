@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from arcsim import rng
 from arcsim.rng import (
     TrajectoryStream,
+    _heights,
+    _tail,
     _ziggurat,
     philox_words,
     standard_normals,
@@ -159,3 +164,127 @@ class TestArrayDraws:
         for m, key in enumerate(keys):
             for s in range(stops[m] - 4):
                 assert plain[m, s] == TrajectoryStream(key).step(4 + s).random()
+
+
+def crafted(words):
+    """A generator whose next raw words are `words` (at most four)."""
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bits.state
+    state["buffer"] = np.array(list(words) + [0] * (4 - len(words)), dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    return bits, np.random.Generator(bits)
+
+
+def numpy_normal_walk(words, count):
+    """numpy's random_standard_normal, `count` times, as a scalar loop over a row of words.
+
+    Returns the values, the index of the word after them and the slow events met.
+    """
+    wi, ki = _ziggurat()
+    f = _heights()
+    events = {"wedge": 0, "reject": 0, "tail": 0}
+    values, pos = [], 0
+    while len(values) < count:
+        word = int(words[pos])
+        layer, rabs = word & 0xFF, word >> 9 & (1 << 52) - 1
+        x = -(rabs * wi[layer]) if word >> 8 & 1 else rabs * wi[layer]
+        pos += 1
+        if rabs < ki[layer]:
+            values.append(x)
+        elif layer == 0:
+            while True:
+                u1, u2 = uniforms(words[pos : pos + 2])
+                pos += 2
+                xx, yy = -0.27366123732975828 * math.log1p(-u1), -math.log1p(-u2)
+                if yy + yy > xx * xx:
+                    values.append(-(3.6541528853610088 + xx) if rabs >> 8 & 1 else 3.6541528853610088 + xx)
+                    events["tail"] += 1
+                    break
+        else:
+            accept = (f[layer - 1] - f[layer]) * uniforms(words[pos]) + f[layer] < math.exp(-0.5 * x * x)
+            pos += 1
+            events["wedge" if accept else "reject"] += 1
+            if accept:
+                values.append(x)
+    return values, pos, events
+
+
+class TestZigguratSlowPath:
+    """The array continuation of numpy's ziggurat against numpy, bit for bit."""
+
+    def test_shipped_widths_match_numpy(self):
+        # a word with layer i, sign 0 and rabs = 1 makes standard_normal() return
+        # exactly wi[i] (layer 1, never accepted, goes through the wedge test with
+        # a zero uniform, which returns it)
+        wi, _ = _ziggurat()
+        assert wi.shape == (256,) and wi.dtype == np.float64
+        for layer in range(256):
+            _, gen = crafted([layer | 1 << 9, 0])
+            assert gen.standard_normal() == wi[layer], layer
+
+    def test_band_above_ki_leaves_the_fast_path(self):
+        # numpy takes a rabs of ki + _KI_BAND to its wedge or tail test in every layer
+        _, ki = _ziggurat()
+        for layer in range(256):
+            for sign in (0, 1):
+                bits, gen = crafted([layer | sign << 8 | int(ki[layer] + rng._KI_BAND) << 9, 0, 7 << 11])
+                gen.standard_normal()
+                assert bits.state["buffer_pos"] >= 2, layer
+
+    def test_tail_matches_numpy(self):
+        # the tail multiplies log1p(-u) by numpy's 1/r, which rounds differently from dividing by r
+        g = np.random.default_rng(47)
+        _, ki = _ziggurat()
+        differ = 0
+        for trial in range(200):
+            rabs = int(g.integers(int(ki[0]), 2**52))
+            u1 = int(g.integers(0, 2**64, dtype=np.uint64))
+            u2 = ((1 << 53) - 1 - trial) << 11  # close to 1: the first try accepts
+            words = np.array([rabs << 9, u1, u2], dtype=np.uint64)
+            _, gen = crafted(words)
+            value, taken = _tail(words, 1, rabs)
+            assert value == gen.standard_normal() and taken == 2
+            u = uniforms(words[1])
+            differ += -math.log1p(-u) / 3.6541528853610088 != -0.27366123732975828 * math.log1p(-u)
+        assert differ > 0
+        assert _tail(np.array([0, 1 << 63], dtype=np.uint64), 1, 0) is None  # out of words
+
+    def test_stream_draws_hit_every_slow_path(self, monkeypatch):
+        # rows 18625 and 26082 of these paths need more than the 20 words first fetched
+        paths = [(m,) for m in [*range(1500), 18625, 26082]]
+        keys = stream_keys(7, paths)
+        fetches = []
+        words_of = rng.philox_words
+        monkeypatch.setattr(rng, "philox_words", lambda k, s, c: fetches.append(c) or words_of(k, s, c))
+        noise, u = stream_draws(keys, 0, np.ones(len(keys), dtype=int), (3, 4), 0.1)
+        assert max(fetches) > 20 == fetches[0]
+        monkeypatch.undo()
+        events = {"wedge": 0, "reject": 0, "tail": 0}
+        words = philox_words(keys, np.zeros(len(keys), dtype=np.uint64), 64)
+        longest = 0
+        for m, key in enumerate(keys):
+            values, pos, met = numpy_normal_walk(words[m], 12)
+            events = {name: events[name] + met[name] for name in events}
+            longest = max(longest, pos + 1)
+            gen = TrajectoryStream(key).step(0)
+            want = gen.normal(0.0, 0.1, size=(3, 4))
+            assert np.array_equal(noise[m, 0], want) and u[m, 0] == gen.random(), m
+            assert np.array_equal(0.0 + 0.1 * np.array(values), want.ravel()), m
+            assert uniforms(words[m, pos]) == u[m, 0], m
+        assert min(events.values()) > 0 and longest > 20, events
+
+    def test_unsure_rows_replay_through_numpy(self, monkeypatch):
+        # widen both doubt margins so every Gaussian off the fast path is replayed
+        monkeypatch.setattr(rng, "_KI_BAND", 2**52)
+        monkeypatch.setattr(rng, "_TIE", 2.0)
+        keys = stream_keys(8, [(m,) for m in range(200)])
+        noise, u = stream_draws(keys, 3, np.full(len(keys), 5), (3, 4), 0.2)
+        replayed = 0
+        for m, key in enumerate(keys):
+            for s in range(2):
+                gen = TrajectoryStream(key).step(3 + s)
+                assert np.array_equal(noise[m, s], gen.normal(0.0, 0.2, size=(3, 4)))
+                assert u[m, s] == gen.random()
+            replayed += not standard_normals(philox_words(keys[m : m + 1], [3], 12))[1].all()
+        assert replayed > 0
