@@ -23,7 +23,6 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THRE
 
 import numpy as np  # noqa: E402
 
-from .bounds import ShotParams, bound_report, shot_lower_bounds  # noqa: E402
 from .emit import bounds_json, emit_svg, ptrace_csv, ptrace_json, result_json, series_csv, write_text  # noqa: E402
 from .harness import (  # noqa: E402
     ConfigError, ExperimentConfig, _Context, check_noise_std, check_trajectories, load_config,
@@ -95,6 +94,8 @@ def _deliver(text: str, out: str | None) -> None:
 
 
 def _compute_bounds(ctx: _Context):
+    from .bounds import bound_report
+
     decomp = ctx.decomp.drop_zero_terms()
     reports = []
     for idx, point in enumerate(ctx.points):
@@ -131,6 +132,8 @@ def cmd_bounds(args) -> int:
     decomp, reports = _compute_bounds(ctx)
     shots = None
     if config.shot_params is not None:
+        from .bounds import ShotParams, shot_lower_bounds
+
         shots = shot_lower_bounds(ShotParams(**config.shot_params))
     _deliver(bounds_json(config, decomp, ctx.points, reports, shots), config.out)
     return EXIT_OK

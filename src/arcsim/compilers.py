@@ -18,9 +18,7 @@ change for its step. The exact reference is closed-form, not stepped.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -39,9 +37,10 @@ PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
 DETERMINISTIC_PROTOCOLS = frozenset({"trotter1", "exact"})
 
 ZERO_WEIGHT_EPS = 1e-14
-# Steps whose draws a block makes at once: enough to amortize the array
-# work, few enough to keep the draw buffers small.
-DRAW_CHUNK = 8
+# (trajectory, step) pairs a block draws per rng.stream_draws call, max(1, pairs // width)
+# steps at a time: enough to amortize the array work, with buffers that stay small at any
+# width. Noisy "arc" takes some 20 Philox words per pair, so it draws a quarter as many.
+DRAW_PAIRS, NOISY_DRAW_PAIRS = 3072, 768
 # Exact states per closed-form product. A fixed width keeps each state's last
 # bits independent of the step count, so plan points that share dt can share
 # one reference.
@@ -107,34 +106,17 @@ class TrajectoryRecord:
     `taus[k]` its time slice, and `probabilities[k]` the full distribution in
     effect; deterministic protocols leave those fields None. `fidelities[k]`
     compares the post-step state with the exact evolution (NaN when the exact
-    reference is mixed). `final_state` may be given as a function of no
-    arguments that builds it; it is then called on the first read, so an
-    ensemble that reads only fidelities builds no final states.
+    reference is mixed). A plain class: a dataclass costs every command its
+    generated methods at import.
     """
 
     def __init__(
-        self,
-        protocol: str,
-        plan: StepPlan,
-        fidelities: np.ndarray,
-        final_state: QuantumState | Callable[[], QuantumState],
-        indices: np.ndarray | None = None,
-        taus: np.ndarray | None = None,
+        self, protocol: str, plan: StepPlan, fidelities: np.ndarray, final_state: QuantumState,
+        indices: np.ndarray | None = None, taus: np.ndarray | None = None,
         probabilities: np.ndarray | None = None,
     ):
-        self.protocol = protocol
-        self.plan = plan
-        self.fidelities = fidelities
-        self._final_state = final_state
-        self.indices = indices
-        self.taus = taus
-        self.probabilities = probabilities
-
-    @property
-    def final_state(self) -> QuantumState:
-        if not isinstance(self._final_state, QuantumState):
-            self._final_state = self._final_state()
-        return self._final_state
+        self.protocol, self.plan, self.fidelities, self.final_state = protocol, plan, fidelities, final_state
+        self.indices, self.taus, self.probabilities = indices, taus, probabilities
 
     @property
     def final_fidelity(self) -> float:
@@ -330,27 +312,24 @@ def _run_mixed(
 
 def run_block(
     name: str, state0: QuantumState, decomposition: Decomposition, plan, streams, *,
-    noise: NoiseModel = EXACT,
-    exact_states: list[QuantumState] | None = None,
+    noise: NoiseModel = EXACT, exact_states: list[QuantumState] | None = None,
 ) -> list[TrajectoryRecord]:
     """The stepping loop of every protocol: one trajectory per stream, stepped as one block.
 
     Streams are TrajectoryStreams, int seeds of trajectory_stream(seed), or
-    an (M, 2) array of their keys. `plan` is one StepPlan for every stream, or a list of one per stream
-    with bit-equal dt and non-increasing step counts; the block then steps
-    only its still-running prefix. A pure state0 becomes a (dim, M) block
-    with one column per stream. Step k takes p ("arc" measures it on the
-    current block, "rc" and "equal" fix it) and samples each trajectory's
-    term with its uniform. A block's draws (the uniforms and the arc
-    measurement noise) are made DRAW_CHUNK steps at a time by
-    rng.stream_draws, bit-identical to what each stream's step(k) generator
-    would draw; with a fixed p the chunk's terms are sampled at once. Fixed
-    time slices apply each term's _fixed_step, built once per call;
-    "trotter1" applies every term in order. Every
-    trajectory is scored against the exact state after each step. Record m
-    is trajectory m. Its draws come from its own stream alone, but the last
-    bits of its states depend on the block it runs in (the width of each
-    product), so callers fix the blocks.
+    an (M, 2) array of their keys. `plan` is one StepPlan for every stream,
+    or one per stream with bit-equal dt and non-increasing step counts; the
+    block then steps only its still-running prefix. A pure state0 becomes a
+    (dim, M) block. Step k takes p ("arc" measures it on the current block,
+    "rc" and "equal" fix it) and samples each trajectory's term with its
+    uniform. The draws (uniforms and arc measurement noise) come from
+    rng.stream_draws, DRAW_PAIRS (noisy: NOISY_DRAW_PAIRS) trajectory-steps
+    per call, bit-identical to each stream's step(k) generator. Fixed time
+    slices apply each term's _fixed_step, built once per call; "trotter1"
+    applies every term in order. Every trajectory is scored against the
+    exact state after each step. Record m is trajectory m: its draws come
+    from its own stream alone, but the last bits of its states depend on
+    the width of the block's products, so callers fix the blocks.
 
     "arc" measures the four moments <H_j^k> of every term on each
     trajectory's own current state, perturbs them by `noise` (additive
@@ -383,65 +362,91 @@ def run_block(
         return [TrajectoryRecord(name, q, fids[: q.steps], exact_states[q.steps - 1]) for q in plans]
     if not state0.is_pure:
         return [_run_mixed(name, state0, decomposition, longest, streams, noise, exact_states, fixed)]
-    terms = decomposition.terms
-    n, dt = longest.steps, longest.dt
-    fids = np.full((n, size), math.nan)
-    indices = taus = probs = None
+    fids, *history, finals = _run_pure(name, state0, decomposition, plans, streams, noise, exact_states)
+    return [
+        TrajectoryRecord(
+            name, q, fids[: q.steps, m], QuantumState(finals[:, m], state0.structure),
+            *(None if a is None else a[: q.steps, m] for a in history),
+        )
+        for m, q in enumerate(plans)
+    ]
+
+
+def _final_fidelities(name, state0, decomposition, plans, keys, noise, exact_states) -> np.ndarray:
+    """Each record's final_fidelity of run_block on a pure block, bit for bit, keeping no history."""
+    if name == "exact":
+        return np.array([_step_fidelity(s, s) for s in (exact_states[q.steps - 1] for q in plans)])
+    return _run_pure(name, state0, decomposition, plans, keys, noise, exact_states, history=False)[0]
+
+
+def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, history=True) -> tuple:
+    """run_block's loop on a pure state0 and valid plans: (fids, indices, taus, probs, finals).
+
+    With history: (N, M) scores, indices and taus, (N, M, L) probabilities
+    (None for "trotter1") and (dim, M) final columns. Without: (M,) final
+    scores, each taken over the whole active block as with history, so the
+    bits agree, and nothing else. No exact_states: no scores, fids None.
+    """
+    fixed = _fixed_distribution(name, decomposition)
+    terms, size = decomposition.terms, len(plans)
+    n, dt = plans[0].steps, plans[0].dt
     if name == "arc":
         powers = [power_rows(h) for h in terms]
     else:  # every term's time slice is fixed for the run: dt / p_j, or dt for trotter1
         slices = [dt] * len(terms) if fixed is None else [dt / pj if pj > 0 else None for pj in fixed.p]
         steps = [None if tau is None else _fixed_step(h, tau) for h, tau in zip(terms, slices)]
+    indices = taus = probs = None  # the per-step history
+    if history and name != "trotter1":
+        indices, taus, probs = np.empty((n, size), int), np.empty((n, size)), np.empty((n, size, len(terms)))
+    fids = None if exact_states is None else np.full((n, size) if history else size, math.nan)
+    finals = np.empty((state0.dim, size), complex) if history else None
     if name != "trotter1":
         keys = _keys_of(streams)
         ends = np.array([q.steps for q in plans])
-        indices = np.empty((n, size), dtype=int)
-        taus = np.empty((n, size))
-        probs = np.empty((n, size, len(terms)))
         noise_shape = (len(terms), 4) if name == "arc" and noise.std > 0.0 else None
-    finals = [None] * size
+        budget = DRAW_PAIRS if noise_shape is None else NOISY_DRAW_PAIRS
+        first = drawn = 0  # the draws in hand cover steps first..drawn-1
     state = np.repeat(state0.data[:, None], size, axis=1)
     width = size  # trajectories 0..width-1 are still running
-    for k, reference in enumerate(exact_states):
+    for k in range(n):
         if name == "trotter1":
             for step in steps:
                 out = _apply_step(step, state)
                 state = _normalized(out)
         else:
-            c = k % DRAW_CHUNK
-            if c == 0:
+            if k == drawn:
+                first, drawn = k, k + max(1, budget // width)
                 chunk_noise, chunk_u = stream_draws(
-                    keys[:width], k, np.minimum(ends[:width], k + DRAW_CHUNK), noise_shape, noise.std
+                    keys[:width], k, np.minimum(ends[:width], drawn), noise_shape, noise.std
                 )
                 if name != "arc":  # the chunk's samples from the one CDF
                     chunk_j = _sample(fixed.p[None], chunk_u.ravel()).reshape(chunk_u.shape)
+            c = k - first
             if name == "arc":
                 step_noise = None if chunk_noise is None else chunk_noise[:width, c]
                 p, coords = _arc_weights(terms, powers, state, step_noise)
                 j = _sample(p, chunk_u[:width, c])
             else:
                 p, j = np.broadcast_to(fixed.p, (width, len(terms))), chunk_j[:width, c]
-            indices[k, :width], taus[k, :width], probs[k, :width] = j, dt / p[np.arange(width), j], p
+            tau = dt / p[np.arange(width), j]
+            if indices is not None:
+                indices[k, :width], taus[k, :width], probs[k, :width] = j, tau, p
             out = np.empty_like(state)
             for term in range(len(terms)):
                 cols = np.flatnonzero(j == term)
                 if not cols.size:
                     continue
                 if name == "arc":
-                    out[:, cols] = rotate_coordinates(terms[term], coords[term][:, cols], taus[k, cols])
+                    out[:, cols] = rotate_coordinates(terms[term], coords[term][:, cols], tau[cols])
                 else:
                     out[:, cols] = _apply_step(steps[term], state[:, cols])
             state = _normalized(out)
-        if reference.is_pure:
-            fids[k, :width] = fidelities(reference.data, state)
+        scored = history or plans[width - 1].steps == k + 1  # else no trajectory ends here
+        if fids is not None and scored and exact_states[k].is_pure:
+            (fids[k] if history else fids)[:width] = fidelities(exact_states[k].data, state)
         while width and plans[width - 1].steps == k + 1:
             width -= 1
-            finals[width] = partial(QuantumState, out[:, width], state0.structure)
+            if history:
+                finals[:, width] = out[:, width]
         state = state[:, :width]
-    return [
-        TrajectoryRecord(
-            name, q, fids[: q.steps, m], finals[m],
-            *(None if a is None else a[: q.steps, m] for a in (indices, taus, probs)),
-        )
-        for m, q in enumerate(plans)
-    ]
+    return fids, indices, taus, probs, finals

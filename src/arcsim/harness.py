@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import numbers
@@ -20,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ShotParams
 from .compilers import (
-    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, run_block, run_exact,
+    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, _final_fidelities, _run_pure,
+    run_block, run_exact,
 )
 from .hamiltonians import (
     Decomposition, HilbertStructure, basis_state, build_kerr, build_mfim, build_rabi,
@@ -49,23 +50,22 @@ MAX_DIM = 1024
 # trajectory, 800 kB at the cap; configs are rejected before any of it is
 # allocated.
 MAX_TRAJECTORIES = 100_000
-# Largest step count a plan point may ask for, as an n_list entry or as
-# t / dt. The exact reference holds one state per step (160 MB at MAX_DIM and
-# the cap), and a block of BLOCK_SIZE trajectories one fidelity, index, tau
-# and L probabilities per trajectory and step (about 60 MB for three terms);
-# plans are rejected before either is allocated.
+# Largest step count a plan point may ask for (an n_list entry or t / dt). The exact
+# reference holds one state per step (160 MB at MAX_DIM and the cap), so plans are
+# rejected before it is allocated. An ensemble block keeps no per-step history (a
+# 6,400-wide dim-2 block would hold 1.5 GB of it at the cap), only states and fidelities.
 MAX_STEPS = 10_000
 # Largest measurement noise std a config or --noise-std may ask for. numpy's
 # Gaussians are below 14 in magnitude, so a perturbed moment or overlap is
 # within 1.4e101 of its exact value and no radicand product (8 (1.4e101)^2 ~
 # 1.6e203 for moments of that size) nears the float64 maximum, 1.8e308.
 MAX_NOISE_STD = 1e100
-# The trajectories of all plan points with bit-equal dt are ordered longest
-# first, as (N descending, point, m), and stepped in blocks of BLOCK_SIZE
-# along that order. The partition is fixed because the last bits of a
-# trajectory depend on the block it runs in, so it must not follow the
-# worker count.
-BLOCK_SIZE = 128
+# The trajectories of all plan points with bit-equal dt are ordered longest first, as
+# (N descending, point, m), and stepped in blocks of _block_size(dim) along that order:
+# 800 at dim 16 and 256 at 50, wide enough to spread each step's per-call cost, and 128
+# from dim 100 up, where 256 measured slower. The last bits of a trajectory depend on
+# its block, so the partition follows the dimension alone, never the worker count.
+BLOCK_MIN, BLOCK_AREA = 128, 12_800
 # Estimated serial cost of one trajectory-step, STEP_S + STEP_DIM2_S * dim**2
 # seconds, fitted to one-worker arc timings (512 trajectories, N = 50, 2-core
 # host, one OpenBLAS thread): 11.6, 12.1 and 17.6 us at dim 16, 50 and 100.
@@ -281,6 +281,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
     shot_params = raw.get("shot_params")
     if shot_params is not None:
+        from .bounds import ShotParams
+
         _require(isinstance(shot_params, dict), "shot_params must be an object")
         try:
             ShotParams(**shot_params)
@@ -359,9 +361,14 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """[lo, hi) trajectory ranges of the fixed block partition of n trajectories."""
-    return [(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
+def _block_size(dim: int) -> int:
+    return max(BLOCK_MIN, BLOCK_AREA // dim)
+
+
+def _blocks(n: int, dim: int) -> list[tuple[int, int]]:
+    """[lo, hi) trajectory ranges of the fixed block partition of n trajectories of dimension dim."""
+    size = _block_size(dim)
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 class _Context:
@@ -402,25 +409,29 @@ class _Context:
         group = self.groups[self.points[point_idx].plan.dt]
         return [(group[i // count], i % count) for i in range(lo, hi)]
 
+    def block(self, protocol: str, members: list[tuple[int, int]]) -> tuple:
+        """(protocol, state0, decomposition, plans, stream keys, noise) of one block of members."""
+        pid = PROTOCOL_IDS[protocol]
+        plans = [self.points[q].plan for q, _ in members]
+        keys = stream_keys(self.config.master_seed, [(pid, q, m) for q, m in members])
+        return protocol, self.state0, self.decomp, plans, keys, NoiseModel(self.config.noise_std)
+
     def run_block(self, protocol: str, members: list[tuple[int, int]]) -> list[TrajectoryRecord]:
         """The (point, trajectory) pairs of one dt group, ordered longest first, as one block."""
-        pid = PROTOCOL_IDS[protocol]
-        return run_block(
-            protocol, self.state0, self.decomp, [self.points[q].plan for q, _ in members],
-            stream_keys(self.config.master_seed, [(pid, q, m) for q, m in members]),
-            noise=NoiseModel(self.config.noise_std), exact_states=self.exact(members[0][0]),
-        )
+        *args, noise = self.block(protocol, members)
+        return run_block(*args, noise=noise, exact_states=self.exact(members[0][0]))
 
     def run_one(self, protocol: str, point_idx: int, m: int) -> TrajectoryRecord:
         """Trajectory m of one plan point on its own, as a one-trajectory block."""
         return self.run_block(protocol, [(point_idx, m)])[0]
 
 
+@functools.cache
 def _openblas_threads():
     """(set, get) thread-count functions of the loaded OpenBLAS, or None.
 
-    Found through this process's memory map, so it is None off Linux or
-    under another BLAS; numpy wheels carry a suffixed scipy-openblas build.
+    Found once per process (forked workers inherit it) through its memory map,
+    so None off Linux or under another BLAS; numpy wheels carry scipy-openblas.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -474,13 +485,13 @@ def _worker_init(ctx: _Context) -> None:
     _WORKER_CTX = ctx
 
 
-def _chunk_fidelities(ctx: _Context, protocol: str, point_idx: int, lo: int, hi: int) -> list:
+def _chunk_fidelities(ctx: _Context, protocol: str, point_idx: int, lo: int, hi: int) -> np.ndarray:
     """Final fidelities of trajectories lo..hi-1 of the dt group whose first point is point_idx."""
-    records = ctx.run_block(protocol, ctx.members(protocol, point_idx, lo, hi))
-    return [rec.final_fidelity for rec in records]
+    members = ctx.members(protocol, point_idx, lo, hi)
+    return _final_fidelities(*ctx.block(protocol, members), ctx.exact(members[0][0]))
 
 
-def _worker_chunk(protocol: str, point_idx: int, lo: int, hi: int) -> tuple[str, int, int, list]:
+def _worker_chunk(protocol: str, point_idx: int, lo: int, hi: int) -> tuple[str, int, int, np.ndarray]:
     assert _WORKER_CTX is not None
     return protocol, point_idx, lo, _chunk_fidelities(_WORKER_CTX, protocol, point_idx, lo, hi)
 
@@ -500,7 +511,7 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
         (protocol, first, lo, hi)
         for protocol in config.protocols
         for first in firsts
-        for lo, hi in _blocks(counts[protocol] * len(ctx.groups[ctx.points[first].plan.dt]))
+        for lo, hi in _blocks(counts[protocol] * len(ctx.groups[ctx.points[first].plan.dt]), ctx.state0.dim)
     ]
     fids = {(p, q): np.empty(counts[p]) for p in config.protocols for q in range(len(ctx.points))}
 
@@ -519,9 +530,7 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
                 ctx.exact(first)
             if "arc" in config.protocols and config.noise_std > 0:
                 _ziggurat()  # forked workers inherit the table
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=(ctx,)
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=(ctx,)) as pool:
                 futures = [pool.submit(_worker_chunk, *task) for task in tasks]
                 for fut in futures:
                     store(*fut.result())
@@ -569,21 +578,18 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
     if len(points) != 1:
         raise ConfigError("probability traces require a single plan point")
     ctx = _Context(config)
-    with _single_blas_thread():
-        records = [
-            rec
-            for lo, hi in _blocks(config.ptrace_trajectories)
-            for rec in ctx.run_block("arc", [(0, m) for m in range(lo, hi)])
+    with _single_blas_thread():  # run_block's loop, unscored: (indices, taus, probabilities) per block
+        blocks = [
+            _run_pure(*ctx.block("arc", [(0, m) for m in range(lo, hi)]), exact_states=None)[1:4]
+            for lo, hi in _blocks(config.ptrace_trajectories, ctx.state0.dim)
         ]
     n = points[0].plan.steps
     steps = np.arange(1, n + 1)
-    if len(records) == 1:
-        rec = records[0]
-        return PTraceTable(ctx.decomp.labels, steps, rec.probabilities, rec.indices, rec.taus, config)
-    probs = np.mean([rec.probabilities for rec in records], axis=0)
-    return PTraceTable(
-        ctx.decomp.labels, steps, probs, np.full(n, -1, dtype=int), np.full(n, np.nan), config
-    )
+    if config.ptrace_trajectories == 1:
+        ((indices, taus, probs),) = blocks
+        return PTraceTable(ctx.decomp.labels, steps, probs[:, 0], indices[:, 0], taus[:, 0], config)
+    probs = np.mean(np.concatenate([b[2].transpose(1, 0, 2) for b in blocks]), axis=0)
+    return PTraceTable(ctx.decomp.labels, steps, probs, np.full(n, -1, dtype=int), np.full(n, np.nan), config)
 
 
 def extrapolate_zero_dt(points: Sequence[tuple[float, float]]) -> float:

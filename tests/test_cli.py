@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcsim import cli, harness
+from arcsim import bounds, cli, harness
 from arcsim.bounds import BoundReport
 from arcsim.emit import SERIES_COLUMNS, emit_svg, ptrace_csv, result_json, series_csv
 from arcsim.harness import config_from_dict, run_ensemble, run_ptrace
@@ -239,7 +239,7 @@ class TestCliErrors:
                 trotter1=0.1, rc=1.0, arc=2.0, per_step={}, total_time=1.0, steps=plan.steps
             )
 
-        monkeypatch.setattr(cli, "bound_report", inverted)
+        monkeypatch.setattr(bounds, "bound_report", inverted)  # cli imports it when a command needs it
         assert cli.main(["bounds", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
 
     def test_bad_seed_flag_exits_2(self, tmp_path):
@@ -406,6 +406,23 @@ def test_noisy_run_never_imports_numpy_random(tmp_path):
         timeout=120,
     )
     assert proc.stdout.split() == ["0", "True", "False"], proc.stderr
+
+
+def test_run_and_ptrace_never_import_bounds(tmp_path):
+    """Only the commands that compute a bound, or read shot_params, load the bounds module."""
+    cfg = write_config(tmp_path, protocols=["arc"], trajectories=4, ptrace_trajectories=3)
+    src = Path(cli.__file__).resolve().parents[1]
+    for name in ("run", "ptrace"):
+        argv = [name, "--config", str(cfg), "--out", str(tmp_path / f"{name}.csv")]
+        code = f"import sys; from arcsim import cli; print(cli.main({argv!r}), 'arcsim.bounds' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"], (name, proc.stderr)
 
 
 def test_small_commands_never_import_the_pool(tmp_path):

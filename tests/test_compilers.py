@@ -880,7 +880,7 @@ class TestMixedStepBlocks:
     """A block of trajectories with one dt and different step counts, run longest first."""
 
     DT = 0.0625  # every n * DT / n below is DT again, bit for bit
-    STEPS = (20, 20, 17, 9, 8, 8, 3, 1)  # crosses DRAW_CHUNK boundaries and retires mid-chunk
+    STEPS = (20, 20, 17, 9, 8, 8, 3, 1)  # crosses draw-chunk boundaries and retires mid-chunk
 
     def plans(self):
         return [StepPlan(n * self.DT, n) for n in self.STEPS]
@@ -916,13 +916,31 @@ class TestMixedStepBlocks:
                             got.final_state.data, want.final_state.data, rtol=0, atol=1e-12
                         ), where
 
+    def test_final_only_mode_matches_records(self):
+        # the ensemble's mode keeps no history, and its scores have the records' bits
+        plans = self.plans()
+        for case, (label, psi, dec) in enumerate(block_cases()):
+            exact = run_exact(psi, dec.total_operator, plans[0])
+            for noise_std in (0.0, 0.2):
+                for pid, name in enumerate(PROTOCOL_NAMES):
+                    keys = np.array([trajectory_stream(6, case, pid, m).key for m in range(len(plans))])
+                    args = (name, psi, dec, plans, keys, NoiseModel(noise_std), exact)
+                    records = run_block(*args[:5], noise=args[5], exact_states=exact)
+                    got = compilers._final_fidelities(*args)
+                    want = np.array([rec.final_fidelity for rec in records])
+                    assert np.array_equal(got, want), (label, noise_std, name)
+                    if name != "exact":
+                        fids, indices, taus, probs, finals = compilers._run_pure(*args, history=False)
+                        assert fids.shape == (len(plans),) and finals is None
+                        assert indices is None and taus is None and probs is None
+
     def test_bytes_independent_of_draw_chunk(self, monkeypatch):
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)
         psi, plans = basis_state("011", st), self.plans()
         streams = [trajectory_stream(4, m) for m in range(len(plans))]
         runs = []
-        for chunk in (1, 3, compilers.DRAW_CHUNK, 64):
-            monkeypatch.setattr(compilers, "DRAW_CHUNK", chunk)
+        for pairs in (1, 24, compilers.NOISY_DRAW_PAIRS, 512):  # 1, 3, 96 and 64 steps at width 8
+            monkeypatch.setattr(compilers, "NOISY_DRAW_PAIRS", pairs)
             runs.append(run_block("arc", psi, dec, plans, streams, noise=NoiseModel(0.3)))
         for other in runs[1:]:
             for a, b in zip(runs[0], other):

@@ -2,7 +2,6 @@ import json
 import os
 import pickle
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -11,12 +10,12 @@ from arcsim.compilers import StepPlan, run_block
 from arcsim import harness, rng
 from arcsim.emit import ptrace_csv, series_csv
 from arcsim.harness import (
-    BLOCK_SIZE,
     ConfigError,
     DEFAULT_DT_LIST,
     DEFAULT_N_LIST,
     PROTOCOL_IDS,
     _Context,
+    _block_size,
     _openblas_threads,
     _single_blas_thread,
     config_from_dict,
@@ -29,6 +28,8 @@ from arcsim.harness import (
 from arcsim.hamiltonians import Decomposition
 from arcsim.linalg import HermitianOperator, fidelity, pure_state
 from arcsim.rng import trajectory_stream
+
+MFIM_BLOCK = _block_size(16)  # trajectories per block of the four-site MFIM
 
 
 def mfim_config(**overrides):
@@ -354,6 +355,17 @@ class TestWorkerCount:
                 assert fns[1]() == 1
         assert (fns[1]() if fns else None) == before
 
+    def test_openblas_lookup_runs_once(self, monkeypatch):
+        import ctypes
+
+        opened = []
+        cdll = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: opened.append(a) or cdll(*a, **k))
+        _openblas_threads.cache_clear()
+        first = _openblas_threads()
+        loads = len(opened)
+        assert _openblas_threads() is first and len(opened) == loads
+
     def test_rabi_bytes_independent_of_blas_threads(self, monkeypatch):
         # dim-100 products: threaded BLAS changes their last bits, so the
         # ensemble must not run on whatever thread count the caller left set
@@ -437,7 +449,7 @@ class TestWorkerCount:
         monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)  # pool even for small ensembles
         # more trajectories than one block, so the pool splits each plan point
         cases = [
-            ("mfim", {"n_list": [5, 10]}, {"noise_std": 0.2, "trajectories": BLOCK_SIZE + 6}),
+            ("mfim", {"n_list": [5, 10]}, {"noise_std": 0.2, "trajectories": MFIM_BLOCK + 6}),
             ("rabi", {"n_list": [10]}, {"noise_std": 0.0, "trajectories": 10}),
         ]
         for model, plan, extra in cases:
@@ -467,10 +479,10 @@ class TestWorkerCount:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         monkeypatch.setenv("ARC_SIM_THREADS", "3")
         cfg = mfim_config(
-            trajectories=BLOCK_SIZE + 6, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]}
+            trajectories=MFIM_BLOCK + 6, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]}
         )
-        # arc and rc, two blocks each: 4 tasks and 2 * 134 * 15 trajectory-steps at dim 16
-        estimate = 2 * (BLOCK_SIZE + 6) * 15 * (harness.STEP_S + harness.STEP_DIM2_S * 16**2)
+        # arc and rc, three blocks each: 6 tasks and 2 * 806 * 15 trajectory-steps at dim 16
+        estimate = 2 * (MFIM_BLOCK + 6) * 15 * (harness.STEP_S + harness.STEP_DIM2_S * 16**2)
         assert estimate < harness.POOL_MIN_S
         outputs = []
         for threshold, pools in (
@@ -483,7 +495,7 @@ class TestWorkerCount:
         assert outputs[0] == outputs[1] == outputs[2]
         # one task cannot be shared, and never more workers than tasks
         monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)
-        for trajectories, pools in ((BLOCK_SIZE, []), (BLOCK_SIZE + 1, [2])):
+        for trajectories, pools in ((MFIM_BLOCK, []), (MFIM_BLOCK + 1, [2])):
             built.clear()
             run_ensemble(mfim_config(protocols=["rc"], trajectories=trajectories))
             assert built == pools, trajectories
@@ -506,7 +518,7 @@ class TestWorkerCount:
         for protocols, noise_std, want in ((["arc"], 0.1, 1), (["rc"], 0.1, 0), (["arc"], 0.0, 0)):
             rng._ziggurat.cache_clear()
             filled.clear()
-            cfg = mfim_config(protocols=protocols, noise_std=noise_std, trajectories=BLOCK_SIZE + 1)
+            cfg = mfim_config(protocols=protocols, noise_std=noise_std, trajectories=MFIM_BLOCK + 1)
             run_ensemble(cfg)
             assert filled == [want], (protocols, noise_std)
 
@@ -598,12 +610,16 @@ class TestDtGroups:
         assert _Context(cfg).members("arc", 0, 0, 6) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
         assert _Context(cfg).members("arc", 0, 3, 5) == [(2, 1), (0, 0)]
 
+    def test_block_width_follows_dimension(self):
+        # wide blocks of small states, 128 from dim 100 up; the worker count plays no part
+        assert [_block_size(dim) for dim in (2, 16, 50, 99, 100, 200, 1024)] == [6400, 800, 256, 129, 128, 128, 128]
+        assert harness._blocks(1700, 16) == [(0, 800), (800, 1600), (1600, 1700)]
+
     def test_bookkeeping_is_one_float_per_trajectory(self, monkeypatch):
         # 20,000 trajectories at 10 plan points of one dt: the fidelity arrays take 1.6 MB, and a
         # list of the group's 200,000 (point, trajectory) pairs would add about 20 MB
         monkeypatch.setenv("ARC_SIM_THREADS", "1")
-        record = types.SimpleNamespace(final_fidelity=0.5)
-        monkeypatch.setattr(_Context, "run_block", lambda self, protocol, members: [record] * len(members))
+        monkeypatch.setattr(harness, "_chunk_fidelities", lambda ctx, protocol, q, lo, hi: np.full(hi - lo, 0.5))
         cfg = mfim_config(
             protocols=["rc"], trajectories=20_000, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": DEFAULT_N_LIST}
         )
@@ -617,9 +633,25 @@ class TestDtGroups:
         assert len(fids) == 10 and all(np.all(values == 0.5) for values in fids.values())
         assert peak < 10_000_000
 
+    def test_noisy_sweep_memory(self, monkeypatch):
+        # the mfim-noisy-sweep benchmark config: one 400-wide block per protocol, which keeps
+        # no per-step history and draws a bounded number of pairs at a time
+        monkeypatch.setenv("ARC_SIM_THREADS", "1")
+        cfg = mfim_config(
+            master_seed=11, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": DEFAULT_N_LIST}
+        )
+        ctx = _Context(cfg)
+        tracemalloc.start()
+        try:
+            harness._ensemble_fidelities(ctx, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_320_000
+
     def test_ensemble_matches_single_trajectories(self, monkeypatch):
         monkeypatch.setenv("ARC_SIM_THREADS", "1")
-        monkeypatch.setattr(harness, "BLOCK_SIZE", 7)  # blocks that mix plan points
+        monkeypatch.setattr(harness, "_block_size", lambda dim: 7)  # blocks that mix plan points
         cfg = mfim_config(
             protocols=["arc", "rc", "trotter1", "exact"], trajectories=5, noise_std=0.2,
             plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 20, 10]},

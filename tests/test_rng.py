@@ -165,6 +165,25 @@ class TestArrayDraws:
             for s in range(stops[m] - 4):
                 assert plain[m, s] == TrajectoryStream(key).step(4 + s).random()
 
+    def test_stream_draws_independent_of_chunking(self):
+        # draws are pure functions of (key, step): one call, or chunks of 1, 3 or 8 steps
+        rng = np.random.default_rng(45)
+        keys = random_keys(rng, 20)
+        stops = np.sort(rng.integers(3, 20, size=20))[::-1]
+        for shape, std in ((None, 0.0), ((3, 4), 0.1)):
+            whole = stream_draws(keys, 2, stops, shape, std)
+            for span in (1, 3, 8):
+                parts = [
+                    stream_draws(keys, k, np.minimum(stops, k + span), shape, std)
+                    for k in range(2, int(stops.max()), span)
+                ]
+                for i, want in enumerate(whole):
+                    if want is None:
+                        assert all(part[i] is None for part in parts)
+                        continue
+                    got = np.concatenate([part[i] for part in parts], axis=1)
+                    assert np.array_equal(got, want, equal_nan=True), (shape, span)
+
 
 def crafted(words):
     """A generator whose next raw words are `words` (at most four)."""
