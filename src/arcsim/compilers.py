@@ -111,12 +111,22 @@ class TrajectoryRecord:
     """
 
     def __init__(
-        self, protocol: str, plan: StepPlan, fidelities: np.ndarray, final_state: QuantumState,
-        indices: np.ndarray | None = None, taus: np.ndarray | None = None,
+        self,
+        protocol: str,
+        plan: StepPlan,
+        fidelities: np.ndarray,
+        final_state: QuantumState,
+        indices: np.ndarray | None = None,
+        taus: np.ndarray | None = None,
         probabilities: np.ndarray | None = None,
     ):
-        self.protocol, self.plan, self.fidelities, self.final_state = protocol, plan, fidelities, final_state
-        self.indices, self.taus, self.probabilities = indices, taus, probabilities
+        self.protocol = protocol
+        self.plan = plan
+        self.fidelities = fidelities
+        self.final_state = final_state
+        self.indices = indices
+        self.taus = taus
+        self.probabilities = probabilities
 
     @property
     def final_fidelity(self) -> float:
@@ -312,7 +322,8 @@ def _run_mixed(
 
 def run_block(
     name: str, state0: QuantumState, decomposition: Decomposition, plan, streams, *,
-    noise: NoiseModel = EXACT, exact_states: list[QuantumState] | None = None,
+    noise: NoiseModel = EXACT,
+    exact_states: list[QuantumState] | None = None,
 ) -> list[TrajectoryRecord]:
     """The stepping loop of every protocol: one trajectory per stream, stepped as one block.
 
@@ -376,17 +387,24 @@ def _final_fidelities(name, state0, decomposition, plans, keys, noise, exact_sta
     """Each record's final_fidelity of run_block on a pure block, bit for bit, keeping no history."""
     if name == "exact":
         return np.array([_step_fidelity(s, s) for s in (exact_states[q.steps - 1] for q in plans)])
-    return _run_pure(name, state0, decomposition, plans, keys, noise, exact_states, history=False)[0]
+    return _run_pure(name, state0, decomposition, plans, keys, noise, exact_states, mode="final")[0]
 
 
-def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, history=True) -> tuple:
+def _trace_history(name, state0, decomposition, plans, keys, noise) -> tuple:
+    """(indices, taus, probabilities) of run_block's records on a pure block, scoring nothing."""
+    return _run_pure(name, state0, decomposition, plans, keys, noise, None, mode="trace")[1:4]
+
+
+def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, mode="records") -> tuple:
     """run_block's loop on a pure state0 and valid plans: (fids, indices, taus, probs, finals).
 
-    With history: (N, M) scores, indices and taus, (N, M, L) probabilities
-    (None for "trotter1") and (dim, M) final columns. Without: (M,) final
-    scores, each taken over the whole active block as with history, so the
-    bits agree, and nothing else. No exact_states: no scores, fids None.
+    "records": (N, M) scores, indices and taus, (N, M, L) probabilities
+    (None for "trotter1") and (dim, M) final columns. "final": (M,) final
+    scores, each taken over the whole active block as in "records", so the
+    bits agree, and nothing else. "trace": indices, taus and probabilities
+    alone; exact_states is not read.
     """
+    history = mode != "final"
     fixed = _fixed_distribution(name, decomposition)
     terms, size = decomposition.terms, len(plans)
     n, dt = plans[0].steps, plans[0].dt
@@ -398,8 +416,8 @@ def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, 
     indices = taus = probs = None  # the per-step history
     if history and name != "trotter1":
         indices, taus, probs = np.empty((n, size), int), np.empty((n, size)), np.empty((n, size, len(terms)))
-    fids = None if exact_states is None else np.full((n, size) if history else size, math.nan)
-    finals = np.empty((state0.dim, size), complex) if history else None
+    fids = None if mode == "trace" else np.full((n, size) if history else size, math.nan)
+    finals = np.empty((state0.dim, size), complex) if mode == "records" else None
     if name != "trotter1":
         keys = _keys_of(streams)
         ends = np.array([q.steps for q in plans])
@@ -446,7 +464,7 @@ def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, 
             (fids[k] if history else fids)[:width] = fidelities(exact_states[k].data, state)
         while width and plans[width - 1].steps == k + 1:
             width -= 1
-            if history:
+            if finals is not None:
                 finals[:, width] = out[:, width]
         state = state[:, :width]
     return fids, indices, taus, probs, finals

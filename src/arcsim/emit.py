@@ -144,13 +144,17 @@ def emit_svg(result: EnsembleResult, path) -> None:
     left, right, top, bottom = 64, 16, 24, 48
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    protocols = list(dict.fromkeys(sp.protocol for sp in result.series))
+    protocols = []
+    for sp in result.series:
+        if sp.protocol not in protocols:
+            protocols.append(sp.protocol)
     xs = sorted({sp.x_value for sp in result.series})
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     ys = [sp.mean_fidelity for sp in result.series]
-    y_lo = 0.0 if min(ys) < 0.5 else min(ys) - 0.05
+    y_lo = min(0.0 if min(ys) < 0.5 else min(ys) - 0.05, min(ys))
+    y_lo = max(0.0, y_lo)
     y_hi = 1.0
 
     def sx(x: float) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .compilers import (
-    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, _final_fidelities, _run_pure,
+    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, _final_fidelities, _trace_history,
     run_block, run_exact,
 )
 from .hamiltonians import (
@@ -62,9 +62,10 @@ MAX_STEPS = 10_000
 MAX_NOISE_STD = 1e100
 # The trajectories of all plan points with bit-equal dt are ordered longest first, as
 # (N descending, point, m), and stepped in blocks of _block_size(dim) along that order:
-# 800 at dim 16 and 256 at 50, wide enough to spread each step's per-call cost, and 128
-# from dim 100 up, where 256 measured slower. The last bits of a trajectory depend on
-# its block, so the partition follows the dimension alone, never the worker count.
+# 6,400 at dim 2, 800 at 16 and 256 at 50, wide enough to spread each step's per-call cost
+# (no slower than 512 at dims 2 to 16), and 128 from dim 100 up, where 256 measured no
+# faster and 512 slower. The last bits of a trajectory depend on its block, so the
+# partition follows the dimension alone, never the worker count.
 BLOCK_MIN, BLOCK_AREA = 128, 12_800
 # Estimated serial cost of one trajectory-step, STEP_S + STEP_DIM2_S * dim**2
 # seconds, fitted to one-worker arc timings (512 trajectories, N = 50, 2-core
@@ -530,7 +531,9 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
                 ctx.exact(first)
             if "arc" in config.protocols and config.noise_std > 0:
                 _ziggurat()  # forked workers inherit the table
-            with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=(ctx,)) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init, initargs=(ctx,)
+            ) as pool:
                 futures = [pool.submit(_worker_chunk, *task) for task in tasks]
                 for fut in futures:
                     store(*fut.result())
@@ -578,9 +581,9 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
     if len(points) != 1:
         raise ConfigError("probability traces require a single plan point")
     ctx = _Context(config)
-    with _single_blas_thread():  # run_block's loop, unscored: (indices, taus, probabilities) per block
+    with _single_blas_thread():
         blocks = [
-            _run_pure(*ctx.block("arc", [(0, m) for m in range(lo, hi)]), exact_states=None)[1:4]
+            _trace_history(*ctx.block("arc", [(0, m) for m in range(lo, hi)]))
             for lo, hi in _blocks(config.ptrace_trajectories, ctx.state0.dim)
         ]
     n = points[0].plan.steps
@@ -589,7 +592,9 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
         ((indices, taus, probs),) = blocks
         return PTraceTable(ctx.decomp.labels, steps, probs[:, 0], indices[:, 0], taus[:, 0], config)
     probs = np.mean(np.concatenate([b[2].transpose(1, 0, 2) for b in blocks]), axis=0)
-    return PTraceTable(ctx.decomp.labels, steps, probs, np.full(n, -1, dtype=int), np.full(n, np.nan), config)
+    return PTraceTable(
+        ctx.decomp.labels, steps, probs, np.full(n, -1, dtype=int), np.full(n, np.nan), config
+    )
 
 
 def extrapolate_zero_dt(points: Sequence[tuple[float, float]]) -> float:

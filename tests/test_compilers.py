@@ -5,6 +5,7 @@ import pytest
 
 from arcsim import compilers
 from arcsim.compilers import (
+    DETERMINISTIC_PROTOCOLS,
     PROTOCOL_NAMES,
     ProbabilityDistribution,
     StepPlan,
@@ -930,9 +931,14 @@ class TestMixedStepBlocks:
                     want = np.array([rec.final_fidelity for rec in records])
                     assert np.array_equal(got, want), (label, noise_std, name)
                     if name != "exact":
-                        fids, indices, taus, probs, finals = compilers._run_pure(*args, history=False)
+                        fids, indices, taus, probs, finals = compilers._run_pure(*args, mode="final")
                         assert fids.shape == (len(plans),) and finals is None
                         assert indices is None and taus is None and probs is None
+                    if name not in DETERMINISTIC_PROTOCOLS:  # ptrace's unscored history
+                        trace = compilers._trace_history(*args[:6])
+                        for m, rec in enumerate(records):
+                            for got_a, want_a in zip(trace, (rec.indices, rec.taus, rec.probabilities)):
+                                assert np.array_equal(got_a[: rec.plan.steps, m], want_a), (label, name)
 
     def test_bytes_independent_of_draw_chunk(self, monkeypatch):
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)
