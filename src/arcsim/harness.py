@@ -63,9 +63,9 @@ MAX_NOISE_STD = 1e100
 # The trajectories of all plan points with bit-equal dt are ordered longest first, as
 # (N descending, point, m), and stepped in blocks of _block_size(dim) along that order:
 # 6,400 at dim 2, 800 at 16 and 256 at 50, wide enough to spread each step's per-call cost
-# (no slower than 512 at dims 2 to 16), and 128 from dim 100 up, where 256 measured no
-# faster and 512 slower. The last bits of a trajectory depend on its block, so the
-# partition follows the dimension alone, never the worker count.
+# (within 3% of 512 or faster at dims 2 to 16), and 128 from dim 100 up, where 256
+# measured no faster and 512 slower. The last bits of a trajectory depend on its
+# block, so the partition follows the dimension alone, never the worker count.
 BLOCK_MIN, BLOCK_AREA = 128, 12_800
 # Estimated serial cost of one trajectory-step, STEP_S + STEP_DIM2_S * dim**2
 # seconds, fitted to one-worker arc timings (512 trajectories, N = 50, 2-core
