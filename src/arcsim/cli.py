@@ -76,7 +76,8 @@ def _load(args) -> ExperimentConfig:
         config.master_seed = args.seed
     if args.trajectories is not None:
         check_trajectories(args.trajectories, "--trajectories")
-        config.trajectories = args.trajectories
+        key = "ptrace_trajectories" if args.command == "ptrace" else "trajectories"
+        setattr(config, key, args.trajectories)
     if args.noise_std is not None:
         config.noise_std = check_noise_std(args.noise_std, "--noise-std")
     if args.out is not None:

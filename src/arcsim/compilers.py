@@ -325,7 +325,7 @@ def run_block(
     noise: NoiseModel = EXACT,
     exact_states: list[QuantumState] | None = None,
 ) -> list[TrajectoryRecord]:
-    """The stepping loop of every protocol: one trajectory per stream, stepped as one block.
+    """Every protocol's run: one trajectory per stream, stepped as one block by _pure_steps.
 
     Streams are TrajectoryStreams, int seeds of trajectory_stream(seed), or
     an (M, 2) array of their keys. `plan` is one StepPlan for every stream,
@@ -373,38 +373,53 @@ def run_block(
         return [TrajectoryRecord(name, q, fids[: q.steps], exact_states[q.steps - 1]) for q in plans]
     if not state0.is_pure:
         return [_run_mixed(name, state0, decomposition, longest, streams, noise, exact_states, fixed)]
-    fids, *history, finals = _run_pure(name, state0, decomposition, plans, streams, noise, exact_states)
+    n = longest.steps
+    fids = np.full((n, size), math.nan)
+    finals = np.empty((state0.dim, size), complex)
+    history = [] if name == "trotter1" else [  # indices, taus and probabilities
+        np.empty((n, size), int), np.empty((n, size)), np.empty((n, size, len(decomposition)))
+    ]
+    for k, state, out, *step in _pure_steps(name, state0, decomposition, plans, streams, noise):
+        width = state.shape[1]
+        if exact_states[k].is_pure:
+            fids[k, :width] = fidelities(exact_states[k].data, state)
+        finals[:, :width] = out  # a trajectory's last write is its final state
+        for a, v in zip(history, step):
+            a[k, :width] = v
     return [
         TrajectoryRecord(
             name, q, fids[: q.steps, m], QuantumState(finals[:, m], state0.structure),
-            *(None if a is None else a[: q.steps, m] for a in history),
+            *(a[: q.steps, m] for a in history),
         )
         for m, q in enumerate(plans)
     ]
 
 
 def _final_fidelities(name, state0, decomposition, plans, keys, noise, exact_states) -> np.ndarray:
-    """Each record's final_fidelity of run_block on a pure block, bit for bit, keeping no history."""
+    """Each record's final_fidelity of run_block on a pure block, bit for bit, keeping no history.
+
+    The whole running block is scored as run_block scores it, but only after
+    steps where a trajectory ends, so the bits agree.
+    """
     if name == "exact":
         return np.array([_step_fidelity(s, s) for s in (exact_states[q.steps - 1] for q in plans)])
-    return _run_pure(name, state0, decomposition, plans, keys, noise, exact_states, mode="final")[0]
+    fids = np.full(len(plans), math.nan)
+    ends = {q.steps for q in plans}
+    for k, state, *_ in _pure_steps(name, state0, decomposition, plans, keys, noise):
+        if k + 1 in ends and exact_states[k].is_pure:
+            fids[: state.shape[1]] = fidelities(exact_states[k].data, state)
+    return fids
 
 
-def _trace_history(name, state0, decomposition, plans, keys, noise) -> tuple:
-    """(indices, taus, probabilities) of run_block's records on a pure block, scoring nothing."""
-    return _run_pure(name, state0, decomposition, plans, keys, noise, None, mode="trace")[1:4]
+def _pure_steps(name, state0, decomposition, plans, streams, noise):
+    """The stepping loop on a pure state0 and plans run_block accepts: (k, state, out, j, tau, p) per step.
 
-
-def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, mode="records") -> tuple:
-    """run_block's loop on a pure state0 and valid plans: (fids, indices, taus, probs, finals).
-
-    "records": (N, M) scores, indices and taus, (N, M, L) probabilities
-    (None for "trotter1") and (dim, M) final columns. "final": (M,) final
-    scores, each taken over the whole active block as in "records", so the
-    bits agree, and nothing else. "trace": indices, taus and probabilities
-    alone; exact_states is not read.
+    After step k, `state` is the normalized (dim, w) block of the w
+    trajectories still running, `out` its columns before normalization, and
+    j, tau and p each column's term, time slice and (w, L) weights (None
+    for "trotter1"). The trajectories that end at step k leave the block
+    after the yield.
     """
-    history = mode != "final"
     fixed = _fixed_distribution(name, decomposition)
     terms, size = decomposition.terms, len(plans)
     n, dt = plans[0].steps, plans[0].dt
@@ -413,11 +428,6 @@ def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, 
     else:  # every term's time slice is fixed for the run: dt / p_j, or dt for trotter1
         slices = [dt] * len(terms) if fixed is None else [dt / pj if pj > 0 else None for pj in fixed.p]
         steps = [None if tau is None else _fixed_step(h, tau) for h, tau in zip(terms, slices)]
-    indices = taus = probs = None  # the per-step history
-    if history and name != "trotter1":
-        indices, taus, probs = np.empty((n, size), int), np.empty((n, size)), np.empty((n, size, len(terms)))
-    fids = None if mode == "trace" else np.full((n, size) if history else size, math.nan)
-    finals = np.empty((state0.dim, size), complex) if mode == "records" else None
     if name != "trotter1":
         keys = _keys_of(streams)
         ends = np.array([q.steps for q in plans])
@@ -431,6 +441,7 @@ def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, 
             for step in steps:
                 out = _apply_step(step, state)
                 state = _normalized(out)
+            j = tau = p = None
         else:
             if k == drawn:
                 first, drawn = k, k + max(1, budget // width)
@@ -447,8 +458,6 @@ def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, 
             else:
                 p, j = np.broadcast_to(fixed.p, (width, len(terms))), chunk_j[:width, c]
             tau = dt / p[np.arange(width), j]
-            if indices is not None:
-                indices[k, :width], taus[k, :width], probs[k, :width] = j, tau, p
             out = np.empty_like(state)
             for term in range(len(terms)):
                 cols = np.flatnonzero(j == term)
@@ -459,12 +468,7 @@ def _run_pure(name, state0, decomposition, plans, streams, noise, exact_states, 
                 else:
                     out[:, cols] = _apply_step(steps[term], state[:, cols])
             state = _normalized(out)
-        scored = history or plans[width - 1].steps == k + 1  # else no trajectory ends here
-        if fids is not None and scored and exact_states[k].is_pure:
-            (fids[k] if history else fids)[:width] = fidelities(exact_states[k].data, state)
+        yield k, state, out, j, tau, p
         while width and plans[width - 1].steps == k + 1:
             width -= 1
-            if finals is not None:
-                finals[:, width] = out[:, width]
         state = state[:, :width]
-    return fids, indices, taus, probs, finals

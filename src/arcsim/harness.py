@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .compilers import (
-    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, _final_fidelities, _trace_history,
+    DETERMINISTIC_PROTOCOLS, PROTOCOL_NAMES, StepPlan, TrajectoryRecord, _final_fidelities, _pure_steps,
     run_block, run_exact,
 )
 from .hamiltonians import (
@@ -417,14 +417,10 @@ class _Context:
         keys = stream_keys(self.config.master_seed, [(pid, q, m) for q, m in members])
         return protocol, self.state0, self.decomp, plans, keys, NoiseModel(self.config.noise_std)
 
-    def run_block(self, protocol: str, members: list[tuple[int, int]]) -> list[TrajectoryRecord]:
-        """The (point, trajectory) pairs of one dt group, ordered longest first, as one block."""
-        *args, noise = self.block(protocol, members)
-        return run_block(*args, noise=noise, exact_states=self.exact(members[0][0]))
-
     def run_one(self, protocol: str, point_idx: int, m: int) -> TrajectoryRecord:
         """Trajectory m of one plan point on its own, as a one-trajectory block."""
-        return self.run_block(protocol, [(point_idx, m)])[0]
+        *args, noise = self.block(protocol, [(point_idx, m)])
+        return run_block(*args, noise=noise, exact_states=self.exact(point_idx))[0]
 
 
 @functools.cache
@@ -580,21 +576,16 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
     points = config.plan.points()
     if len(points) != 1:
         raise ConfigError("probability traces require a single plan point")
-    ctx = _Context(config)
-    with _single_blas_thread():
-        blocks = [
-            _trace_history(*ctx.block("arc", [(0, m) for m in range(lo, hi)]))
-            for lo, hi in _blocks(config.ptrace_trajectories, ctx.state0.dim)
-        ]
+    ctx, count = _Context(config), config.ptrace_trajectories
     n = points[0].plan.steps
-    steps = np.arange(1, n + 1)
-    if config.ptrace_trajectories == 1:
-        ((indices, taus, probs),) = blocks
-        return PTraceTable(ctx.decomp.labels, steps, probs[:, 0], indices[:, 0], taus[:, 0], config)
-    probs = np.mean(np.concatenate([b[2].transpose(1, 0, 2) for b in blocks]), axis=0)
-    return PTraceTable(
-        ctx.decomp.labels, steps, probs, np.full(n, -1, dtype=int), np.full(n, np.nan), config
-    )
+    sums, indices, taus = np.zeros((n, len(ctx.decomp))), np.full(n, -1), np.full(n, np.nan)
+    with _single_blas_thread():
+        for lo, hi in _blocks(count, ctx.state0.dim):
+            for k, _, _, j, tau, p in _pure_steps(*ctx.block("arc", [(0, m) for m in range(lo, hi)])):
+                sums[k] = np.concatenate([sums[k, None], p]).sum(axis=0)  # trajectory order: np.mean's bits
+                if count == 1:
+                    indices[k], taus[k] = j[0], tau[0]
+    return PTraceTable(ctx.decomp.labels, np.arange(1, n + 1), sums / count, indices, taus, config)
 
 
 def extrapolate_zero_dt(points: Sequence[tuple[float, float]]) -> float:

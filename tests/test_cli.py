@@ -178,6 +178,20 @@ class TestCliPtraceBounds:
         column = "".join(row.split(",")[-2] for row in rows[1:])
         assert column == "02222222020210002002022222122022221002200020220022"
 
+    def test_ptrace_trajectories_flag_sets_the_trace_count(self, tmp_path):
+        # --trajectories on ptrace averages that many trajectories, as ptrace_trajectories does
+        runs = (
+            (write_config(tmp_path, "flag.json", protocols=["arc"]), ["--trajectories", "5"]),
+            (write_config(tmp_path, "key.json", protocols=["arc"], ptrace_trajectories=5), []),
+        )
+        outs = []
+        for cfg, flag in runs:
+            out = cfg.with_suffix(".csv")
+            assert cli.main(["ptrace", "--config", str(cfg), "--out", str(out), *flag]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b",-1," in outs[0]  # averaged: no sampled index
+
     def test_ptrace_wrong_protocol_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, protocols=["rc"])
         assert cli.main(["ptrace", "--config", str(cfg)]) == cli.EXIT_CONFIG

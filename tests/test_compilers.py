@@ -918,7 +918,7 @@ class TestMixedStepBlocks:
                         ), where
 
     def test_final_only_mode_matches_records(self):
-        # the ensemble's mode keeps no history, and its scores have the records' bits
+        # the ensemble's final-only scores and every step the loop yields have the records' bits
         plans = self.plans()
         for case, (label, psi, dec) in enumerate(block_cases()):
             exact = run_exact(psi, dec.total_operator, plans[0])
@@ -930,15 +930,17 @@ class TestMixedStepBlocks:
                     got = compilers._final_fidelities(*args)
                     want = np.array([rec.final_fidelity for rec in records])
                     assert np.array_equal(got, want), (label, noise_std, name)
-                    if name != "exact":
-                        fids, indices, taus, probs, finals = compilers._run_pure(*args, mode="final")
-                        assert fids.shape == (len(plans),) and finals is None
-                        assert indices is None and taus is None and probs is None
-                    if name not in DETERMINISTIC_PROTOCOLS:  # ptrace's unscored history
-                        trace = compilers._trace_history(*args[:6])
-                        for m, rec in enumerate(records):
-                            for got_a, want_a in zip(trace, (rec.indices, rec.taus, rec.probabilities)):
-                                assert np.array_equal(got_a[: rec.plan.steps, m], want_a), (label, name)
+                    if name == "exact":
+                        continue
+                    for k, state, out, *step in compilers._pure_steps(*args[:6]):
+                        width = sum(q.steps > k for q in plans)  # the still-running prefix
+                        assert state.shape == out.shape == (psi.dim, width), (label, name, k)
+                        if name in DETERMINISTIC_PROTOCOLS:
+                            assert step == [None, None, None], (label, name, k)
+                            continue
+                        for m, rec in enumerate(records[:width]):  # ptrace's j, tau and p
+                            for got_a, want_a in zip(step, (rec.indices, rec.taus, rec.probabilities)):
+                                assert np.array_equal(got_a[m], want_a[k]), (label, name, k, m)
 
     def test_bytes_independent_of_draw_chunk(self, monkeypatch):
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)

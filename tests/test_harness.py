@@ -312,6 +312,35 @@ class TestPtrace:
         assert np.all(np.isnan(table.taus))
         assert np.allclose(table.probabilities.sum(axis=1), 1.0)
 
+    def test_averaged_trace_equals_mean_of_block_records(self, monkeypatch):
+        # blocks of 3, 3 and 1: the running per-step sums keep np.mean's bits over all records
+        monkeypatch.setattr(harness, "_block_size", lambda dim: 3)
+        cfg = mfim_config(protocols=["arc"], ptrace_trajectories=7)
+        table = run_ptrace(cfg)
+        ctx = _Context(cfg)
+        records = []
+        for lo, hi in harness._blocks(7, ctx.state0.dim):
+            *args, noise = ctx.block("arc", [(0, m) for m in range(lo, hi)])
+            records += run_block(*args, noise=noise, exact_states=ctx.exact(0))
+        assert len(records) == 7
+        want = np.mean(np.stack([rec.probabilities for rec in records]), axis=0)
+        assert np.array_equal(table.probabilities, want)
+        assert np.all(table.sampled_indices == -1)
+        assert np.all(np.isnan(table.taus))
+
+    def test_averaged_trace_memory(self):
+        # one running (N, L) sum, not every trajectory's per-step history (7.7 MB here)
+        cfg = mfim_config(
+            protocols=["arc"], plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [300]}, ptrace_trajectories=400
+        )
+        tracemalloc.start()
+        try:
+            run_ptrace(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_rabi_trace_seeded_regression(self):
         # frozen replay: weak-coupling trace under the pinned seed
         cfg = config_from_dict(
@@ -691,7 +720,7 @@ class TestDtGroups:
         ctx = _Context(cfg)
         ctx.exact(0)
         clone = pickle.loads(pickle.dumps(ctx))
-        runs = [c.run_block("arc", c.members("arc", 0, 0, 3)) for c in (ctx, clone)]
+        runs = [[c.run_one("arc", q, m) for q, m in c.members("arc", 0, 0, 3)] for c in (ctx, clone)]
         for a, b in zip(*runs):
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.final_state.data, b.final_state.data)
