@@ -8,11 +8,16 @@ OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS, it starts
 OpenBLAS on one thread. Its products are at most dim 1024 and mostly dim
 <= 100, where a second BLAS thread is slower, and an idle one still spins
 (about a third of a `ptrace` or `bounds` command's CPU on 2 cores).
+
+`python -m arcsim.cli` and the `arcsim` script exit through `console_main`,
+which freezes the heap after `main` returns, so the interpreter's final
+collection skips numpy's and arcsim's module cycles and the OS reclaims them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -128,6 +133,8 @@ def cmd_ptrace(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.format == "csv":
+        raise ConfigError("bounds writes JSON only; drop --format csv")
     config = _load(args)
     ctx = _Context(config)
     decomp, reports = _compute_bounds(ctx)
@@ -179,5 +186,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def console_main() -> None:
+    """Exit with main()'s code after freezing the heap; main() leaves in-process callers' heap alone."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

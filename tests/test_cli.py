@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -216,6 +217,21 @@ class TestCliPtraceBounds:
         assert cli.main(["bounds", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert "out" not in json.loads(out1.read_text())["config"]
+
+    def test_bounds_rejects_format_csv_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "bounds writes JSON only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounds_ignores_config_format_field(self, tmp_path):
+        csv_cfg, plain_cfg = write_config(tmp_path, format="csv"), write_config(tmp_path, "plain.json")
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for cfg, out in zip((csv_cfg, plain_cfg), outs):
+            assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(outs[0].read_text())["bounds"]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestCliErrors:
@@ -508,3 +524,46 @@ class TestBlasThreadPin:
             outputs = [run_without_thread_vars(argv, **extra).stdout
                        for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
             assert outputs[0] == outputs[1], command
+
+
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "arcsim.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120, **kwargs)
+
+
+class TestExitPath:
+    """`python -m arcsim.cli` and the `arcsim` script exit through console_main."""
+
+    def test_console_main_exits_with_mains_code_and_freezes(self, tmp_path, monkeypatch):
+        good, bad = write_config(tmp_path), write_config(tmp_path, "bad.json", model="heisenberg")
+        for cfg, expected in ((good, cli.EXIT_OK), (bad, cli.EXIT_CONFIG)):
+            argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]
+            assert cli.main(argv) == expected
+            monkeypatch.setattr(sys, "argv", ["arcsim", *argv])
+            try:
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.console_main()
+                assert exit_info.value.code == expected
+                assert gc.get_freeze_count() > 0
+            finally:
+                gc.unfreeze()
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        cfg = write_config(tmp_path)
+        before = gc.get_freeze_count()
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_writes_the_in_process_bytes(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "b.json"
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        proc = run_module("bounds", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+
+    def test_module_run_bad_config_exits_2_with_its_line(self, tmp_path):
+        proc = run_module("bounds", "--config", str(write_config(tmp_path, model="heisenberg")), text=True)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
