@@ -7,14 +7,12 @@ over the supplied exact-trajectory states of a per-step bracket:
     rc:       || L^2(rho_i) || + lambda * sum_j || L_j^2(rho_i) || / ||H_j||_inf
     arc:      || L^2(rho_i) || + ( sum_j sqrt(|| L_j^2(rho_i) ||) )^2
 
-with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized. A pure
+with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized. The pure
 trajectory is one (dim, n) block of states psi_i, and two identities give every
 bracket from GEMMs on it, O(dim^2) per state and operator:
     Jacobi:  sum_{j<k} [L_j, L_k](rho) = -[C, rho] with C = sum_{j<k} [H_j, H_k]
              formed once, so the trotter1 bracket is sqrt(2) ||(A - <A>) psi||, A = iC;
     moments: ||L_H^2(rho)|| = sqrt(6 <H'^2>^2 + 2 <H'^4>) with H' = H - <H>.
-A state list holding a mixed state takes the dense path, nested commutators on
-rho at O(dim^3) per state; the block path is tested against it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ import numpy as np
 
 from .compilers import StepPlan
 from .hamiltonians import Decomposition
-from .linalg import QuantumState, commutator, hs_norm
+from .linalg import QuantumState
+from .moments import double_commutator_norm
 
 
 @dataclass(eq=False)
@@ -105,23 +104,18 @@ def _l2_norms_pure(hmat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.sqrt(6.0 * _column_dots(dev, dev) ** 2 + 2.0 * _column_dots(dev2, dev2))
 
 
-def _brackets(decomposition: Decomposition, exact_states: list[QuantumState]):
-    """Per-state trotter1 bracket, ||L^2(rho_i)||, and ||L_j^2(rho_i)|| in row j."""
-    if not exact_states:
+def _brackets(decomposition: Decomposition, exact_states: np.ndarray):
+    """Per-state trotter1 bracket, ||L^2(rho_i)||, and ||L_j^2(rho_i)|| in row j, of pure (n, dim) rows."""
+    if not len(exact_states):
         raise ValueError("empty exact-state list")
     mats = [t.matrix for t in decomposition.terms]
     ops = [decomposition.total_operator.matrix, *mats]
     c = _pair_commutator_sum(mats)
-    if all(s.is_pure for s in exact_states):
-        psi = np.stack([s.data for s in exact_states], axis=1)
-        l2 = np.array([_l2_norms_pure(m, psi) for m in ops])
-        dev = 1j * (c @ psi)
-        dev -= _column_dots(psi, dev) * psi
-        trotter = np.sqrt(2.0 * _column_dots(dev, dev))
-    else:
-        rhos = [s.density() for s in exact_states]
-        l2 = np.array([[hs_norm(commutator(m, commutator(m, r))) for r in rhos] for m in ops])
-        trotter = np.array([hs_norm(commutator(c, r)) for r in rhos])
+    psi = exact_states.T.copy()  # a C-contiguous (dim, n) operand for the GEMMs
+    l2 = np.array([_l2_norms_pure(m, psi) for m in ops])
+    dev = 1j * (c @ psi)
+    dev -= _column_dots(psi, dev) * psi
+    trotter = np.sqrt(2.0 * _column_dots(dev, dev))
     return trotter, l2[0], l2[1:]
 
 
@@ -140,10 +134,8 @@ def _mean_bound(plan: StepPlan, brackets: np.ndarray) -> float:
     return plan.total_time**2 / (2.0 * plan.steps) * float(np.mean(brackets))
 
 
-def bound_report(
-    decomposition: Decomposition, exact_states: list[QuantumState], plan: StepPlan
-) -> BoundReport:
-    """All three bounds over one exact trajectory."""
+def bound_report(decomposition: Decomposition, exact_states: np.ndarray, plan: StepPlan) -> BoundReport:
+    """All three bounds over one exact trajectory, run_exact's (N, dim) array."""
     trotter, collective, terms = _brackets(decomposition, exact_states)
     per_step = {
         "trotter1": trotter,
@@ -159,8 +151,14 @@ def bound_report(
 
 
 def check_cauchy_schwarz(decomposition: Decomposition, rho: QuantumState) -> tuple[float, float, bool]:
-    """Compare (sum_j sqrt||L_j^2(rho)||)^2 against lambda sum_j ||L_j^2(rho)||/||H_j||_inf."""
-    terms = _brackets(decomposition, [rho])[2]
+    """Compare (sum_j sqrt||L_j^2(rho)||)^2 against lambda sum_j ||L_j^2(rho)||/||H_j||_inf.
+
+    A pure rho is a one-row block; a density matrix takes double_commutator_norm per term.
+    """
+    if rho.is_pure:
+        terms = _brackets(decomposition, rho.data[None])[2]
+    else:
+        terms = np.array([[double_commutator_norm(h, rho)] for h in decomposition.terms])
     rhs = float(_rc_brackets(decomposition, 0.0, terms)[0])
     lhs = float(_arc_brackets(0.0, terms)[0])
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

@@ -25,12 +25,9 @@ import numpy as np
 from .hamiltonians import Decomposition
 from .linalg import (
     HermitianOperator, QuantumState, basis_coordinates, column_norms, eigenbasis,
-    evolve_columns, evolve_unitary, fidelities, fidelity, rotate_coordinates,
+    evolve_columns, fidelities, rotate_coordinates,
 )
-from .moments import (
-    EXACT, NoiseModel, moments_of_weights, norm_finite_difference, norms_from_moments,
-    power_rows, squared_moduli,
-)
+from .moments import EXACT, NoiseModel, moments_of_weights, norms_from_moments, power_rows, squared_moduli
 from .rng import TrajectoryStream, stream_draws, stream_key
 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
@@ -107,9 +104,8 @@ class TrajectoryRecord:
     For sampled protocols `indices[k]` is the term applied at step k,
     `taus[k]` its time slice, and `probabilities[k]` the full distribution in
     effect; deterministic protocols leave those fields None. `fidelities[k]`
-    compares the post-step state with the exact evolution (NaN when the exact
-    reference is mixed). A plain class: a dataclass costs every command its
-    generated methods at import.
+    compares the post-step pure state with the exact evolution. A plain
+    class: a dataclass costs every command its generated methods at import.
     """
 
     def __init__(
@@ -173,33 +169,22 @@ def cost(djj_values, p) -> float:
     return total
 
 
-def step_trotter1(state: QuantumState, decomposition: Decomposition, plan: StepPlan) -> QuantumState:
-    """One first-order product step: terms applied in listed order, term 1 first."""
-    for term in decomposition.terms:
-        state = evolve_unitary(state, term, plan.dt)
-    return state
+def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -> np.ndarray:
+    """Exact evolution of a pure state: row k of the (N, dim) array is the state after step k + 1.
 
-
-def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -> list[QuantumState]:
-    """Exact evolution, returning the state after each of the N steps.
-
-    A pure state's state k is V (exp(-i e k dt) * V^dag psi0) in closed form,
-    with no stepping, computed EXACT_CHUNK steps per product so that its last
-    bits do not depend on N. A mixed state steps through evolve_unitary.
+    Row k is V (exp(-i e (k + 1) dt) * V^dag psi0) in closed form, with no
+    stepping, computed EXACT_CHUNK steps per product so that its last bits
+    do not depend on N, then normalized. A density matrix raises ValueError.
     """
     if full_h.dim != state0.dim:
         raise ValueError(f"dimension mismatch: operator {full_h.dim}, state {state0.dim}")
-    if not state0.is_pure:
-        states = [state0]
-        for _ in range(plan.steps):
-            states.append(evolve_unitary(states[-1], full_h, plan.dt))
-        return states[1:]
+    psi0 = state0.ket()
     times = np.arange(1, -(-plan.steps // EXACT_CHUNK) * EXACT_CHUNK + 1) * plan.dt
-    states = []
+    states = np.empty((state0.dim, plan.steps), complex, order="F")  # each state contiguous
     for first in range(0, plan.steps, EXACT_CHUNK):  # one chunk at a time, so no second copy
-        block = evolve_columns(full_h, state0.data, times[first : first + EXACT_CHUNK])
-        states.extend(QuantumState(col, state0.structure) for col in block.T[: plan.steps - first])
-    return states
+        block = evolve_columns(full_h, psi0, times[first : first + EXACT_CHUNK])
+        states[:, first : first + EXACT_CHUNK] = block[:, : plan.steps - first]
+    return _normalized(states).T
 
 
 def _sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -284,48 +269,15 @@ def _keys_of(streams) -> np.ndarray:
     return np.array(keys, dtype=np.uint64)
 
 
-def _step_fidelity(reference: QuantumState, state: QuantumState) -> float:
-    return fidelity(reference, state) if reference.is_pure else math.nan
-
-
-def _run_mixed(
-    name: str, rho0: QuantumState, decomposition: Decomposition, plan: StepPlan, streams,
-    noise: NoiseModel, exact_states: list[QuantumState], fixed: ProbabilityDistribution | None,
-) -> TrajectoryRecord:
-    """One density-matrix trajectory, stepped by step_trotter1 or by the block's sampler.
-
-    Its draws are a one-stream block's: at step k, "arc" first draws the
-    finite-difference estimator's six scalar errors per term, then the uniform.
-    """
-    n, terms = plan.steps, decomposition.terms
-    fids = np.empty(n)
-    state = rho0
-    if name == "trotter1":
-        for k in range(n):
-            state = step_trotter1(state, decomposition, plan)
-            fids[k] = _step_fidelity(exact_states[k], state)
-        return TrajectoryRecord(name, plan, fids, state)
-    noise_shape = (len(terms), 6) if name == "arc" and noise.std > 0.0 else None
-    errors, u = stream_draws(_keys_of(streams)[:1], 0, [n], noise_shape, noise.std)
-    indices, taus, probs = np.empty(n, dtype=int), np.empty(n), np.empty((n, len(terms)))
-    for k in range(n):
-        if name == "arc":
-            errs = [None] * len(terms) if errors is None else errors[0, k]
-            djj = [norm_finite_difference(h, state, errors=e) for h, e in zip(terms, errs)]
-            probs[k] = _optimal_rows(np.array([djj]))[0]
-        else:
-            probs[k] = fixed.p
-        indices[k] = j = _sample(probs[k : k + 1], u[0, k : k + 1])[0]
-        taus[k] = plan.dt / probs[k, j]
-        state = evolve_unitary(state, terms[j], taus[k])
-        fids[k] = _step_fidelity(exact_states[k], state)
-    return TrajectoryRecord(name, plan, fids, state, indices, taus, probs)
+def _self_fidelities(states) -> np.ndarray:
+    """Each exact state scored against itself, as the "exact" protocol's fidelities."""
+    return np.array([fidelities(s, s[:, None])[0] for s in states])
 
 
 def run_block(
     name: str, state0: QuantumState, decomposition: Decomposition, plan, streams, *,
     noise: NoiseModel = EXACT,
-    exact_states: list[QuantumState] | None = None,
+    exact_states: np.ndarray | None = None,
 ) -> list[TrajectoryRecord]:
     """Every protocol's run: one trajectory per stream, stepped as one block by _pure_steps.
 
@@ -348,43 +300,43 @@ def run_block(
     trajectory's own current state, perturbs them by `noise` (additive
     Gaussian per scalar), converts them to double-commutator norms and
     samples from the optimal distribution. "exact" steps nothing: its
-    records are read off the reference. A mixed state0 runs as one
-    trajectory through the same draws, sampler and weight rule, a step at a
-    time; its "arc" weights come from the finite-difference estimator at its
-    default time offset, with six scalar errors per term as its noise.
+    records are read off the reference. `exact_states` is that reference,
+    run_exact's (N, dim) array for the longest plan. A density matrix
+    state0 raises ValueError: the engine steps pure states only.
 
     A single trajectory is `run_block(name, state0, decomposition, plan,
     [stream])[0]`.
     """
-    fixed = _fixed_distribution(name, decomposition)
     size = len(streams)
+    if not size:
+        raise ValueError("run_block needs at least one stream")
     plans = [plan] * size if isinstance(plan, StepPlan) else list(plan)
     if len(plans) != size:
         raise ValueError(f"{len(plans)} plans for {size} streams")
     longest = plans[0]
     if any(q.dt != longest.dt or q.steps > prev.steps for prev, q in zip(plans, plans[1:])):
         raise ValueError("plans must share one dt and run longest first")
+    state0.ket()  # a density matrix raises here
     if exact_states is None:
         exact_states = run_exact(state0, decomposition.total_operator, longest)
-    elif len(exact_states) != longest.steps:
-        raise ValueError(f"expected {longest.steps} exact states, got {len(exact_states)}")
-    if not state0.is_pure and size != 1:
-        raise ValueError("a mixed initial state runs as a one-trajectory block")
+    elif np.shape(exact_states) != (longest.steps, state0.dim):
+        raise ValueError(
+            f"expected {longest.steps} exact states of dimension {state0.dim} as rows, "
+            f"got shape {np.shape(exact_states)}"
+        )
     if name == "exact":
-        fids = np.array([_step_fidelity(s, s) for s in exact_states])
-        return [TrajectoryRecord(name, q, fids[: q.steps], exact_states[q.steps - 1]) for q in plans]
-    if not state0.is_pure:
-        return [_run_mixed(name, state0, decomposition, longest, streams, noise, exact_states, fixed)]
+        fids = _self_fidelities(exact_states)
+        finals = [QuantumState(exact_states[q.steps - 1], state0.structure) for q in plans]
+        return [TrajectoryRecord(name, q, fids[: q.steps], f) for q, f in zip(plans, finals)]
     n = longest.steps
-    fids = np.full((n, size), math.nan)
+    fids = np.empty((n, size))
     finals = np.empty((state0.dim, size), complex)
     history = [] if name == "trotter1" else [  # indices, taus and probabilities
         np.empty((n, size), int), np.empty((n, size)), np.empty((n, size, len(decomposition)))
     ]
     for k, state, out, *step in _pure_steps(name, state0, decomposition, plans, streams, noise):
         width = state.shape[1]
-        if exact_states[k].is_pure:
-            fids[k, :width] = fidelities(exact_states[k].data, state)
+        fids[k, :width] = fidelities(exact_states[k], state)
         finals[:, :width] = out  # a trajectory's last write is its final state
         for a, v in zip(history, step):
             a[k, :width] = v
@@ -398,18 +350,18 @@ def run_block(
 
 
 def _final_fidelities(name, state0, decomposition, plans, keys, noise, exact_states) -> np.ndarray:
-    """Each record's final_fidelity of run_block on a pure block, bit for bit, keeping no history.
+    """Each record's final_fidelity of run_block, bit for bit, keeping no history.
 
     The whole running block is scored as run_block scores it, but only after
     steps where a trajectory ends, so the bits agree.
     """
     if name == "exact":
-        return np.array([_step_fidelity(s, s) for s in (exact_states[q.steps - 1] for q in plans)])
-    fids = np.full(len(plans), math.nan)
+        return _self_fidelities(exact_states[q.steps - 1] for q in plans)
+    fids = np.empty(len(plans))
     ends = {q.steps for q in plans}
     for k, state, *_ in _pure_steps(name, state0, decomposition, plans, keys, noise):
-        if k + 1 in ends and exact_states[k].is_pure:
-            fids[: state.shape[1]] = fidelities(exact_states[k].data, state)
+        if k + 1 in ends:
+            fids[: state.shape[1]] = fidelities(exact_states[k], state)
     return fids
 
 

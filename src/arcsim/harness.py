@@ -375,10 +375,10 @@ def _blocks(n: int, dim: int) -> list[tuple[int, int]]:
 class _Context:
     """Built model + exact-state cache, shared by trajectories.
 
-    Plan points with bit-equal dt share one exact trajectory, computed once
-    at the largest step count and sliced for the others, on one BLAS thread
-    like the trajectories, so `bounds` reads the same states whatever the
-    thread count.
+    Plan points with bit-equal dt share one (N, dim) exact trajectory: it
+    runs once at the largest N, and shorter points read a row prefix. It
+    runs on one BLAS thread like the trajectories, so `bounds` reads the
+    same states whatever the thread count.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -390,9 +390,9 @@ class _Context:
         self.groups: dict[float, list[int]] = {}
         for q in sorted(range(len(self.points)), key=lambda q: -self.points[q].plan.steps):
             self.groups.setdefault(self.points[q].plan.dt, []).append(q)
-        self._exact: dict[float, list] = {}
+        self._exact: dict[float, np.ndarray] = {}
 
-    def exact(self, point_idx: int) -> list:
+    def exact(self, point_idx: int) -> np.ndarray:
         plan = self.points[point_idx].plan
         if plan.dt not in self._exact:
             longest = self.points[self.groups[plan.dt][0]].plan

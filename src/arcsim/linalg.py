@@ -171,6 +171,12 @@ class QuantumState:
             return np.outer(self.data, self.data.conj())
         return self.data
 
+    def ket(self) -> np.ndarray:
+        """The amplitude vector of a pure state; a density matrix raises ValueError."""
+        if not self.is_pure:
+            raise ValueError("expected a pure state, got a density matrix")
+        return self.data
+
 
 def pure_state(vector, structure: Any = None) -> QuantumState:
     """Pure state from a vector; norm must already be 1 within 1e-10."""
@@ -244,35 +250,6 @@ def evolve_columns(h: HermitianOperator, psi: np.ndarray, times: np.ndarray) -> 
     return rotate_coordinates(h, basis_coordinates(h, psi[:, None]), times)
 
 
-def evolve_unitary(state: QuantumState, h: HermitianOperator, tau: float) -> QuantumState:
-    """exp(-i h tau) applied to the state.
-
-    A pure state steps through the block kernels as a one-column block, so
-    a diagonal h needs no basis change; a mixed state is conjugated by
-    U = V diag(exp(-i e tau)) V^dag from h's cached eigensystem.
-    """
-    if h.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {h.dim}, state {state.dim}")
-    if state.is_pure:
-        coords = basis_coordinates(h, state.data.reshape(-1, 1))
-        return QuantumState(rotate_coordinates(h, coords, np.array([tau]))[:, 0], state.structure)
-    v = h.eig.eigenvectors
-    u = (v * np.exp(-1j * h.eig.eigenvalues * tau)) @ v.conj().T
-    return QuantumState(u @ state.data @ u.conj().T, state.structure)
-
-
 def fidelities(target: np.ndarray, block: np.ndarray) -> np.ndarray:
     """|<target|psi_m>|^2 for each column psi_m of a block, clipped to [0, 1]."""
     return np.clip(np.abs(target.conj() @ block) ** 2, 0.0, 1.0)
-
-
-def fidelity(target_pure: QuantumState, other: QuantumState) -> float:
-    """|<psi|phi>|^2 against a pure other, <psi|rho|psi> against a mixed one."""
-    if not target_pure.is_pure:
-        raise ValueError("fidelity target must be a pure state")
-    if target_pure.dim != other.dim:
-        raise ValueError(f"dimension mismatch: target {target_pure.dim}, other {other.dim}")
-    if other.is_pure:
-        return float(fidelities(target_pure.data, other.data.reshape(-1, 1))[0])
-    f = float(np.real(np.vdot(target_pure.data, other.data @ target_pure.data)))
-    return float(min(max(f, 0.0), 1.0))

@@ -9,8 +9,8 @@ how work is scheduled across processes.
 Every draw is a pure function of (key, step) (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so a block's draws are computed
 here as arrays, bit-identical to numpy's SeedSequence, Philox4x64-10,
-Generator.random and Generator.normal; pure blocks and one-trajectory mixed
-runs alike draw through stream_draws. Gaussians follow numpy's ziggurat,
+Generator.random and Generator.normal; every trajectory block draws
+through stream_draws. Gaussians follow numpy's ziggurat,
 whose layer widths ship with the package: the fast path for every word at
 once, then the wedge and tail tests, in arrays, for the few that leave it.
 `TrajectoryStream.step` is the numpy reference those draws are tested

@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import check_cauchy_schwarz
-from .compilers import (
-    ProbabilityDistribution, StepPlan, cost, optimal_distribution, run_exact, step_trotter1,
-)
+from .compilers import ProbabilityDistribution, StepPlan, cost, optimal_distribution, run_block
 from .hamiltonians import Decomposition
-from .linalg import HermitianOperator, basis_coordinates, fidelity, hs_norm, kron, pure_state, mixed_state
+from .linalg import HermitianOperator, basis_coordinates, hs_norm, kron, pure_state, mixed_state
 from .moments import double_commutator_norm, moment_block, norm_finite_difference, norms_from_moments
 
 
@@ -110,11 +108,7 @@ def _check_trotter_single_term(rng) -> tuple[bool, str]:
     h = _random_hermitian(rng, 4)
     decomp = Decomposition((h,))
     psi = _random_pure(rng, 4)
-    plan = StepPlan(1.0, 10)
-    state = psi
-    for _ in range(plan.steps):
-        state = step_trotter1(state, decomp, plan)
-    f = fidelity(run_exact(psi, decomp.total_operator, plan)[-1], state)
+    f = run_block("trotter1", psi, decomp, StepPlan(1.0, 10), [0])[0].final_fidelity
     return abs(f - 1.0) <= 1e-10, f"single-term product step fidelity {f:.12f}"
 
 

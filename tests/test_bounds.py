@@ -164,16 +164,16 @@ class TestCauchySchwarz:
             check_cauchy_schwarz(dec, PLUS)
 
 
-def as_density(states):
-    """The same states as rank-1 density matrices, which take the dense path."""
-    return [mixed_state(s.density()) for s in states]
+def densities(states):
+    """Each (n, dim) exact-trajectory row psi as the density matrix |psi><psi|."""
+    return [np.outer(s, s.conj()) for s in states]
 
 
 def nested_trotter1(decomposition, states):
     """||sum_{j<k} [L_j, L_k](rho)|| from its definition as nested commutators."""
     mats = [t.matrix for t in decomposition.terms]
     out = []
-    for rho in (s.density() for s in states):
+    for rho in densities(states):
         acc = np.zeros_like(rho)
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
@@ -181,6 +181,23 @@ def nested_trotter1(decomposition, states):
                 acc += commutator(mats[k], commutator(mats[j], rho))
         out.append(hs_norm(acc))
     return out
+
+
+def dense_per_step(decomposition, states):
+    """The three per-step brackets from nested commutators on dense rho, O(dim^3) per state."""
+    rhos = densities(states)
+
+    def l2(m):
+        return np.array([hs_norm(commutator(m, commutator(m, r))) for r in rhos])
+
+    collective = l2(decomposition.total_operator.matrix)
+    terms = np.array([l2(t.matrix) for t in decomposition.terms])
+    norms = np.array(decomposition.inf_norms)
+    return {
+        "trotter1": np.array(nested_trotter1(decomposition, states)),
+        "rc": collective + decomposition.lam * (terms / norms[:, None]).sum(axis=0),
+        "arc": collective + np.sqrt(terms).sum(axis=0) ** 2,
+    }
 
 
 def block_and_dense_cases():
@@ -199,41 +216,26 @@ class TestBlockPath:
         for dec, exact in block_and_dense_cases():
             plan = StepPlan(1.0, len(exact))
             block = bound_report(dec, exact, plan)
-            dense = bound_report(dec, as_density(exact), plan)
+            dense = dense_per_step(dec, exact)
             for key in ("trotter1", "rc", "arc"):
-                assert block.per_step[key] == pytest.approx(dense.per_step[key], rel=1e-12)
-                assert getattr(block, key) == pytest.approx(getattr(dense, key), rel=1e-12)
+                assert block.per_step[key] == pytest.approx(dense[key].tolist(), rel=1e-12)
+                mean = plan.total_time**2 / (2.0 * plan.steps) * np.mean(dense[key])
+                assert getattr(block, key) == pytest.approx(mean, rel=1e-12)
 
     def test_jacobi_form_matches_nested_commutators(self):
         for dec, exact in block_and_dense_cases():
             plan = StepPlan(1.0, len(exact))
-            expected = nested_trotter1(dec, exact)
-            for states in (exact, as_density(exact)):
-                got = bound_report(dec, states, plan).per_step["trotter1"]
-                assert got == pytest.approx(expected, rel=1e-12)
+            got = bound_report(dec, exact, plan).per_step["trotter1"]
+            assert got == pytest.approx(nested_trotter1(dec, exact), rel=1e-12)
 
     def test_cauchy_schwarz_same_on_both_paths(self):
         rng = np.random.default_rng(10)
         dec = Decomposition(tuple(random_hermitian(rng, 6) for _ in range(3)))
         psi = random_pure(rng, 6)
         block = check_cauchy_schwarz(dec, psi)
-        dense = check_cauchy_schwarz(dec, as_density([psi])[0])
+        dense = check_cauchy_schwarz(dec, mixed_state(psi.density()))
         assert block[:2] == pytest.approx(dense[:2], rel=1e-12)
         assert block[2] and dense[2]
-
-    def test_rank_two_mixed_trajectory(self):
-        dec, st = build_mfim(4, 1.0, 0.5, 0.3)
-        a = basis_state("0011", st).density()
-        b = basis_state("1010", st).density()
-        rho0 = mixed_state(0.5 * a + 0.5 * b, st)
-        plan = StepPlan(1.0, 10)
-        exact = run_exact(rho0, dec.total_operator, plan)
-        assert not any(s.is_pure for s in exact)
-        report = bound_report(dec, exact, plan)
-        values = [report.trotter1, report.rc, report.arc]
-        values += [v for series in report.per_step.values() for v in series]
-        assert all(np.isfinite(values)) and min(values) > 0
-        assert report.arc <= report.rc * (1 + 1e-9)
 
 
 class TestShotBounds:

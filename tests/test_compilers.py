@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,15 +15,13 @@ from arcsim.compilers import (
     optimal_distribution,
     run_block,
     run_exact,
-    step_trotter1,
 )
 from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_kerr, build_mfim, build_rabi
 from arcsim.linalg import (
     HermitianOperator,
     QuantumState,
     basis_coordinates,
-    evolve_unitary,
-    fidelity,
+    fidelities,
     hs_norm,
     kron,
     mixed_state,
@@ -33,7 +32,6 @@ from arcsim.moments import (
     EXACT,
     NoiseModel,
     moment_block,
-    norm_finite_difference,
     norms_from_moments,
 )
 from arcsim.rng import TrajectoryStream, trajectory_stream
@@ -52,6 +50,19 @@ def random_hermitian(rng, dim, scale=1.0):
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return pure_state(v / np.linalg.norm(v))
+
+
+def evolve_unitary(state, h, tau):
+    """exp(-i h tau) on a pure state, stepped as a one-column block through the engine's kernels."""
+    coords = basis_coordinates(h, state.data.reshape(-1, 1))
+    return QuantumState(rotate_coordinates(h, coords, np.array([tau]))[:, 0], state.structure)
+
+
+def step_trotter1(state, decomposition, plan):
+    """One first-order product step on a pure state: terms applied in listed order, term 1 first."""
+    for term in decomposition.terms:
+        state = evolve_unitary(state, term, plan.dt)
+    return state
 
 
 def expm_h(h, tau):
@@ -230,7 +241,7 @@ class TestStepPlan:
 
 
 class TestExactOnDiagonalTotals:
-    """An exactly diagonal total takes evolve_unitary's no-basis-change shortcut."""
+    """An exactly diagonal total takes the block kernels' no-basis-change shortcut."""
 
     @pytest.mark.parametrize(
         "build, args, ket",
@@ -253,10 +264,10 @@ class TestExactOnDiagonalTotals:
         v, e = h.eig.eigenvectors, h.eig.eigenvalues
         state = psi0
         for k, got in enumerate(run_exact(psi0, h, plan)):
-            assert np.array_equal(got.data, QuantumState(closed[:, k], st).data)
+            assert np.array_equal(got, QuantumState(closed[:, k], st).data)
             column = v.conj().T @ state.data.reshape(-1, 1)
             state = QuantumState((v @ (np.exp(-1j * e[:, None] * np.array([plan.dt])) * column))[:, 0], st)
-            assert np.allclose(got.data, state.data, rtol=1e-12, atol=0)
+            assert np.allclose(got, state.data, rtol=1e-12, atol=0)
 
 
 class TestTrotterStep:
@@ -269,26 +280,21 @@ class TestTrotterStep:
         dec = Decomposition((d1, d2))
         psi = random_pure(rng, 4)
         plan = StepPlan(0.7, 1)
-        stepped = step_trotter1(psi, dec, plan)
+        (rec,) = run_block("trotter1", psi, dec, plan, [0])
         exact = run_exact(psi, dec.total_operator, plan)[-1]
-        assert np.max(np.abs(stepped.data - exact.data)) <= 1e-10
+        assert np.max(np.abs(rec.final_state.data - exact)) <= 1e-10
 
     def test_exact_for_single_term(self):
         rng = np.random.default_rng(4)
         dec = Decomposition((random_hermitian(rng, 4),))
         psi = random_pure(rng, 4)
-        plan = StepPlan(0.5, 1)
-        stepped = step_trotter1(psi, dec, plan)
-        exact = run_exact(psi, dec.total_operator, plan)[-1]
-        assert fidelity(exact, stepped) == pytest.approx(1.0, abs=1e-12)
+        (rec,) = run_block("trotter1", psi, dec, StepPlan(0.5, 1), [0])
+        assert rec.final_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_mfim_single_step_error(self):
         dec, st = build_mfim(4, 1.0, 0.5, 0.3)
         psi = basis_state("0011", st)
-        plan = StepPlan(0.02, 1)
-        stepped = step_trotter1(psi, dec, plan)
-        exact = run_exact(psi, dec.total_operator, plan)[-1]
-        f = fidelity(exact, stepped)
+        f = run_block("trotter1", psi, dec, StepPlan(0.02, 1), [0])[0].final_fidelity
         assert f >= 1 - 1e-4
         assert f == pytest.approx(0.999999985574562, rel=1e-9)  # regression
 
@@ -299,11 +305,10 @@ class TestStepRandom:
         dec = Decomposition((random_hermitian(rng_h, 3),))
         psi = random_pure(rng_h, 3)
         plan = StepPlan(0.4, 4)
-        for state0 in (psi, mixed_state(psi.density())):
-            for name in ("rc", "equal", "arc"):
-                (rec,) = run_block(name, state0, dec, plan, [trajectory_stream(0)])
-                assert rec.indices.tolist() == [0] * plan.steps
-                assert rec.taus == pytest.approx(plan.dt)
+        for name in ("rc", "equal", "arc"):
+            (rec,) = run_block(name, psi, dec, plan, [trajectory_stream(0)])
+            assert rec.indices.tolist() == [0] * plan.steps
+            assert rec.taus == pytest.approx(plan.dt)
 
     def test_seeded_replay(self):
         dec, st = build_mfim(4, 1.0, 0.5, 0.3)
@@ -311,16 +316,6 @@ class TestStepRandom:
         (rec,) = run_block("rc", psi, dec, StepPlan(1.0, 12), [trajectory_stream(42, 1, 0, 0)])
         assert rec.indices.tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 2]
         assert rec.final_fidelity == pytest.approx(0.9384235770461044, rel=1e-9)
-
-    def test_mixed_state_builds_no_generator(self, monkeypatch):
-        """A noise-free mixed trajectory draws through the block's array draws, as a block does."""
-        dec, st = build_mfim(3, 1.0, 0.5, 0.3)
-        rho = mixed_state(0.7 * basis_state("011", st).density() + 0.3 * np.eye(8) / 8)
-        streams = [trajectory_stream(4, pid) for pid in range(3)]
-        monkeypatch.setattr("arcsim.rng._new_philox", lambda key: pytest.fail("numpy generator built"))
-        for name, stream in zip(("rc", "equal", "arc"), streams):
-            (rec,) = run_block(name, rho, dec, StepPlan(0.3, 5), [stream])
-            assert rec.indices.shape == (5,)
 
 
 class TestRunners:
@@ -388,18 +383,11 @@ class TestRunners:
         (rec,) = run_block("arc", self.psi, self.dec, self.plan, [trajectory_stream(6)])
         assert np.std(rec.probabilities[:, 0]) > 0
 
-    def test_arc_mixed_state_path(self):
-        rho = mixed_state(0.6 * self.psi.density() + 0.4 * np.eye(16) / 16)
-        (rec,) = run_block("arc", rho, self.dec, StepPlan(0.1, 3), [trajectory_stream(7)])
-        assert rec.probabilities.shape == (3, 3)
-        assert np.allclose(rec.probabilities.sum(axis=1), 1.0)
-        assert np.all(np.isnan(rec.fidelities))  # mixed reference has no pure target
-
     def test_exact_runner(self):
         states = run_exact(self.psi, self.dec.total_operator, self.plan)
-        assert len(states) == self.plan.steps
+        assert states.shape == (self.plan.steps, self.psi.dim)
         for s in states:
-            assert np.linalg.norm(s.data) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-10)
 
     def test_trotter_runner_matches_manual_loop(self):
         (rec,) = run_block("trotter1", self.psi, self.dec, self.plan, [0])
@@ -414,6 +402,11 @@ class TestRunners:
             assert rec.protocol == name
         with pytest.raises(ValueError):
             run_block("magnus", self.psi, self.dec, self.plan, [0])
+
+    def test_no_streams_rejected(self):
+        for name in PROTOCOL_NAMES:
+            with pytest.raises(ValueError, match="at least one stream"):
+                run_block(name, self.psi, self.dec, StepPlan(1.0, 4), [])
 
     def test_same_stream_reproduces(self):
         (r1,) = run_block("arc", self.psi, self.dec, self.plan, [trajectory_stream(11, 2, 0, 5)])
@@ -430,8 +423,8 @@ def _reference_states(
     state0: QuantumState,
     decomposition: Decomposition,
     plan: StepPlan,
-    exact_states: list[QuantumState] | None,
-) -> list[QuantumState]:
+    exact_states: np.ndarray | None,
+) -> np.ndarray:
     if exact_states is None:
         return run_exact(state0, decomposition.total_operator, plan)
     if len(exact_states) != plan.steps:
@@ -441,10 +434,9 @@ def _reference_states(
     return exact_states
 
 
-def _step_fidelity(reference: QuantumState, state: QuantumState) -> float:
-    if reference.is_pure:
-        return fidelity(reference, state)
-    return math.nan
+def _step_fidelity(reference: np.ndarray, state: np.ndarray) -> float:
+    """|<reference|state>|^2 of two pure vectors, clipped to [0, 1]."""
+    return float(fidelities(reference, state.reshape(-1, 1))[0])
 
 
 def _as_stream(stream) -> TrajectoryStream:
@@ -471,7 +463,7 @@ def reference_run_trotter1(
     decomposition: Decomposition,
     plan: StepPlan,
     *,
-    exact_states: list[QuantumState] | None = None,
+    exact_states: np.ndarray | None = None,
     **_unused,
 ) -> TrajectoryRecord:
     """First-order product formula for N steps."""
@@ -480,7 +472,7 @@ def reference_run_trotter1(
     state = state0
     for k in range(plan.steps):
         state = step_trotter1(state, decomposition, plan)
-        fids[k] = _step_fidelity(exact[k], state)
+        fids[k] = _step_fidelity(exact[k], state.data)
     return TrajectoryRecord("trotter1", plan, fids, state)
 
 
@@ -491,7 +483,7 @@ def reference_run_fixed_weights(
     decomposition: Decomposition,
     plan: StepPlan,
     stream,
-    exact_states: list[QuantumState] | None,
+    exact_states: np.ndarray | None,
 ) -> TrajectoryRecord:
     exact = _reference_states(state0, decomposition, plan, exact_states)
     stream = _as_stream(stream)
@@ -505,7 +497,7 @@ def reference_run_fixed_weights(
         rng = stream.step(k)
         state, j, tau = step_random(state, decomposition, plan, p, rng)
         indices[k], taus[k] = j, tau
-        fids[k] = _step_fidelity(exact[k], state)
+        fids[k] = _step_fidelity(exact[k], state.data)
     return TrajectoryRecord(protocol, plan, fids, state, indices, taus, probs)
 
 
@@ -516,16 +508,14 @@ def reference_run_arc(
     *,
     noise: NoiseModel = EXACT,
     stream=0,
-    exact_states: list[QuantumState] | None = None,
-    fd_dt: float = 1e-3,
+    exact_states: np.ndarray | None = None,
     **_unused,
 ) -> TrajectoryRecord:
     """Adaptive random compilation: re-derive the sampling weights every step.
 
     Each step measures the four moments of every term on the trajectory's own
     current state (perturbed per the noise model), converts them to
-    double-commutator norms, and samples from the optimal distribution. Mixed
-    states take the finite-difference estimator with time offset fd_dt.
+    double-commutator norms, and samples from the optimal distribution.
     """
     exact = _reference_states(state0, decomposition, plan, exact_states)
     stream = _as_stream(stream)
@@ -537,21 +527,15 @@ def reference_run_arc(
     state = state0
     for k in range(n):
         rng = stream.step(k)
-        if state.is_pure:
-            dcn = []
-            for term in decomposition.terms:
-                raw = moment_block(term, basis_coordinates(term, state.data[:, None]))[:, 0]
-                dcn.append(float(norms_from_moments(noise.perturb(raw, rng))))
-        else:
-            dcn = [
-                norm_finite_difference(term, state, fd_dt, noise.perturb(np.zeros(6), rng))
-                for term in decomposition.terms
-            ]
+        dcn = []
+        for term in decomposition.terms:
+            raw = moment_block(term, basis_coordinates(term, state.data[:, None]))[:, 0]
+            dcn.append(float(norms_from_moments(noise.perturb(raw, rng))))
         p = optimal_distribution(dcn)
         state, j, tau = step_random(state, decomposition, plan, p, rng)
         indices[k], taus[k] = j, tau
         probs[k] = p.p
-        fids[k] = _step_fidelity(exact[k], state)
+        fids[k] = _step_fidelity(exact[k], state.data)
     return TrajectoryRecord("arc", plan, fids, state, indices, taus, probs)
 
 
@@ -560,12 +544,12 @@ def reference_run_exact_protocol(
     decomposition: Decomposition,
     plan: StepPlan,
     *,
-    exact_states: list[QuantumState] | None = None,
+    exact_states: np.ndarray | None = None,
     **_unused,
 ) -> TrajectoryRecord:
     exact = _reference_states(state0, decomposition, plan, exact_states)
     fids = np.array([_step_fidelity(s, s) for s in exact])
-    return TrajectoryRecord("exact", plan, fids, exact[-1])
+    return TrajectoryRecord("exact", plan, fids, QuantumState(exact[-1]))
 
 
 def reference_run(name, state0, decomposition, plan, noise, stream, exact_states):
@@ -586,7 +570,7 @@ def reference_run(name, state0, decomposition, plan, noise, stream, exact_states
 
 
 def loop_cases():
-    """(label, initial state, decomposition) over MFIM and a random 3-term split, pure and mixed."""
+    """(label, initial state, decomposition) over MFIM and a random 3-term split."""
     rng = np.random.default_rng(21)
     mfim, st = build_mfim(3, 1.0, 0.5, 0.3)
     rand = Decomposition(tuple(random_hermitian(rng, 4) for _ in range(3)))
@@ -594,9 +578,7 @@ def loop_cases():
         ("mfim", mfim, basis_state("011", st)),
         ("random", rand, random_pure(rng, 4)),
     ):
-        yield label + "-pure", psi, dec
-        rho = 0.7 * psi.density() + 0.3 * np.eye(dec.dim) / dec.dim
-        yield label + "-mixed", mixed_state(rho), dec
+        yield label, psi, dec
 
 
 class TestSteppingLoopReference:
@@ -621,13 +603,13 @@ class TestSteppingLoopReference:
                         )
                         where = f"{name} on {label} at noise {noise_std}"
                         assert got.protocol == want.protocol, where
-                        self._assert_same_record(got, want, where, self._atol(name, state0))
+                        self._assert_same_record(got, want, where, self._atol(name))
 
     @staticmethod
-    def _atol(name, state0):
-        """Pure rc, equal and trotter1 apply each term's precomputed exp(-i H_j tau_j), which
-        rounds differently from the reference's per-step basis change (see TestFixedStepLoop)."""
-        return 1e-12 if state0.is_pure and name in ("rc", "equal", "trotter1") else 0.0
+    def _atol(name):
+        """rc, equal and trotter1 apply each term's precomputed exp(-i H_j tau_j), which rounds
+        differently from the reference's per-step basis change (see TestFixedStepLoop)."""
+        return 1e-12 if name in ("rc", "equal", "trotter1") else 0.0
 
     @staticmethod
     def _assert_same_record(got, want, where, atol=0.0):
@@ -650,15 +632,23 @@ class TestSteppingLoopReference:
         for name in ("rc", "equal", "arc"):
             (got,) = run_block(name, psi, dec, plan, [3])
             want = reference_run(name, psi, dec, plan, EXACT, 3, None)
-            self._assert_same_record(got, want, name, self._atol(name, psi))
+            self._assert_same_record(got, want, name, self._atol(name))
 
     def test_wrong_length_exact_states_rejected(self):
+        # any shape but (steps, dim) is rejected before a product, not inside a matmul
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)
         psi, plan = basis_state("011", st), StepPlan(0.3, 5)
         states = run_exact(psi, dec.total_operator, plan)
+        padded = np.pad(states, ((0, 0), (0, 1)))
+        as_objects = [QuantumState(s) for s in states]
+        wrong_inputs = (
+            states[:-1], np.concatenate([states, states[:1]]), states.T, states[:, :-1], padded,
+            states[..., None], states[0], as_objects,
+        )
         for name in PROTOCOL_NAMES:
-            for wrong in (states[:-1], states + states[:1]):
-                with pytest.raises(ValueError, match=f"expected 5 exact states, got {len(wrong)}"):
+            for wrong in wrong_inputs:
+                message = f"expected 5 exact states of dimension 8 as rows, got shape {np.shape(wrong)}"
+                with pytest.raises(ValueError, match=re.escape(message)):
                     run_block(name, psi, dec, plan, [trajectory_stream(1)], exact_states=wrong)
 
 
@@ -692,7 +682,7 @@ def fixed_step_loop(name, state0, decomposition, plan, stream, exact_states):
             indices[k] = j = sample(p, stream.step(k).random())
             taus[k] = plan.dt / p.p[j]
             state = apply(steps[j], state)
-        fids[k] = fidelity(exact_states[k], state)
+        fids[k] = _step_fidelity(exact_states[k], state.data)
     if p is None:
         return TrajectoryRecord(name, plan, fids, state)
     return TrajectoryRecord(name, plan, fids, state, indices, taus, np.tile(p.p, (n, 1)))
@@ -702,8 +692,6 @@ class TestFixedStepLoop:
     def test_bit_identical_to_fixed_step_loop(self):
         plan = StepPlan(0.6, 6)
         for case, (label, state0, dec) in enumerate(loop_cases()):
-            if not state0.is_pure:
-                continue
             exact = run_exact(state0, dec.total_operator, plan)
             for pid, name in enumerate(("rc", "equal", "trotter1")):
                 stream = trajectory_stream(5, case, pid)
@@ -792,8 +780,9 @@ class TestBlockEngine:
             (rec,) = run_block(name, psi, dec, plan, [0])
             assert rec.indices is None and rec.probabilities is None
         rho = mixed_state(0.7 * psi.density() + 0.3 * np.eye(dec.dim) / dec.dim)
-        with pytest.raises(ValueError, match="one-trajectory block"):
-            run_block("arc", rho, dec, plan, [0, 1])
+        for streams in ([0], [0, 1]):  # the engine steps pure states only
+            with pytest.raises(ValueError, match="expected a pure state"):
+                run_block("arc", rho, dec, plan, streams)
         with pytest.raises(ValueError, match="unknown protocol"):
             run_block("magnus", psi, dec, plan, [0])
 

@@ -2,11 +2,12 @@ import json
 import os
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcsim.compilers import StepPlan, run_block
+from arcsim.compilers import EXACT_CHUNK, StepPlan, run_block
 from arcsim import harness, rng
 from arcsim.emit import ptrace_csv, series_csv
 from arcsim.harness import (
@@ -26,9 +27,10 @@ from arcsim.harness import (
     worker_count,
 )
 from arcsim.hamiltonians import Decomposition
-from arcsim.linalg import HermitianOperator, fidelity, pure_state
+from arcsim.linalg import HermitianOperator, QuantumState, evolve_columns, fidelities, pure_state
 from arcsim.rng import trajectory_stream
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 MFIM_BLOCK = _block_size(16)  # trajectories per block of the four-site MFIM
 
 
@@ -180,9 +182,9 @@ class TestRunEnsemble:
         ctx = _Context(cfg)
         recs = [ctx.run_one("arc", 0, m) for m in range(25)]
         target = ctx.exact(0)[-1]
-        mean_direct = np.mean([fidelity(target, r.final_state) for r in recs])
+        mean_direct = np.mean([fidelities(target, r.final_state.data[:, None])[0] for r in recs])
         rho_bar = np.mean([r.final_state.density() for r in recs], axis=0)
-        overlap = float(np.real(np.vdot(target.data, rho_bar @ target.data)))
+        overlap = float(np.real(np.vdot(target, rho_bar @ target)))
         assert mean_direct == pytest.approx(overlap, abs=1e-10)
 
     def test_monotone_trend_in_dt(self):
@@ -223,8 +225,29 @@ class TestExactReference:
         assert calls == [50]
         for point, got in zip(ctx.points, states):
             want = run_exact(ctx.state0, ctx.decomp.total_operator, point.plan)
-            assert len(got) == len(want) == point.plan.steps
-            assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))
+            assert got.shape == want.shape == (point.plan.steps, ctx.state0.dim)
+            assert np.array_equal(got, want)
+
+    def test_shipped_references_are_normalized_closed_form_rows(self):
+        # bit for bit: state k is its closed-form column, EXACT_CHUNK columns per product,
+        # normalized as QuantumState normalizes a vector
+        for path in CONFIGS:
+            ctx = _Context(load_config(path))
+            h, psi0 = ctx.decomp.total_operator, ctx.state0.data
+            for group in ctx.groups.values():
+                longest = ctx.exact(group[0])
+                for q in group:
+                    plan, got = ctx.points[q].plan, ctx.exact(q)
+                    times = np.arange(1, plan.steps + EXACT_CHUNK) * plan.dt
+                    with _single_blas_thread():
+                        closed = np.concatenate([
+                            evolve_columns(h, psi0, times[k : k + EXACT_CHUNK])
+                            for k in range(0, plan.steps, EXACT_CHUNK)
+                        ], axis=1)
+                    want = np.array([QuantumState(closed[:, k]).data for k in range(plan.steps)])
+                    assert got.shape == (plan.steps, ctx.state0.dim), (path.name, q)
+                    assert np.array_equal(got, want), (path.name, q)
+                    assert np.array_equal(got, longest[: plan.steps]), (path.name, q)
 
     def test_distinct_dt_computed_per_point(self, monkeypatch):
         cfg = mfim_config(plan={"mode": "fixed_t", "t": 0.2, "dt_list": [0.02, 0.05, 0.1]})
@@ -468,7 +491,7 @@ class TestWorkerCount:
             for threads in counts:
                 if fns:
                     fns[0](threads)
-                states.append(np.array([s.data for s in _Context(cfg).exact(0)]))
+                states.append(_Context(cfg).exact(0))
         finally:
             if fns:
                 fns[0](before)

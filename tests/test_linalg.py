@@ -3,13 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arcsim.compilers import StepPlan, run_exact
 from arcsim.harness import build_model, load_config
 from arcsim.hamiltonians import PAULI, I2, annihilator, build_mfim, HilbertStructure
 from arcsim.linalg import (
     HermitianOperator,
     commutator,
-    evolve_unitary,
-    fidelity,
+    evolve_columns,
+    fidelities,
     hs_norm,
     kron,
     mixed_state,
@@ -29,6 +30,15 @@ def random_hermitian(rng, dim, scale=1.0):
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return pure_state(v / np.linalg.norm(v))
+
+
+def evolve(psi, h, tau):
+    """exp(-i h tau) psi through the closed-form kernel, as one column."""
+    return evolve_columns(h, psi.data, np.array([tau]))[:, 0]
+
+
+def fidelity(a, b):
+    return fidelities(a, b[:, None])[0]
 
 
 class TestKron:
@@ -152,40 +162,40 @@ class TestEvolve:
         rng = np.random.default_rng(6)
         h = random_hermitian(rng, 4)
         psi = random_pure(rng, 4)
-        out = evolve_unitary(psi, h, 0.0)
-        assert np.allclose(out.data, psi.data)
+        out = evolve(psi, h, 0.0)
+        assert np.allclose(out, psi.data)
 
     def test_pi_half_rotation(self):
         h = HermitianOperator(SZ)
-        out = evolve_unitary(pure_state(PLUS), h, np.pi / 2)
-        assert fidelity(pure_state(MINUS), out) == pytest.approx(1.0)
+        out = evolve(pure_state(PLUS), h, np.pi / 2)
+        assert fidelity(MINUS, out) == pytest.approx(1.0)
 
     def test_purity_preserved_for_mixed(self):
+        # a mixed state evolves as the ensemble of its pure eigenvectors, as the engine steps it
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 3)
-        rho = mixed_state(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        out = evolve_unitary(rho, h, 0.37)
-        purity = np.trace(rho.data @ rho.data).real
-        assert np.trace(out.data @ out.data).real == pytest.approx(purity, abs=1e-10)
+        w = np.array([0.5, 0.3, 0.2])
+        out = np.stack([evolve(pure_state(e), h, 0.37) for e in np.eye(3, dtype=complex)], axis=1)
+        rho = (out * w) @ out.conj().T
+        assert np.trace(rho @ rho).real == pytest.approx(float(w @ w), abs=1e-10)
 
     def test_preserves_hs_inner(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(rng, 4)
-        r1 = random_pure(rng, 4).density()
-        r2 = random_pure(rng, 4).density()
-        before = np.trace(r1 @ r2).real
-        e1 = evolve_unitary(mixed_state(r1), h, 0.9)
-        e2 = evolve_unitary(mixed_state(r2), h, 0.9)
-        assert np.trace(e1.data @ e2.data).real == pytest.approx(before, abs=1e-8)
+        p1, p2 = random_pure(rng, 4), random_pure(rng, 4)
+        before = np.trace(p1.density() @ p2.density()).real
+        e1, e2 = evolve(p1, h, 0.9), evolve(p2, h, 0.9)
+        after = np.trace(np.outer(e1, e1.conj()) @ np.outer(e2, e2.conj())).real
+        assert after == pytest.approx(before, abs=1e-8)
 
     def test_dimension_mismatch(self):
         h = HermitianOperator(SZ)
         with pytest.raises(ValueError):
-            evolve_unitary(random_pure(np.random.default_rng(0), 4), h, 0.1)
+            run_exact(random_pure(np.random.default_rng(0), 4), h, StepPlan(0.1, 1))
 
     def test_matches_pade_exponential(self):
         # independent route: scipy's Pade expm instead of the eigenbasis, on
-        # dense and diagonal operators and on pure and mixed states
+        # dense and diagonal operators
         expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(10)
         for _ in range(5):
@@ -193,35 +203,32 @@ class TestEvolve:
             diagonal = HermitianOperator(np.diag(rng.normal(size=6)))
             assert diagonal.diagonal is not None and dense.diagonal is None
             psi = random_pure(rng, 6)
-            w = rng.dirichlet(np.ones(3))
-            rho = mixed_state(sum(wk * random_pure(rng, 6).density() for wk in w))
             tau = rng.uniform(-2, 2)
             for h in (dense, diagonal):
                 u = expm(-1j * h.matrix * tau)
-                ours = evolve_unitary(psi, h, tau).data
-                assert np.max(np.abs(u @ psi.data - ours)) <= 1e-12
-                ours = evolve_unitary(rho, h, tau).data
-                assert np.max(np.abs(u @ rho.data @ u.conj().T - ours)) <= 1e-12
+                assert np.max(np.abs(u @ psi.data - evolve(psi, h, tau))) <= 1e-12
 
 
 class TestFidelity:
     def test_self(self):
         psi = random_pure(np.random.default_rng(9), 5)
-        assert fidelity(psi, psi) == pytest.approx(1.0)
+        assert fidelity(psi.data, psi.data) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        zero = pure_state(np.array([1, 0], dtype=complex))
-        one = pure_state(np.array([0, 1], dtype=complex))
-        assert fidelity(zero, one) == 0.0
+        assert fidelity(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)) == 0.0
 
     def test_against_maximally_mixed(self):
-        zero = pure_state(np.array([1, 0], dtype=complex))
-        assert fidelity(zero, mixed_state(np.eye(2) / 2)) == pytest.approx(0.5)
+        # the ensemble {|0>, |1>} averages to I/2, and its mean fidelity is <0|I/2|0>
+        zero = np.array([1, 0], dtype=complex)
+        assert fidelities(zero, np.eye(2, dtype=complex)).mean() == pytest.approx(0.5)
 
     def test_requires_pure_target(self):
+        # the exact reference, every fidelity's target, is a pure trajectory
         rho = mixed_state(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            fidelity(rho, rho)
+        with pytest.raises(ValueError, match="expected a pure state"):
+            rho.ket()
+        with pytest.raises(ValueError, match="expected a pure state"):
+            run_exact(rho, HermitianOperator(SZ), StepPlan(1.0, 2))
 
 
 class TestStateValidation:

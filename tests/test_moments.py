@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator, basis_state, build_mfim
-from arcsim.linalg import HermitianOperator, basis_coordinates, evolve_unitary, mixed_state, pure_state
+from arcsim.linalg import HermitianOperator, QuantumState, basis_coordinates, mixed_state, pure_state
 from arcsim.moments import (
     FD_WEIGHTS,
     NoiseModel,
@@ -33,6 +33,13 @@ def moments(h, state):
     return moment_block(h, basis_coordinates(h, state.data[:, None]))[:, 0]
 
 
+def evolve_density(rho, h, tau):
+    """The density matrix U rho U^dag, U = V diag(exp(-i e tau)) V^dag from h's eigensystem."""
+    v = h.eig.eigenvectors
+    u = (v * np.exp(-1j * h.eig.eigenvalues * tau)) @ v.conj().T
+    return QuantumState(u @ rho.data @ u.conj().T, rho.structure)
+
+
 def six_scalar_fd(h, rho, dt, errors=None):
     """The finite-difference estimator as measured: six purity/overlap scalars, summed in clongdouble.
 
@@ -40,8 +47,8 @@ def six_scalar_fd(h, rho, dt, errors=None):
     the six scalars' additive measurement errors.
     """
     r0 = rho.density()
-    r1 = evolve_unitary(rho, h, -dt).density()
-    r2 = evolve_unitary(rho, h, dt).density()
+    r1 = evolve_density(rho, h, -dt).density()
+    r2 = evolve_density(rho, h, dt).density()
 
     def tr(a, b):
         return np.einsum("ij,ji->", a.astype(np.clongdouble), b.astype(np.clongdouble)).real

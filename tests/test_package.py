@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import os
 import re
@@ -80,6 +81,20 @@ def test_perfbench_probe_imports_resolve():
     assert {name for _, name in imports} >= {"basis_state", "build_model", "load_config", "worker_count"}
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_tracer_pinned_names_resolve():
+    """Every private boundary perfbench/tracer.py wraps resolves as its install() resolves it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert set(tracer.EXTRA) <= set(tracer.MODULES)
+    for short in tracer.MODULES:
+        mod = importlib.import_module(f"arcsim.{short}")
+        for qual in tracer.EXTRA.get(short, ()):
+            owner_name, _, attr = qual.rpartition(".")
+            owner = getattr(mod, owner_name) if owner_name else mod
+            assert callable(vars(owner).get(attr)), f"arcsim.{short}.{qual}"
 
 
 def test_every_public_definition_has_a_caller():
