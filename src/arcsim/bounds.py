@@ -7,12 +7,12 @@ over the supplied exact-trajectory states of a per-step bracket:
     rc:       || L^2(rho_i) || + lambda * sum_j || L_j^2(rho_i) || / ||H_j||_inf
     arc:      || L^2(rho_i) || + ( sum_j sqrt(|| L_j^2(rho_i) ||) )^2
 
-with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized. The pure
-trajectory is one (dim, n) block of states psi_i, and two identities give every
-bracket from GEMMs on it, O(dim^2) per state and operator:
-    Jacobi:  sum_{j<k} [L_j, L_k](rho) = -[C, rho] with C = sum_{j<k} [H_j, H_k]
-             formed once, so the trotter1 bracket is sqrt(2) ||(A - <A>) psi||, A = iC;
-    moments: ||L_H^2(rho)|| = sqrt(6 <H'^2>^2 + 2 <H'^4>) with H' = H - <H>.
+with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized. Each
+bracket is a reduction of moments.centred_moments over the pure trajectory's
+coordinates in an operator's eigenbasis, one product per dense operator:
+    ||L_H^2(rho)|| = sqrt(6 <H'^2>^2 + 2 <H'^4>) with H' = H - <H>;
+    trotter1 = sqrt(2 <A'^2>), A = i sum_{j<k} [H_j, H_k] (Decomposition.pair_commutator),
+    since by Jacobi sum_{j<k} [L_j, L_k](rho) = i [A, rho].
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .compilers import StepPlan
 from .hamiltonians import Decomposition
 from .linalg import QuantumState
-from .moments import double_commutator_norm
+from .moments import centred_moments, double_commutator_norm, double_commutator_norms
 
 
 @dataclass(eq=False)
@@ -84,41 +84,6 @@ class ShotParams:
             raise ValueError("shot bounds overflow a float: lower k, w, S or R, or raise eps_stat")
 
 
-def _pair_commutator_sum(mats: list[np.ndarray]) -> np.ndarray:
-    """C = sum_{j<k} [H_j, H_k] as P - P^dag, P = sum_j H_j (H_{j+1} + ... + H_L)."""
-    p = np.zeros_like(mats[0])
-    for j in range(1, len(mats)):
-        p += mats[j - 1] @ sum(mats[j:])
-    return p - p.conj().T
-
-
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", a.conj(), b).real
-
-
-def _l2_norms_pure(hmat: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    hpsi = hmat @ psi
-    mean = _column_dots(psi, hpsi)
-    dev = hpsi - mean * psi  # H' psi
-    dev2 = hmat @ dev - mean * dev  # H'^2 psi
-    return np.sqrt(6.0 * _column_dots(dev, dev) ** 2 + 2.0 * _column_dots(dev2, dev2))
-
-
-def _brackets(decomposition: Decomposition, exact_states: np.ndarray):
-    """Per-state trotter1 bracket, ||L^2(rho_i)||, and ||L_j^2(rho_i)|| in row j, of pure (n, dim) rows."""
-    if not len(exact_states):
-        raise ValueError("empty exact-state list")
-    mats = [t.matrix for t in decomposition.terms]
-    ops = [decomposition.total_operator.matrix, *mats]
-    c = _pair_commutator_sum(mats)
-    psi = exact_states.T.copy()  # a C-contiguous (dim, n) operand for the GEMMs
-    l2 = np.array([_l2_norms_pure(m, psi) for m in ops])
-    dev = 1j * (c @ psi)
-    dev -= _column_dots(psi, dev) * psi
-    trotter = np.sqrt(2.0 * _column_dots(dev, dev))
-    return trotter, l2[0], l2[1:]
-
-
 def _rc_brackets(decomposition: Decomposition, collective, terms) -> np.ndarray:
     norms = np.array(decomposition.inf_norms)
     if np.any(norms <= 0):
@@ -130,20 +95,20 @@ def _arc_brackets(collective, terms) -> np.ndarray:
     return collective + np.sqrt(terms).sum(axis=0) ** 2
 
 
-def _mean_bound(plan: StepPlan, brackets: np.ndarray) -> float:
-    return plan.total_time**2 / (2.0 * plan.steps) * float(np.mean(brackets))
-
-
 def bound_report(decomposition: Decomposition, exact_states: np.ndarray, plan: StepPlan) -> BoundReport:
     """All three bounds over one exact trajectory, run_exact's (N, dim) array."""
-    trotter, collective, terms = _brackets(decomposition, exact_states)
+    if not len(exact_states):
+        raise ValueError("empty exact-state list")
+    psi = np.transpose(exact_states)
+    collective = double_commutator_norms(decomposition.total_operator, psi)
+    terms = np.array([double_commutator_norms(h, psi) for h in decomposition.terms])
     per_step = {
-        "trotter1": trotter,
+        "trotter1": np.sqrt(2.0 * centred_moments(decomposition.pair_commutator, psi)[0]),
         "rc": _rc_brackets(decomposition, collective, terms),
         "arc": _arc_brackets(collective, terms),
     }
     return BoundReport(
-        **{k: _mean_bound(plan, v) for k, v in per_step.items()},
+        **{k: plan.total_time**2 / (2.0 * plan.steps) * float(np.mean(v)) for k, v in per_step.items()},
         per_step={k: v.tolist() for k, v in per_step.items()},
         total_time=plan.total_time,
         steps=plan.steps,
@@ -153,10 +118,10 @@ def bound_report(decomposition: Decomposition, exact_states: np.ndarray, plan: S
 def check_cauchy_schwarz(decomposition: Decomposition, rho: QuantumState) -> tuple[float, float, bool]:
     """Compare (sum_j sqrt||L_j^2(rho)||)^2 against lambda sum_j ||L_j^2(rho)||/||H_j||_inf.
 
-    A pure rho is a one-row block; a density matrix takes double_commutator_norm per term.
+    A pure rho is a one-column block; a density matrix takes double_commutator_norm per term.
     """
     if rho.is_pure:
-        terms = _brackets(decomposition, rho.data[None])[2]
+        terms = np.array([double_commutator_norms(h, rho.data[:, None]) for h in decomposition.terms])
     else:
         terms = np.array([[double_commutator_norm(h, rho)] for h in decomposition.terms])
     rhs = float(_rc_brackets(decomposition, 0.0, terms)[0])

@@ -111,9 +111,11 @@ def _compute_bounds(ctx: _Context):
 
 def cmd_run(args) -> int:
     config = _load(args)
+    if config.include_bounds and config.format == "csv":
+        raise ConfigError("include_bounds needs --format json: CSV has no bounds")
     result = run_ensemble(config)
     bounds = None
-    if config.include_bounds and config.format == "json":
+    if config.include_bounds:
         _, bounds = _compute_bounds(result.context)
     text = series_csv(result) if config.format == "csv" else result_json(result, bounds)
     _deliver(text, config.out)

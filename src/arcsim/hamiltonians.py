@@ -102,9 +102,18 @@ class Decomposition:
     def total_operator(self) -> HermitianOperator:
         return HermitianOperator(self.total(), label="total")
 
+    @cached_property
+    def pair_commutator(self) -> HermitianOperator:
+        """A = i sum_{j<k} [H_j, H_k] as i(P - P^dag), P = sum_j H_j sum_{k>j} H_k: exactly Hermitian."""
+        p = np.zeros((self.dim, self.dim), dtype=complex)
+        for j in range(1, len(self.terms)):
+            p += self.terms[j - 1].matrix @ sum(t.matrix for t in self.terms[j:])
+        return HermitianOperator(1j * (p - p.conj().T), label="pair commutator")
+
     def drop_zero_terms(self) -> "Decomposition":
-        """Copy without terms whose Schatten-inf norm is 0."""
-        return Decomposition(tuple(t for t, n in zip(self.terms, self.inf_norms) if n > 0.0))
+        """Copy without terms whose Schatten-inf norm is 0; self, with its cached operators, if none is."""
+        kept = tuple(t for t, n in zip(self.terms, self.inf_norms) if n > 0.0)
+        return self if len(kept) == len(self) else Decomposition(kept)
 
 
 def _embed_qubit_ops(site_ops: dict[int, np.ndarray], structure: HilbertStructure) -> np.ndarray:

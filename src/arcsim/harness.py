@@ -199,6 +199,10 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
                 f"plan t / dt = {spec.t / dt:g} exceeds the step cap of {MAX_STEPS}",
             )
         spec.dt_list = [float(dt) for dt in dt_list]
+        steps = {}  # step count -> the step size that first gave it
+        for dt, point in zip(spec.dt_list, spec.points()):
+            n = point.plan.steps
+            _require(steps.setdefault(n, dt) == dt, f"step sizes {steps[n]!r} and {dt!r} both give {n} steps")
     return spec
 
 
@@ -557,7 +561,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
             stderr = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
             series.append(SeriesPoint(protocol, point.x_kind, point.x_value, mean, stderr, m))
     extrapolated = {}
-    if config.plan.mode == "fixed_t" and len(ctx.points) >= 3:
+    if config.plan.mode == "fixed_t" and len(ctx.groups) >= 3:
         for protocol in config.protocols:
             pts = [(sp.x_value, sp.mean_fidelity) for sp in series if sp.protocol == protocol]
             extrapolated[protocol] = extrapolate_zero_dt(pts)
@@ -589,10 +593,11 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
 
 
 def extrapolate_zero_dt(points: Sequence[tuple[float, float]]) -> float:
-    """Zero-step-size fidelity: linear fit over the 3 smallest dt, intercept in [0, 1]."""
-    if len(points) < 3:
-        raise ValueError("extrapolation needs at least 3 (dt, fidelity) points")
-    smallest = sorted(points, key=lambda p: p[0])[:3]
+    """Zero-step-size fidelity: linear fit at the 3 smallest distinct dt, intercept in [0, 1]."""
+    dts = sorted({p[0] for p in points})
+    if len(dts) < 3:
+        raise ValueError("extrapolation needs (dt, fidelity) points at 3 distinct dt")
+    smallest = sorted(p for p in points if p[0] <= dts[2])
     x = np.array([p[0] for p in smallest])
     y = np.array([p[1] for p in smallest])
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,9 +1,10 @@
 """Estimators of the double-commutator norm ||[H, [H, rho]]||.
 
-Three routes to the same quantity: the direct matrix oracle, the pure-state
-moment formula sqrt(6<H^2>^2 - 8<H><H^3> + 2<H^4>), and a mixed-state
-finite-difference estimator whose measurement model is six purity/overlap
-scalars, evaluated in closed form in H's eigenbasis in plain float64.
+Routes to the same quantity: the direct matrix oracle; the pure-state
+formula over a block's raw moments, sqrt(6<H^2>^2 - 8<H><H^3> + 2<H^4>), or
+over its centred ones, sqrt(6<H'^2>^2 + 2<H'^4>) with H' = H - <H>; and a
+mixed-state finite-difference estimator whose measurement model is six
+purity/overlap scalars, evaluated in closed form in H's eigenbasis in plain float64.
 Measurement statistics are simulated by perturbing each scalar with
 independent additive Gaussian noise; no shot-level sampling is modeled.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, QuantumState, commutator, eigenbasis, hs_norm
+from .linalg import HermitianOperator, QuantumState, basis_coordinates, commutator, eigenbasis, hs_norm
 
 
 @dataclass
@@ -96,6 +97,27 @@ def norms_from_moments(moments: np.ndarray) -> np.ndarray:
     m1, m2, m3, m4 = np.moveaxis(moments, -1, 0)
     radicand = 6.0 * m2 * m2 - 8.0 * m1 * m3 + 2.0 * m4
     return np.sqrt(np.maximum(radicand, 0.0))
+
+
+def centred_moments(h: HermitianOperator, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<H'^2> and <H'^4>, H' = H - <H>, of every column of a (dim, n) block of states.
+
+    Sums of w dev^k, w the per-column normalized squared_moduli of the block's basis_coordinates
+    under h and dev = e - sum(w e): exactly 0 on a basis state of a diagonal h, unlike raw moments.
+    """
+    values = eigenbasis(h)[0][:, None]
+    w = squared_moduli(basis_coordinates(h, block))
+    w /= w.sum(axis=0)
+    dev = values - (w * values).sum(axis=0)
+    dev *= dev
+    w *= dev
+    return w.sum(axis=0), (w * dev).sum(axis=0)
+
+
+def double_commutator_norms(h: HermitianOperator, block: np.ndarray) -> np.ndarray:
+    """||[H, [H, rho]]|| = sqrt(6 <H'^2>^2 + 2 <H'^4>) for each pure state rho, a column of the block."""
+    m2, m4 = centred_moments(h, block)
+    return np.sqrt(6.0 * m2 * m2 + 2.0 * m4)
 
 
 # Weights w of the six measured scalars Tr(r1 r1), Tr(r2 r2), Tr(r0 r0),

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arcsim import cli, linalg
 from arcsim.bounds import (
     BoundReport,
     ShotParams,
@@ -11,8 +13,10 @@ from arcsim.bounds import (
     shot_lower_bounds,
 )
 from arcsim.compilers import StepPlan, run_exact
-from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_mfim
+from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_kerr, build_mfim
+from arcsim.harness import _Context, config_from_dict, load_config
 from arcsim.linalg import HermitianOperator, commutator, hs_norm, mixed_state, pure_state
+from arcsim.moments import centred_moments, double_commutator_norm, double_commutator_norms
 
 PLUS = pure_state(np.array([1, 1]) / np.sqrt(2))
 
@@ -285,3 +289,63 @@ class TestShotBounds:
             ShotParams(k=0, w=1, S=1, R=1, n_qubits=2, eps_stat=0.1)
         with pytest.raises(ValueError):
             ShotParams(k=1, w=1, S=1, R=1, n_qubits=2, eps_stat=0.0)
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+class TestCentredKernel:
+    """Every bracket is one centred-moment reduction in an operator's eigenbasis."""
+
+    def kerr(self):
+        return build_kerr(0.3, 1.0, 0.5, 50)
+
+    def test_diagonal_terms_vanish_exactly_on_fock_states(self):
+        dec, _ = self.kerr()
+        fock = np.eye(dec.dim, dtype=complex)  # column n is |n>
+        for h in dec.terms[:2]:  # detuning and kerr are diagonal
+            assert h.diagonal is not None
+            assert np.all(double_commutator_norms(h, fock) == 0.0)
+            assert np.all(centred_moments(h, fock)[0] == 0.0)
+
+    def test_high_fock_superpositions_match_the_oracle(self):
+        # large, nearly equal eigenvalues: the raw moments' formula
+        # sqrt(6<H^2>^2 - 8<H><H^3> + 2<H^4>) cancels there and misses rel 1e-12
+        dec, st = self.kerr()
+        rng = np.random.default_rng(12)
+        states = [basis_state("(|47⟩+|49⟩)/√2", st), basis_state("(|30⟩+|49⟩)/√2", st)]
+        for _ in range(6):
+            v = np.zeros(dec.dim, dtype=complex)
+            v[30:] = rng.normal(size=20) + 1j * rng.normal(size=20)
+            states.append(pure_state(v / np.linalg.norm(v)))
+        block = np.array([s.data for s in states]).T
+        for h in (dec.total_operator, *dec.terms):
+            got = double_commutator_norms(h, block)
+            want = [double_commutator_norm(h, s) for s in states]
+            assert got == pytest.approx(want, rel=1e-12), h.label
+
+    def test_collective_bracket_is_conserved_along_shipped_trajectories(self):
+        # the exact evolution conserves every moment of H, so ||L_H^2(rho_i)|| is one number per run
+        assert CONFIGS
+        for path in CONFIGS:
+            ctx = _Context(load_config(path))
+            total = ctx.decomp.drop_zero_terms().total_operator
+            for idx in range(len(ctx.points)):
+                norms = double_commutator_norms(total, ctx.exact(idx).T)
+                assert np.ptp(norms) <= 1e-12 * norms.max(), (path.name, idx)
+
+    def test_pair_commutator_is_eigendecomposed_once(self, monkeypatch):
+        seen, eigensystem = [], linalg._eigensystem
+
+        def counted(m):
+            seen.append(m)
+            return eigensystem(m)
+
+        monkeypatch.setattr(linalg, "_eigensystem", counted)
+        cfg = config_from_dict({"model": "mfim", "plan": {"mode": "fixed_t", "t": 0.2,
+                                                           "dt_list": [0.01, 0.02, 0.04, 0.05, 0.1]}})
+        ctx = _Context(cfg)
+        decomp, reports = cli._compute_bounds(ctx)
+        assert len(reports) == 5
+        assert sum(m is decomp.pair_commutator.matrix for m in seen) == 1
+        assert len({id(m) for m in seen}) == len(seen)  # no operator is decomposed twice

@@ -148,6 +148,22 @@ class TestCliRun:
             # both plan points share dt, so one exact trajectory serves them
             assert calls == {"contexts": 1, "exact": 1}, threads
 
+    def test_include_bounds_with_csv_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("the ensemble ran before the format check")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        out = tmp_path / "out.csv"
+        for cfg, flags in ((write_config(tmp_path, include_bounds=True), []),
+                           (write_config(tmp_path, "j.json", include_bounds=True, format="json"), ["--format", "csv"])):
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out), *flags]) == cli.EXIT_CONFIG
+            assert "--format json" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.undo()
+        cfg = write_config(tmp_path, include_bounds=True)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text())["bounds"]
+
     def test_seed_override_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,28 @@ class TestExtrapolation:
         res = run_ensemble(cfg)
         assert "rc" in res.extrapolated
         assert 0.0 <= res.extrapolated["rc"] <= 1.0
+
+    def test_step_sizes_that_round_to_one_step_count_are_rejected(self):
+        plan = {"mode": "fixed_t", "t": 0.1, "dt_list": [0.01, 0.0101, 0.02]}
+        with pytest.raises(ConfigError, match=r"step sizes 0\.01 and 0\.0101 both give 10 steps"):
+            config_from_dict({"model": "mfim", "protocols": ["rc"], "plan": plan})
+
+    def test_repeated_step_size_adds_points_not_a_step_size(self):
+        # three runs at one dt have no slope to fit: no extrapolation, and no rank-deficient polyfit
+        cfg = config_from_dict(
+            {"model": "mfim", "protocols": ["rc"], "trajectories": 3,
+             "plan": {"mode": "fixed_t", "t": 0.1, "dt_list": [0.01, 0.01, 0.01]}}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_ensemble(cfg)
+        assert len(res.series) == 3 and res.extrapolated == {}
+        with pytest.raises(ValueError, match="3 distinct dt"):
+            extrapolate_zero_dt([(0.01, 0.99), (0.01, 0.98), (0.02, 0.97), (0.02, 0.96)])
+        # a repeat joins the fit at its dt, and the fourth-smallest dt stays out of it
+        pts = [(0.01, 0.99), (0.01, 0.97), (0.02, 0.96), (0.04, 0.94), (0.5, 0.0)]
+        want = np.polyfit([0.01, 0.01, 0.02, 0.04], [0.99, 0.97, 0.96, 0.94], 1)[1]
+        assert extrapolate_zero_dt(pts) == pytest.approx(want, rel=1e-12)
 
 
 class TestPtrace:
