@@ -1,7 +1,8 @@
 """Averaged per-step error bounds for the protocols.
 
 The three circuit-depth bounds share the prefactor t^2/(2N) times the average
-over the supplied exact-trajectory states of a per-step bracket:
+of a per-step bracket over the supplied exact-trajectory states; the CLI
+supplies rho_0 .. rho_{N-1}, the states that steps 1 .. N start from:
 
     trotter1: || sum_{j<k} [L_j, L_k](rho_i) ||
     rc:       || L^2(rho_i) || + lambda * sum_j || L_j^2(rho_i) || / ||H_j||_inf
@@ -9,7 +10,8 @@ over the supplied exact-trajectory states of a per-step bracket:
 
 with L_j(rho) = -i [H_j, rho]. Superoperators are never materialized. Each
 bracket is a reduction of moments.centred_moments over the pure trajectory's
-coordinates in an operator's eigenbasis, one product per dense operator:
+coordinates in an operator's eigenbasis (HermitianOperator.eig), one product
+per dense operator and none for a diagonal one:
     ||L_H^2(rho)|| = sqrt(6 <H'^2>^2 + 2 <H'^4>) with H' = H - <H>;
     trotter1 = sqrt(2 <A'^2>), A = i sum_{j<k} [H_j, H_k] (Decomposition.pair_commutator),
     since by Jacobi sum_{j<k} [L_j, L_k](rho) = i [A, rho].
@@ -96,7 +98,7 @@ def _arc_brackets(collective, terms) -> np.ndarray:
 
 
 def bound_report(decomposition: Decomposition, exact_states: np.ndarray, plan: StepPlan) -> BoundReport:
-    """All three bounds over one exact trajectory, run_exact's (N, dim) array."""
+    """All three bounds over the (N, dim) exact states that the plan's N steps start from, one per row."""
     if not len(exact_states):
         raise ValueError("empty exact-state list")
     psi = np.transpose(exact_states)

@@ -105,7 +105,8 @@ def _compute_bounds(ctx: _Context):
     decomp = ctx.decomp.drop_zero_terms()
     reports = []
     for idx, point in enumerate(ctx.points):
-        reports.append(bound_report(decomp, ctx.exact(idx), point.plan))
+        starts = np.concatenate([ctx.state0.ket()[None], ctx.exact(idx)[:-1]])  # psi_0 .. psi_{N-1}
+        reports.append(bound_report(decomp, starts, point.plan))
     return decomp, reports
 
 

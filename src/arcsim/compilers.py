@@ -24,11 +24,10 @@ import numpy as np
 
 from .hamiltonians import Decomposition
 from .linalg import (
-    HermitianOperator, QuantumState, basis_coordinates, column_norms, eigenbasis,
+    HermitianOperator, QuantumState, basis_coordinates, column_norms,
     evolve_columns, fidelities, rotate_coordinates,
 )
 from .moments import EXACT, NoiseModel, moments_of_weights, norms_from_moments, power_rows, squared_moduli
-from .rng import TrajectoryStream, stream_draws, stream_key
 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
 DETERMINISTIC_PROTOCOLS = frozenset({"trotter1", "exact"})
@@ -250,7 +249,7 @@ def _normalized(block: np.ndarray) -> np.ndarray:
 
 def _fixed_step(h: HermitianOperator, tau: float) -> np.ndarray:
     """exp(-i h tau) for a whole run: U = V diag(exp(-i e tau)) V^dag, or a diagonal h's phases."""
-    _, vectors = eigenbasis(h)
+    vectors = h.eig[1]
     if vectors is None:
         return rotate_coordinates(h, np.ones((h.dim, 1)), np.array([tau]))[:, 0]
     return rotate_coordinates(h, vectors.conj().T, np.full(h.dim, tau))
@@ -263,6 +262,8 @@ def _apply_step(step: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def _keys_of(streams) -> np.ndarray:
     """(M, 2) Philox keys of streams given as a key array, TrajectoryStreams or int seeds."""
+    from .rng import TrajectoryStream, stream_key
+
     if isinstance(streams, np.ndarray):
         return streams
     keys = [s.key if isinstance(s, TrajectoryStream) else stream_key(int(s)) for s in streams]
@@ -326,7 +327,7 @@ def run_block(
         )
     if name == "exact":
         fids = _self_fidelities(exact_states)
-        finals = [QuantumState(exact_states[q.steps - 1], state0.structure) for q in plans]
+        finals = [QuantumState(exact_states[q.steps - 1]) for q in plans]
         return [TrajectoryRecord(name, q, fids[: q.steps], f) for q, f in zip(plans, finals)]
     n = longest.steps
     fids = np.empty((n, size))
@@ -342,7 +343,7 @@ def run_block(
             a[k, :width] = v
     return [
         TrajectoryRecord(
-            name, q, fids[: q.steps, m], QuantumState(finals[:, m], state0.structure),
+            name, q, fids[: q.steps, m], QuantumState(finals[:, m]),
             *(a[: q.steps, m] for a in history),
         )
         for m, q in enumerate(plans)
@@ -374,6 +375,8 @@ def _pure_steps(name, state0, decomposition, plans, streams, noise):
     for "trotter1"). The trajectories that end at step k leave the block
     after the yield.
     """
+    from .rng import stream_draws
+
     fixed = _fixed_distribution(name, decomposition)
     terms, size = decomposition.terms, len(plans)
     n, dt = plans[0].steps, plans[0].dt

@@ -268,4 +268,4 @@ def basis_state(spec: str, structure: HilbertStructure) -> QuantumState:
         raise ValueError(f"state spec {spec!r} sums to the zero vector")
     if not np.isfinite(nrm):
         raise ValueError(f"state spec {spec!r} has amplitudes too large to normalize")
-    return pure_state(v / nrm, structure)
+    return pure_state(v / nrm)

@@ -29,7 +29,6 @@ from .hamiltonians import (
     Decomposition, HilbertStructure, basis_state, build_kerr, build_mfim, build_rabi,
 )
 from .moments import NoiseModel
-from .rng import _ziggurat, stream_keys
 
 PROTOCOL_IDS = {name: i for i, name in enumerate(PROTOCOL_NAMES)}
 
@@ -416,6 +415,8 @@ class _Context:
 
     def block(self, protocol: str, members: list[tuple[int, int]]) -> tuple:
         """(protocol, state0, decomposition, plans, stream keys, noise) of one block of members."""
+        from .rng import stream_keys
+
         pid = PROTOCOL_IDS[protocol]
         plans = [self.points[q].plan for q, _ in members]
         keys = stream_keys(self.config.master_seed, [(pid, q, m) for q, m in members])
@@ -526,6 +527,8 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     with _single_blas_thread():
         if workers > 1 and serial_s >= POOL_MIN_S:
             from concurrent.futures import ProcessPoolExecutor
+
+            from .rng import _ziggurat
 
             for first in firsts:
                 ctx.exact(first)

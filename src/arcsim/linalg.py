@@ -1,14 +1,15 @@
-"""Dense complex linear algebra: states, Hermitian operators, eigensystems, evolution.
+"""Dense complex linear algebra: states, Hermitian operators, eigenbases, evolution.
 
 Everything is a plain dense ndarray under the hood; target dimensions are
-small (<= a few hundred), so no sparsity machinery.
+small (<= a few hundred), so no sparsity machinery. An operator's one
+eigenbasis is HermitianOperator.eig, the (values, vectors) pair that every
+kernel here and in moments and compilers reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -44,15 +45,8 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Eigenvalues (real, ascending) and unitary eigenvector matrix (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _eigensystem(m: np.ndarray) -> EigenSystem:
+def _eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (real, ascending) and unitary eigenvector matrix (columns) of a dense m."""
     vals, vecs = np.linalg.eigh(m)
     scale = float(np.max(np.abs(m)))
     recon_err = float(np.max(np.abs((vecs * vals) @ vecs.conj().T - m)))
@@ -65,7 +59,7 @@ def _eigensystem(m: np.ndarray) -> EigenSystem:
         raise np.linalg.LinAlgError(f"eigenvectors not unitary (error {ortho_err:.3e})")
     vals.flags.writeable = False
     vecs.flags.writeable = False
-    return EigenSystem(vals, vecs)
+    return vals, vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,32 +89,25 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def eig(self) -> EigenSystem:
-        """Eigendecomposition, computed once, eigenvalues ascending."""
-        return _eigensystem(self.matrix)
+    def eig(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(eigenvalues, eigenvectors), computed once; eigenvectors None for an exactly diagonal matrix.
 
-    @cached_property
-    def diagonal(self) -> np.ndarray | None:
-        """The real diagonal if the matrix is exactly diagonal, else None.
-
-        A diagonal operator's eigenbasis is the computational basis, so the
-        block kernels apply it to states without a basis change.
+        A diagonal matrix's eigenbasis is the computational basis: its
+        eigenvalues are its real diagonal, in order, with no eigh, and the
+        block kernels apply it to states without a basis change. Any other
+        matrix takes _eigensystem's ascending eigenvalues and unitary columns.
         """
         d = np.diag(self.matrix)
         if not np.array_equal(self.matrix, np.diag(d)):
-            return None
+            return _eigensystem(self.matrix)
         d = d.real.copy()
         d.flags.writeable = False
-        return d
+        return d, None
 
     @cached_property
     def schatten_inf(self) -> float:
-        """Largest absolute eigenvalue (largest singular value for Hermitian input).
-
-        A diagonal matrix's eigenvalues are its diagonal, so it needs no eigh.
-        """
-        values = self.eig.eigenvalues if self.diagonal is None else self.diagonal
-        return float(np.max(np.abs(values)))
+        """Largest absolute eigenvalue (largest singular value for Hermitian input)."""
+        return float(np.max(np.abs(self.eig[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +120,6 @@ class QuantumState:
     """
 
     data: np.ndarray
-    structure: Any = None
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
@@ -178,7 +164,7 @@ class QuantumState:
         return self.data
 
 
-def pure_state(vector, structure: Any = None) -> QuantumState:
+def pure_state(vector) -> QuantumState:
     """Pure state from a vector; norm must already be 1 within 1e-10."""
     v = np.asarray(vector, dtype=complex)
     if v.ndim != 1:
@@ -186,10 +172,10 @@ def pure_state(vector, structure: Any = None) -> QuantumState:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"vector norm {nrm} is not 1 within 1e-10")
-    return QuantumState(v / nrm, structure)
+    return QuantumState(v / nrm)
 
 
-def mixed_state(matrix, structure: Any = None) -> QuantumState:
+def mixed_state(matrix) -> QuantumState:
     """Density matrix from a Hermitian, unit-trace, PSD matrix (1e-10 tolerances)."""
     m = as_complex_matrix(matrix)
     dev = float(np.max(np.abs(m - m.conj().T)))
@@ -202,7 +188,7 @@ def mixed_state(matrix, structure: Any = None) -> QuantumState:
     min_eig = float(np.min(np.linalg.eigvalsh(m)))
     if min_eig < -1e-10:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-    return QuantumState(m / tr, structure)
+    return QuantumState(m / tr)
 
 
 def column_norms(block: np.ndarray) -> np.ndarray:
@@ -210,19 +196,9 @@ def column_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(block.real * block.real + block.imag * block.imag, axis=0))
 
 
-def eigenbasis(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray | None]:
-    """(eigenvalues, eigenvectors) of h; eigenvectors None for a diagonal h.
-
-    A diagonal h keeps its diagonal order, so its eigenvalues are the diagonal.
-    """
-    if h.diagonal is not None:
-        return h.diagonal, None
-    return h.eig.eigenvalues, h.eig.eigenvectors
-
-
 def basis_coordinates(h: HermitianOperator, block: np.ndarray) -> np.ndarray:
     """Columns of a (dim, M) block in h's eigenbasis: V^dag block (block itself if h is diagonal)."""
-    _, vectors = eigenbasis(h)
+    vectors = h.eig[1]
     return block if vectors is None else vectors.conj().T @ block
 
 
@@ -233,7 +209,7 @@ def rotate_coordinates(h: HermitianOperator, coords: np.ndarray, taus: np.ndarra
     one complex array. One coords column serves every tau. The result is not
     renormalized.
     """
-    values, vectors = eigenbasis(h)
+    values, vectors = h.eig
     angle = values[:, None] * taus
     out = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=out.real)

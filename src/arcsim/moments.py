@@ -4,7 +4,7 @@ Routes to the same quantity: the direct matrix oracle; the pure-state
 formula over a block's raw moments, sqrt(6<H^2>^2 - 8<H><H^3> + 2<H^4>), or
 over its centred ones, sqrt(6<H'^2>^2 + 2<H'^4>) with H' = H - <H>; and a
 mixed-state finite-difference estimator whose measurement model is six
-purity/overlap scalars, evaluated in closed form in H's eigenbasis in plain float64.
+purity/overlap scalars, evaluated in closed form in H's eigenbasis (HermitianOperator.eig) in plain float64.
 Measurement statistics are simulated by perturbing each scalar with
 independent additive Gaussian noise; no shot-level sampling is modeled.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, QuantumState, basis_coordinates, commutator, eigenbasis, hs_norm
+from .linalg import HermitianOperator, QuantumState, basis_coordinates, commutator, hs_norm
 
 
 @dataclass
@@ -54,7 +54,7 @@ def double_commutator_norm(h: HermitianOperator, state: QuantumState) -> float:
 
 def power_rows(h: HermitianOperator) -> np.ndarray:
     """Rows e**0 .. e**4 of h's eigenvalues e, as (5, dim), each the previous times e."""
-    values, _ = eigenbasis(h)
+    values = h.eig[0]
     powers = [np.ones_like(values)]
     for _ in range(4):
         powers.append(powers[-1] * values)
@@ -105,7 +105,7 @@ def centred_moments(h: HermitianOperator, block: np.ndarray) -> tuple[np.ndarray
     Sums of w dev^k, w the per-column normalized squared_moduli of the block's basis_coordinates
     under h and dev = e - sum(w e): exactly 0 on a basis state of a diagonal h, unlike raw moments.
     """
-    values = eigenbasis(h)[0][:, None]
+    values = h.eig[0][:, None]
     w = squared_moduli(basis_coordinates(h, block))
     w /= w.sum(axis=0)
     dev = values - (w * values).sum(axis=0)
@@ -142,7 +142,7 @@ def norm_finite_difference(
         raise ValueError("dt must be positive")
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: operator {h.dim}, state {rho.dim}")
-    values, vectors = eigenbasis(h)
+    values, vectors = h.eig
     r = rho.density()
     if vectors is not None:
         r = vectors.conj().T @ r @ vectors

@@ -31,8 +31,8 @@ def _random_mixed(rng: np.random.Generator, dim: int, rank: int = 2):
 
 def _check_eig_roundtrip(rng) -> tuple[bool, str]:
     h = _random_hermitian(rng, 64)
-    eig = h.eig
-    err = np.max(np.abs((eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T - h.matrix))
+    values, vectors = h.eig
+    err = np.max(np.abs((vectors * values) @ vectors.conj().T - h.matrix))
     ok = err <= 1e-8 * np.max(np.abs(h.matrix))
     return ok, f"reconstruction error {err:.2e} at dim 64"
 

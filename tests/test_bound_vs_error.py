@@ -17,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from arcsim import harness
-from arcsim.bounds import bound_report
+from arcsim import cli, harness
 from arcsim.harness import config_from_dict, run_ensemble
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -33,8 +32,7 @@ def test_infidelity_within_bound(name, monkeypatch):
     raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
     raw.update(protocols=list(PROTOCOLS), trajectories=TRAJECTORIES, noise_std=0.0)
     ctx = harness._Context(config_from_dict(raw))
-    decomp = ctx.decomp.drop_zero_terms()
-    reports = [bound_report(decomp, ctx.exact(i), p.plan) for i, p in enumerate(ctx.points)]
+    _, reports = cli._compute_bounds(ctx)  # the bounds the CLI reports
     checked = {}  # protocol -> plan-point indices of its smallest and largest bound
     for protocol in PROTOCOLS:
         order = sorted(range(len(reports)), key=lambda i: getattr(reports[i], protocol))

@@ -42,7 +42,7 @@ class TestTrotterBound:
     def test_commuting_terms_vanish(self):
         rng = np.random.default_rng(2)
         h = random_hermitian(rng, 4)
-        v = h.eig.eigenvectors
+        _, v = h.eig
         d1 = HermitianOperator((v * [1.0, 0.5, -0.3, 0.2]) @ v.conj().T)
         d2 = HermitianOperator((v * [0.4, -0.1, 0.8, 1.1]) @ v.conj().T)
         dec = Decomposition((d1, d2))
@@ -304,7 +304,7 @@ class TestCentredKernel:
         dec, _ = self.kerr()
         fock = np.eye(dec.dim, dtype=complex)  # column n is |n>
         for h in dec.terms[:2]:  # detuning and kerr are diagonal
-            assert h.diagonal is not None
+            assert h.eig[1] is None
             assert np.all(double_commutator_norms(h, fock) == 0.0)
             assert np.all(centred_moments(h, fock)[0] == 0.0)
 
@@ -349,3 +349,19 @@ class TestCentredKernel:
         assert len(reports) == 5
         assert sum(m is decomp.pair_commutator.matrix for m in seen) == 1
         assert len({id(m) for m in seen}) == len(seen)  # no operator is decomposed twice
+
+
+class TestReportedBounds:
+    def test_brackets_start_from_the_initial_state(self):
+        # step k's bracket is taken on the state it starts from: psi_0 first, psi_{N-1} last
+        assert CONFIGS
+        for path in CONFIGS:
+            ctx = _Context(load_config(path))
+            decomp, reports = cli._compute_bounds(ctx)
+            for idx, report in enumerate(reports):
+                exact = ctx.exact(idx)
+                want = dense_per_step(decomp, [ctx.state0.ket(), exact[-2]])
+                for key, values in report.per_step.items():
+                    assert len(values) == len(exact)
+                    got = [values[0], values[-1]]
+                    assert got == pytest.approx(want[key].tolist(), rel=1e-12), (path.name, idx, key)

@@ -471,6 +471,23 @@ def test_run_and_ptrace_never_import_bounds(tmp_path):
         assert proc.stdout.split() == ["0", "False"], (name, proc.stderr)
 
 
+def test_bounds_never_imports_rng(tmp_path):
+    """bounds draws nothing, so it never loads the random-stream module, with or without shot_params."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    src = Path(cli.__file__).resolve().parents[1]
+    for cfg in (write_config(tmp_path, protocols=["arc"]), configs / "mfim_bounds.json"):
+        argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path / "bounds.json")]
+        code = f"import sys; from arcsim import cli; print(cli.main({argv!r}), 'arcsim.rng' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"], (cfg.name, proc.stderr)
+
+
 def test_small_commands_never_import_the_pool(tmp_path):
     """ptrace, bounds and a run below the pool threshold stay in one process."""
     cfg = write_config(tmp_path, protocols=["arc"], ptrace_trajectories=3)

@@ -3,11 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arcsim import linalg
 from arcsim.compilers import StepPlan, run_exact
 from arcsim.harness import build_model, load_config
-from arcsim.hamiltonians import PAULI, I2, annihilator, build_mfim, HilbertStructure
+from arcsim.hamiltonians import PAULI, I2, annihilator, build_kerr, build_mfim, build_rabi, HilbertStructure
 from arcsim.linalg import (
     HermitianOperator,
+    _eigensystem,
     commutator,
     evolve_columns,
     fidelities,
@@ -94,7 +96,7 @@ class TestHsNormInner:
         rng = np.random.default_rng(4)
         for _ in range(10):
             h = random_hermitian(rng, 8)
-            ev_sum = float(np.sum(h.eig.eigenvalues ** 2))
+            ev_sum = float(np.sum(h.eig[0] ** 2))
             assert hs_norm(h.matrix) ** 2 == pytest.approx(ev_sum, rel=1e-8)
 
 
@@ -118,12 +120,42 @@ class TestEig:
         rng = np.random.default_rng(5)
         for dim in (2, 16, 64, 128):
             h = random_hermitian(rng, dim)
-            eig = h.eig
-            recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+            values, vectors = h.eig
+            recon = (vectors * values) @ vectors.conj().T
             scale = np.max(np.abs(h.matrix))
             assert np.max(np.abs(recon - h.matrix)) <= 1e-8 * scale
-            assert np.max(np.abs(eig.eigenvectors.conj().T @ eig.eigenvectors - np.eye(dim))) <= 1e-10
-            assert np.all(np.diff(eig.eigenvalues) >= 0)
+            assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) <= 1e-10
+            assert np.all(np.diff(values) >= 0)
+
+    def test_one_cached_pair_per_operator(self, monkeypatch):
+        # every term of the three models and random operators: a diagonal one is (diag, None)
+        # with no eigendecomposition, a dense one is _eigensystem's pair, each built once
+        seen = []
+
+        def counted(m):
+            seen.append(m)
+            return _eigensystem(m)
+
+        monkeypatch.setattr(linalg, "_eigensystem", counted)
+        rng = np.random.default_rng(12)
+        models = (build_mfim(4, 1.0, 0.5, 0.3), build_kerr(0.3, 1.0, 0.5, 50), build_rabi(1.0, 1.0, 0.2, 50))
+        terms = [h for dec, _ in models for h in dec.terms]
+        dense = [h for h in terms if h.label in ("x", "drive", "coupling")]
+        diagonal = [h for h in terms if h.label not in ("x", "drive", "coupling")]
+        assert len(diagonal) == 6
+        dense += [random_hermitian(rng, dim) for dim in (2, 7, 16)]
+        diagonal += [HermitianOperator(np.diag(rng.normal(size=dim))) for dim in (2, 7, 16)]
+        for h in diagonal:
+            values, vectors = h.eig
+            assert vectors is None and not seen, h.label
+            assert np.array_equal(values, np.diag(h.matrix).real), h.label
+            assert h.eig is h.eig
+        for h in dense:
+            seen.clear()
+            values, vectors = h.eig
+            assert h.eig is h.eig and [m is h.matrix for m in seen] == [True], h.label
+            want_values, want_vectors = _eigensystem(h.matrix)
+            assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors), h.label
 
 
 class TestSchattenInf:
@@ -141,19 +173,21 @@ class TestSchattenInf:
         n_op = HermitianOperator(a.conj().T @ a)
         assert n_op.schatten_inf == pytest.approx(6.0)
 
-    def test_diagonal_terms_skip_eigh(self):
+    def test_diagonal_terms_skip_eigh(self, monkeypatch):
         # every shipped model's diagonal terms: max |diagonal| equals the eigen-based value exactly
+        seen = []
+        monkeypatch.setattr(linalg, "_eigensystem", lambda m: seen.append(m) or _eigensystem(m))
         configs = Path(__file__).resolve().parents[1] / "configs"
         diagonal = 0
         for path in sorted(configs.glob("*.json")):
             dec, _ = build_model(load_config(path))
             for h in dec.terms:
-                if h.diagonal is None:
+                value = h.schatten_inf
+                if h.eig[1] is not None:
                     continue
                 diagonal += 1
-                value = h.schatten_inf
-                assert "eig" not in vars(h), (path.name, h.label)  # no eigendecomposition built
-                assert value == float(np.max(np.abs(h.eig.eigenvalues))), (path.name, h.label)
+                assert not any(m is h.matrix for m in seen), (path.name, h.label)  # no eigendecomposition built
+                assert value == float(np.max(np.abs(_eigensystem(h.matrix)[0]))), (path.name, h.label)
         assert diagonal == 12
 
 
@@ -201,7 +235,7 @@ class TestEvolve:
         for _ in range(5):
             dense = random_hermitian(rng, 6)
             diagonal = HermitianOperator(np.diag(rng.normal(size=6)))
-            assert diagonal.diagonal is not None and dense.diagonal is None
+            assert diagonal.eig[1] is None and dense.eig[1] is not None
             psi = random_pure(rng, 6)
             tau = rng.uniform(-2, 2)
             for h in (dense, diagonal):
