@@ -24,8 +24,7 @@ import numpy as np
 
 from .hamiltonians import Decomposition
 from .linalg import (
-    HermitianOperator, QuantumState, basis_coordinates, column_norms,
-    evolve_columns, fidelities, rotate_coordinates,
+    HermitianOperator, QuantumState, basis_coordinates, column_norms, fidelities, rotate_coordinates,
 )
 from .moments import EXACT, NoiseModel, moments_of_weights, norms_from_moments, power_rows, squared_moduli
 
@@ -172,16 +171,17 @@ def run_exact(state0: QuantumState, full_h: HermitianOperator, plan: StepPlan) -
     """Exact evolution of a pure state: row k of the (N, dim) array is the state after step k + 1.
 
     Row k is V (exp(-i e (k + 1) dt) * V^dag psi0) in closed form, with no
-    stepping, computed EXACT_CHUNK steps per product so that its last bits
-    do not depend on N, then normalized. A density matrix raises ValueError.
+    stepping: V^dag psi0 is computed once, and the rows EXACT_CHUNK steps per
+    product so that their last bits do not depend on N, then normalized. A
+    density matrix raises ValueError.
     """
     if full_h.dim != state0.dim:
         raise ValueError(f"dimension mismatch: operator {full_h.dim}, state {state0.dim}")
-    psi0 = state0.ket()
+    coords = basis_coordinates(full_h, state0.ket()[:, None])
     times = np.arange(1, -(-plan.steps // EXACT_CHUNK) * EXACT_CHUNK + 1) * plan.dt
     states = np.empty((state0.dim, plan.steps), complex, order="F")  # each state contiguous
     for first in range(0, plan.steps, EXACT_CHUNK):  # one chunk at a time, so no second copy
-        block = evolve_columns(full_h, psi0, times[first : first + EXACT_CHUNK])
+        block = rotate_coordinates(full_h, coords, times[first : first + EXACT_CHUNK])
         states[:, first : first + EXACT_CHUNK] = block[:, : plan.steps - first]
     return _normalized(states).T
 

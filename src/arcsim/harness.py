@@ -10,6 +10,7 @@ independent of how many workers execute the trajectories.
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import functools
 import json
@@ -131,22 +132,13 @@ class ExperimentConfig:
     shot_params: dict | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "model": self.model,
-            "params": dict(self.params),
-            "initial_state": self.initial_state,
-            "protocols": list(self.protocols),
-            "plan": self.plan.to_dict(),
-            "trajectories": self.trajectories,
-            "noise_std": self.noise_std,
-            "master_seed": self.master_seed,
-        }
-        if self.include_bounds:
-            d["include_bounds"] = True
-        if self.ptrace_trajectories != 1:
-            d["ptrace_trajectories"] = self.ptrace_trajectories
-        if self.shot_params is not None:
-            d["shot_params"] = dict(self.shot_params)
+        """The JSON echo: every field but out and format, in order, the last three only when set."""
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            unset = f.name in ("include_bounds", "ptrace_trajectories", "shot_params") and value == f.default
+            if f.name not in ("out", "format") and not unset:
+                d[f.name] = value.to_dict() if isinstance(value, PlanSpec) else copy.copy(value)
         return d
 
 
@@ -314,12 +306,8 @@ def load_config(path) -> ExperimentConfig:
 
 def build_model(config: ExperimentConfig) -> tuple[Decomposition, HilbertStructure]:
     """Construct the configured model's decomposition and Hilbert structure."""
-    p = config.params
-    if config.model == "mfim":
-        return build_mfim(int(p["L"]), p["J"], p["h_x"], p["h_z"])
-    if config.model == "kerr":
-        return build_kerr(p["delta"], p["K"], p["eps"], int(p["D"]))
-    return build_rabi(p["omega"], p["Omega"], p["g"], int(p["D"]))
+    builders = {"mfim": build_mfim, "kerr": build_kerr, "rabi": build_rabi}  # per call: tests patch them
+    return builders[config.model](**config.params)
 
 
 @dataclass(eq=False)

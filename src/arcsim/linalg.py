@@ -218,14 +218,6 @@ def rotate_coordinates(h: HermitianOperator, coords: np.ndarray, taus: np.ndarra
     return out if vectors is None else vectors @ out
 
 
-def evolve_columns(h: HermitianOperator, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i h t) psi for every t in times, as the columns of a (dim, len(times)) block.
-
-    One basis change serves every column: V (exp(-i e t) * V^dag psi).
-    """
-    return rotate_coordinates(h, basis_coordinates(h, psi[:, None]), times)
-
-
 def fidelities(target: np.ndarray, block: np.ndarray) -> np.ndarray:
     """|<target|psi_m>|^2 for each column psi_m of a block, clipped to [0, 1]."""
     return np.clip(np.abs(target.conj() @ block) ** 2, 0.0, 1.0)

@@ -153,12 +153,6 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def _new_philox(key) -> tuple:
-    """(bit generator, generator, state dict) of a fresh Philox under key."""
-    bits = np.random.Philox(key=key)
-    return bits, np.random.Generator(bits), bits.state
-
-
 @cache
 def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     """numpy's layer widths wi, shipped as package data, and conservative acceptance bounds ki.
@@ -211,7 +205,9 @@ class TrajectoryStream:
 
     @cached_property
     def _philox(self) -> tuple:
-        return _new_philox(self.key)
+        """(bit generator, generator, state dict) of a fresh Philox under the key."""
+        bits = np.random.Philox(key=self.key)
+        return bits, np.random.Generator(bits), bits.state
 
     def step(self, k: int) -> np.random.Generator:
         bits, generator, state = self._philox

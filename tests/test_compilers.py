@@ -271,6 +271,26 @@ class TestExactOnDiagonalTotals:
             assert np.allclose(got, state.data, rtol=1e-12, atol=0)
 
 
+def test_run_exact_changes_basis_once(monkeypatch):
+    from arcsim import linalg
+
+    dec, st = build_rabi(1.0, 1.0, 0.2, 20)
+    psi0, h, calls = basis_state("(|2,0⟩+|5,0⟩)/√2", st), dec.total_operator, []
+
+    def counted(op, block):
+        calls.append(block.shape)
+        return basis_coordinates(op, block)
+
+    monkeypatch.setattr(linalg, "basis_coordinates", counted)
+    monkeypatch.setattr(compilers, "basis_coordinates", counted)
+    states = run_exact(psi0, h, StepPlan(1.0, 50))  # four EXACT_CHUNK products
+    assert calls == [(h.dim, 1)]
+    coords = h.eig[1].conj().T @ psi0.data[:, None]
+    for k in (0, 17, 49):
+        want = rotate_coordinates(h, coords, np.array([(k + 1) * 0.02]))[:, 0]
+        assert np.allclose(states[k], want / np.linalg.norm(want), rtol=0, atol=1e-13)
+
+
 class TestTrotterStep:
     def test_exact_for_commuting_terms(self):
         rng = np.random.default_rng(3)

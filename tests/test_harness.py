@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -28,7 +29,9 @@ from arcsim.harness import (
     worker_count,
 )
 from arcsim.hamiltonians import Decomposition
-from arcsim.linalg import HermitianOperator, QuantumState, evolve_columns, fidelities, pure_state
+from arcsim.linalg import (
+    HermitianOperator, QuantumState, basis_coordinates, fidelities, pure_state, rotate_coordinates,
+)
 from arcsim.rng import trajectory_stream
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -106,6 +109,26 @@ class TestConfigParsing:
         path.write_text(json.dumps({"model": "mfim", "trajectories": 7}))
         cfg = load_config(path)
         assert cfg.trajectories == 7
+
+    def test_echo_lists_every_field_but_out_and_format(self):
+        shots = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
+        full = config_from_dict({
+            "model": "mfim", "out": "x.json", "format": "json", "include_bounds": True,
+            "ptrace_trajectories": 3, "shot_params": shots,
+        })
+        names = [f.name for f in dataclasses.fields(full) if f.name not in ("out", "format")]
+        assert list(full.to_dict()) == names
+        bare = config_from_dict({"model": "mfim"}).to_dict()
+        assert list(bare) == [n for n in names if n not in ("include_bounds", "ptrace_trajectories", "shot_params")]
+        echo = full.to_dict()
+        echo["params"]["L"] = 9
+        echo["protocols"].append("equal")
+        echo["shot_params"]["k"] = 2
+        echo["plan"]["n_list"].append(99)
+        assert (full.params["L"], full.protocols, full.shot_params, full.plan.n_list) == (
+            4, ["arc", "rc"], shots, DEFAULT_N_LIST
+        )
+        assert full.to_dict() == config_from_dict(full.to_dict()).to_dict()
 
 
 class TestPlanPoints:
@@ -242,7 +265,7 @@ class TestExactReference:
                     times = np.arange(1, plan.steps + EXACT_CHUNK) * plan.dt
                     with _single_blas_thread():
                         closed = np.concatenate([
-                            evolve_columns(h, psi0, times[k : k + EXACT_CHUNK])
+                            rotate_coordinates(h, basis_coordinates(h, psi0[:, None]), times[k : k + EXACT_CHUNK])
                             for k in range(0, plan.steps, EXACT_CHUNK)
                         ], axis=1)
                     want = np.array([QuantumState(closed[:, k]).data for k in range(plan.steps)])

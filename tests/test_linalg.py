@@ -10,13 +10,14 @@ from arcsim.hamiltonians import PAULI, I2, annihilator, build_kerr, build_mfim, 
 from arcsim.linalg import (
     HermitianOperator,
     _eigensystem,
+    basis_coordinates,
     commutator,
-    evolve_columns,
     fidelities,
     hs_norm,
     kron,
     mixed_state,
     pure_state,
+    rotate_coordinates,
 )
 
 SX, SY, SZ = PAULI["x"], PAULI["y"], PAULI["z"]
@@ -36,7 +37,7 @@ def random_pure(rng, dim):
 
 def evolve(psi, h, tau):
     """exp(-i h tau) psi through the closed-form kernel, as one column."""
-    return evolve_columns(h, psi.data, np.array([tau]))[:, 0]
+    return rotate_coordinates(h, basis_coordinates(h, psi.data[:, None]), np.array([tau]))[:, 0]
 
 
 def fidelity(a, b):
