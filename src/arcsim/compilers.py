@@ -144,7 +144,9 @@ def optimal_distribution(djj_values) -> ProbabilityDistribution:
     """Sampling weights p_j proportional to sqrt of each double-commutator norm.
 
     Entries at or below ZERO_WEIGHT_EPS get probability 0; if every entry is
-    that small the distribution falls back to uniform.
+    that small the distribution falls back to uniform. The sampler's norms of
+    commuting terms are already exactly 0 (norms_from_moments), so it guards
+    only positive norms up to 1e-14, which no shipped config's arc run reaches.
     """
     d = np.asarray(djj_values, dtype=float)
     if np.any(d < 0):

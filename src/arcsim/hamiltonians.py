@@ -198,8 +198,10 @@ def build_rabi(omega: float, Omega: float, g: float, D: int) -> tuple[Decomposit
     return Decomposition(terms), structure
 
 
-_KET = re.compile(r"(?P<sign>[+-])?\s*(?P<coef>\d+(?:\.\d+)?)?\s*\|(?P<label>[^|⟩>]*)[⟩>]", re.ASCII)
-_GLUE = set("()+-*/√. \t0123456789sqrt")
+_NUM = r"\d+(?:\.\d+)?"
+_KET = re.compile(rf"\s*(?P<sign>[+-])?\s*(?P<coef>{_NUM})?\s*\|(?P<label>[^|⟩>]*)[⟩>]\s*", re.ASCII)
+# kets in one pair of outer parentheses, optionally over a normalization: /√n, /sqrt(n) or /n
+_OUTER = re.compile(rf"\((?P<kets>[^()]*)\)\s*(?:/\s*(?:√\s*{_NUM}|sqrt\(\s*{_NUM}\s*\)|{_NUM}))?", re.ASCII)
 
 
 def _basis_index(label: str, structure: HilbertStructure) -> int:
@@ -239,27 +241,28 @@ def _qubit_index(text: str, structure: HilbertStructure) -> int:
 def basis_state(spec: str, structure: HilbertStructure) -> QuantumState:
     """Pure state from a ket string.
 
-    Accepts a bare basis label ("0011", "5"), or a superposition such as
-    "(|1⟩+|5⟩)/√2" or "(|2,0⟩+|5,0⟩)/√2". ASCII "|n>" kets and "/sqrt(2)"
-    are accepted too. Amplitudes are normalized after assembly.
+    Accepts a bare basis label ("0011", "5", "2,0"), or a sum of kets, each
+    with an optional decimal coefficient and each after the first with its own
+    + or - ("|0⟩-|2⟩", "2|0⟩+0.5|1⟩"), optionally inside one pair of
+    parentheses over /√n, /sqrt(n) or /n ("(|2,0⟩+|5,0⟩)/√2"). ASCII "|n>"
+    kets are accepted too. Anything else raises ValueError naming the stray
+    text. Amplitudes are normalized after assembly.
     """
     s = spec.strip()
     if not s:
         raise ValueError("empty state spec")
-    matches = list(_KET.finditer(s))
-    if matches:
-        residue = _KET.sub("", s)
-        bad = [c for c in residue if c not in _GLUE]
-        if bad:
-            raise ValueError(f"cannot parse state spec {spec!r} (stray {bad[0]!r})")
-        terms = []
-        for m in matches:
-            coef = float(m.group("coef")) if m.group("coef") else 1.0
-            if m.group("sign") == "-":
-                coef = -coef
-            terms.append((coef, m.group("label")))
-    else:
+    if "|" not in s:
         terms = [(1.0, s)]
+    else:
+        outer = _OUTER.fullmatch(s)
+        kets, terms, pos = outer.group("kets") if outer else s, [], 0
+        while pos < len(kets):  # each ket after the first carries its own sign
+            m = _KET.match(kets, pos)
+            if m is None or (terms and m.group("sign") is None):
+                raise ValueError(f"cannot parse state spec {spec!r} (stray {kets[pos:]!r})")
+            coef = float(m.group("coef")) if m.group("coef") else 1.0
+            terms.append((-coef if m.group("sign") == "-" else coef, m.group("label")))
+            pos = m.end()
     v = np.zeros(structure.dim, dtype=complex)
     for coef, label in terms:
         v[_basis_index(label, structure)] += coef

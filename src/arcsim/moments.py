@@ -42,6 +42,7 @@ class NoiseModel:
 
 
 EXACT = NoiseModel(0.0)
+EPS = np.finfo(float).eps
 
 
 def double_commutator_norm(h: HermitianOperator, state: QuantumState) -> float:
@@ -92,11 +93,15 @@ def moment_block(h: HermitianOperator, coords: np.ndarray) -> np.ndarray:
 def norms_from_moments(moments: np.ndarray) -> np.ndarray:
     """Pure-state formula sqrt(6 m2^2 - 8 m1 m3 + 2 m4) over the last axis (m1..m4).
 
-    The radicand is clamped at 0.
+    A radicand at most 64 eps (6 m2^2 + 8 |m1 m3| + 2 |m4|), the rounding bound
+    of its three terms, is 0, measured or perturbed: for a term with large
+    eigenvalues they cancel to rounding, and a term that commutes with the
+    state would get a norm of up to 1e-2 (Kerr and Rabi Fock states).
     """
     m1, m2, m3, m4 = np.moveaxis(moments, -1, 0)
-    radicand = 6.0 * m2 * m2 - 8.0 * m1 * m3 + 2.0 * m4
-    return np.sqrt(np.maximum(radicand, 0.0))
+    a, b, c = 6.0 * m2 * m2, 8.0 * m1 * m3, 2.0 * m4
+    radicand = a - b + c
+    return np.sqrt(np.where(radicand <= 64 * EPS * (a + np.abs(b) + np.abs(c)), 0.0, radicand))
 
 
 def centred_moments(h: HermitianOperator, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -288,6 +288,11 @@ class TestCliErrors:
         monkeypatch.setattr(bounds, "bound_report", inverted)  # cli imports it when a command needs it
         assert cli.main(["bounds", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
 
+    def test_stray_ket_text_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model="kerr", initial_state="|0⟩ - 2*|1⟩")
+        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "stray '- 2*|1⟩'" in capsys.readouterr().err
+
     def test_bad_seed_flag_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg), "--seed", "-4"]) == cli.EXIT_CONFIG

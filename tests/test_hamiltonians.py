@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,26 @@ class TestBasisState:
         st = HilbertStructure(qubit_sites=2)
         with pytest.raises(ValueError):
             basis_state("|01⟩ plus junk", st)
+
+    @pytest.mark.parametrize("spec, stray", [
+        ("|0⟩ - 2*|1⟩", "- 2*|1⟩"),  # each was read as (|0⟩+|1⟩)/√2 or (|0⟩+7|1⟩)/√50
+        ("|0⟩ - (|1⟩)", "- (|1⟩)"),
+        ("|1⟩*3 + |2⟩", "*3 + |2⟩"),
+        ("|0⟩ 7 |1⟩", "7 |1⟩"),
+        ("|0⟩+|1⟩/√2", "/√2"),
+        ("((|0⟩+|1⟩))/√2", "((|0⟩+|1⟩))/√2"),
+    ])
+    def test_stray_signs_and_factors_rejected(self, spec, stray):
+        with pytest.raises(ValueError, match=re.escape(f"(stray {stray!r})")):
+            basis_state(spec, HilbertStructure(fock_dim=4))
+
+    def test_grammar_coefficients_and_normalizations(self):
+        st = HilbertStructure(fock_dim=4)
+        r = 1 / np.sqrt(2)
+        for spec, want in (("2|0⟩+0.5|1⟩", [2, 0.5, 0, 0]), ("-|0⟩ + 2 |3>", [-1, 0, 0, 2]),
+                           ("(|0⟩-|2⟩)/sqrt(2)", [r, 0, -r, 0]), ("( |1⟩ + |2⟩ ) / 2", [0, r, r, 0])):
+            want = np.array(want) / np.linalg.norm(want)
+            assert np.allclose(basis_state(spec, st).data, want, rtol=0, atol=1e-15), spec
 
     def test_wrong_qubit_count(self):
         st = HilbertStructure(qubit_sites=3)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator, basis_state, build_mfim
+from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator, basis_state, build_kerr, build_mfim, build_rabi
 from arcsim.linalg import HermitianOperator, QuantumState, _eigensystem, basis_coordinates, mixed_state, pure_state
 from arcsim.moments import (
     FD_WEIGHTS,
     NoiseModel,
     double_commutator_norm,
+    double_commutator_norms,
     moment_block,
     norm_finite_difference,
     norms_from_moments,
@@ -148,6 +149,21 @@ class TestNormFromMoments:
 
     def test_clamps_negative_radicand(self):
         assert norms_from_moments(np.array([0.0, 0, 0, -0.005])) == 0.0
+
+    @pytest.mark.parametrize("build, args", [(build_kerr, (0.3, 1.0, 0.5, 50)), (build_rabi, (1.0, 1.0, 0.2, 50))])
+    def test_exactly_zero_on_fock_states(self, build, args):
+        # the raw radicand cancels to rounding here: 51 (term, state) pairs came out 2.6e-9 to 7.8e-3
+        dec, _ = build(*args)
+        block = np.eye(dec.dim, dtype=complex)  # every Fock state, one column each
+        zeros = 0
+        for h in dec.terms:
+            got = norms_from_moments(moment_block(h, basis_coordinates(h, block)).T)
+            want = double_commutator_norms(h, block)
+            zero = want == 0.0
+            assert np.all(got[zero] == 0.0), (h.label, np.flatnonzero(got[zero]))
+            np.testing.assert_allclose(got[~zero], want[~zero], rtol=1e-12, atol=0)
+            zeros += zero.sum()
+        assert zeros > 0
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(4)
