@@ -255,7 +255,7 @@ def basis_state(spec: str, structure: HilbertStructure) -> QuantumState:
         terms = [(1.0, s)]
     else:
         outer = _OUTER.fullmatch(s)
-        kets, terms, pos = outer.group("kets") if outer else s, [], 0
+        kets, terms, pos = (outer.group("kets") if outer else s), [], 0
         while pos < len(kets):  # each ket after the first carries its own sign
             m = _KET.match(kets, pos)
             if m is None or (terms and m.group("sign") is None):

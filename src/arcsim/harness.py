@@ -306,7 +306,7 @@ def load_config(path) -> ExperimentConfig:
 
 def build_model(config: ExperimentConfig) -> tuple[Decomposition, HilbertStructure]:
     """Construct the configured model's decomposition and Hilbert structure."""
-    builders = {"mfim": build_mfim, "kerr": build_kerr, "rabi": build_rabi}  # per call: tests patch them
+    builders = {"mfim": build_mfim, "kerr": build_kerr, "rabi": build_rabi}  # built per call, so patches apply
     return builders[config.model](**config.params)
 
 
