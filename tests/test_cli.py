@@ -298,7 +298,7 @@ class TestCliErrors:
         assert cli.main(["run", "--config", str(cfg), "--seed", "-4"]) == cli.EXIT_CONFIG
 
     def test_bad_model_size_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
-        def never(*args):
+        def never(*args, **kwargs):
             raise AssertionError("model built")
 
         monkeypatch.setattr(harness, "build_mfim", never)
@@ -308,7 +308,7 @@ class TestCliErrors:
             assert message in capsys.readouterr().err
 
     def test_bad_shot_params_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
-        def never(*args):
+        def never(*args, **kwargs):
             raise AssertionError("model built")
 
         monkeypatch.setattr(harness, "build_mfim", never)
@@ -320,7 +320,7 @@ class TestCliErrors:
                 assert "invalid shot_params" in capsys.readouterr().err
 
     def test_mistyped_shot_params_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
         for shots in (dict(good, k=1.5, w=True, S=0.5), dict(good, eps_stat=float("inf"))):
             cfg = write_config(tmp_path, shot_params=shots)
@@ -328,7 +328,7 @@ class TestCliErrors:
             assert "invalid shot_params" in capsys.readouterr().err
 
     def test_oversized_trajectories_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         monkeypatch.setattr(harness, "MAX_TRAJECTORIES", 30)
         cfg = write_config(tmp_path, protocols=["arc"])
         for config, flag in ((cfg, "--trajectories"), (write_config(tmp_path, "big.json", trajectories=31), None)):
@@ -342,7 +342,7 @@ class TestCliErrors:
         assert "ptrace_trajectories" in capsys.readouterr().err
 
     def test_non_finite_noise_std_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         cfg = write_config(tmp_path, protocols=["arc"])
         finite = "--noise-std must be a finite number"
         for value, message in (("nan", finite), ("inf", finite), ("-inf", finite), ("-0.5", "must be nonnegative")):
@@ -351,7 +351,7 @@ class TestCliErrors:
                 assert message in capsys.readouterr().err
 
     def test_oversized_noise_std_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         cfg = write_config(tmp_path, protocols=["arc"])
         big = write_config(tmp_path, "big.json", protocols=["arc"], noise_std=1e300)
         for argv, name in (([str(cfg), "--noise-std=1e300"], "--noise-std"), ([str(big)], "noise_std")):
@@ -362,7 +362,7 @@ class TestCliErrors:
         assert harness.load_config(at_cap).noise_std == harness.MAX_NOISE_STD
 
     def test_oversized_step_counts_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         for plan in (
             {"mode": "fixed_t", "t": 1e300, "dt_list": [1e-10]},
             {"mode": "fixed_dt", "dt": 0.02, "n_list": [5, harness.MAX_STEPS + 1]},
@@ -373,7 +373,7 @@ class TestCliErrors:
                 assert "step" in capsys.readouterr().err
 
     def test_overflowing_shot_bounds_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "build_mfim", lambda *args: pytest.fail("model built"))
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
         for bad in ({"w": 1000}, {"R": 10**400}, {"S": 10**400}, {"eps_stat": 1e-200}):
             cfg = write_config(tmp_path, shot_params=dict(good, **bad))

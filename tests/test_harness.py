@@ -130,6 +130,12 @@ class TestConfigParsing:
         )
         assert full.to_dict() == config_from_dict(full.to_dict()).to_dict()
 
+    def test_build_model_passes_params_as_builder_keywords(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "build_mfim", lambda **kwargs: calls.append(kwargs) or ("dec", "st"))
+        assert harness.build_model(config_from_dict({"model": "mfim", "params": {"J": 2.0}})) == ("dec", "st")
+        assert calls == [{"L": 4, "J": 2.0, "h_x": 0.5, "h_z": 0.3}]
+
 
 class TestPlanPoints:
     def test_fixed_dt_points(self):
