@@ -31,7 +31,6 @@ from .moments import EXACT, NoiseModel, moments_of_weights, norms_from_moments, 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
 DETERMINISTIC_PROTOCOLS = frozenset({"trotter1", "exact"})
 
-ZERO_WEIGHT_EPS = 1e-14
 # (trajectory, step) pairs a block draws per rng.stream_draws call, max(1, pairs // width)
 # steps at a time: enough to amortize the array work, with buffers that stay small at any
 # width. Noisy "arc" takes some 20 Philox words per pair, so it draws a quarter as many.
@@ -130,12 +129,12 @@ class TrajectoryRecord:
 
 
 def _sqrt_weights(d: np.ndarray) -> np.ndarray:
-    """Unnormalized optimal weights along the last axis: sqrt(d_j) above ZERO_WEIGHT_EPS, else 0.
+    """Unnormalized optimal weights along the last axis: sqrt(d_j) where d_j > 0, else 0.
 
-    A row with no entry above ZERO_WEIGHT_EPS gets uniform weights.
+    A row with no positive entry gets uniform weights.
     """
-    active = d > ZERO_WEIGHT_EPS
-    w = np.where(active, np.sqrt(np.clip(d, 0.0, None)), 0.0)
+    active = d > 0.0
+    w = np.sqrt(np.where(active, d, 0.0))
     w[~active.any(axis=-1)] = 1.0 / d.shape[-1]
     return w
 
@@ -143,14 +142,12 @@ def _sqrt_weights(d: np.ndarray) -> np.ndarray:
 def optimal_distribution(djj_values) -> ProbabilityDistribution:
     """Sampling weights p_j proportional to sqrt of each double-commutator norm.
 
-    Entries at or below ZERO_WEIGHT_EPS get probability 0; if every entry is
-    that small the distribution falls back to uniform. The sampler's norms of
-    commuting terms are already exactly 0 (norms_from_moments), so it guards
-    only positive norms up to 1e-14, which no shipped config's arc run reaches.
+    Zero entries get probability 0, and all-zero input gives uniform weights,
+    so p does not change when every d_j is scaled by the same positive factor.
     """
     d = np.asarray(djj_values, dtype=float)
-    if np.any(d < 0):
-        raise ValueError(f"negative weight input {d.min()}")
+    if not np.all(d >= 0):  # also rejects NaN, which would otherwise get weight 0
+        raise ValueError(f"weight inputs must be nonnegative numbers, got {d}")
     return ProbabilityDistribution(_sqrt_weights(d))
 
 
@@ -201,8 +198,7 @@ def _optimal_rows(djj: np.ndarray) -> np.ndarray:
     """optimal_distribution applied to each row of an (M, L) array of norms."""
     w = _sqrt_weights(djj)
     total = w.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(total)):
-        raise ValueError("probability vector has non-finite entries")
+    _reject_non_finite(total)
     return w / total
 
 

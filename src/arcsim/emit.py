@@ -13,12 +13,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hamiltonians import Decomposition
-from .harness import EnsembleResult, ExperimentConfig, PlanPoint, PTraceTable
+from .harness import EnsembleResult, ExperimentConfig, PlanPoint, PTraceTable, SeriesPoint
 
 if TYPE_CHECKING:  # annotations only: bounds is loaded by the commands that compute them
     from .bounds import BoundReport
 
-SERIES_COLUMNS = ("protocol", "x_kind", "x_value", "mean_fidelity", "stderr", "trajectories")
+SERIES_COLUMNS = SeriesPoint._fields
 
 _PALETTE = ("#c0392b", "#27ae60", "#8e44ad", "#2980b9", "#d68910")
 
@@ -28,10 +28,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    return repr(float(value))
 
 
 def _csv(header, rows) -> str:
@@ -39,12 +36,8 @@ def _csv(header, rows) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
-def _series_rows(result: EnsembleResult) -> list[list]:
-    return [[getattr(sp, column) for column in SERIES_COLUMNS] for sp in result.series]
-
-
 def series_csv(result: EnsembleResult) -> str:
-    return _csv(SERIES_COLUMNS, _series_rows(result))
+    return _csv(SERIES_COLUMNS, result.series)
 
 
 def ptrace_csv(table: PTraceTable) -> str:
@@ -74,7 +67,7 @@ def _bound_dict(report: BoundReport) -> dict:
 
 
 def result_json(result: EnsembleResult, bounds: list[BoundReport] | None = None) -> str:
-    fields = {"series": [dict(zip(SERIES_COLUMNS, row)) for row in _series_rows(result)]}
+    fields = {"series": [sp._asdict() for sp in result.series]}
     if result.extrapolated:
         fields["extrapolated"] = dict(result.extrapolated)
     if bounds is not None:

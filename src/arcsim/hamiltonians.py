@@ -201,7 +201,7 @@ def build_rabi(omega: float, Omega: float, g: float, D: int) -> tuple[Decomposit
 _NUM = r"\d+(?:\.\d+)?"
 _KET = re.compile(rf"\s*(?P<sign>[+-])?\s*(?P<coef>{_NUM})?\s*\|(?P<label>[^|⟩>]*)[⟩>]\s*", re.ASCII)
 # kets in one pair of outer parentheses, optionally over a normalization: /√n, /sqrt(n) or /n
-_OUTER = re.compile(rf"\((?P<kets>[^()]*)\)\s*(?:/\s*(?:√\s*{_NUM}|sqrt\(\s*{_NUM}\s*\)|{_NUM}))?", re.ASCII)
+_OUTER = re.compile(rf"\((?P<kets>[^()]*)\)\s*(?:/\s*(?P<n>√\s*{_NUM}|sqrt\(\s*{_NUM}\s*\)|{_NUM}))?", re.ASCII)
 
 
 def _basis_index(label: str, structure: HilbertStructure) -> int:
@@ -244,7 +244,7 @@ def basis_state(spec: str, structure: HilbertStructure) -> QuantumState:
     Accepts a bare basis label ("0011", "5", "2,0"), or a sum of kets, each
     with an optional decimal coefficient and each after the first with its own
     + or - ("|0⟩-|2⟩", "2|0⟩+0.5|1⟩"), optionally inside one pair of
-    parentheses over /√n, /sqrt(n) or /n ("(|2,0⟩+|5,0⟩)/√2"). ASCII "|n>"
+    parentheses over /√n, /sqrt(n) or /n with n > 0 ("(|2,0⟩+|5,0⟩)/√2"). ASCII "|n>"
     kets are accepted too. Anything else raises ValueError naming the stray
     text. Amplitudes are normalized after assembly.
     """
@@ -255,6 +255,8 @@ def basis_state(spec: str, structure: HilbertStructure) -> QuantumState:
         terms = [(1.0, s)]
     else:
         outer = _OUTER.fullmatch(s)
+        if outer and outer.group("n") and not re.search("[1-9]", outer.group("n")):
+            raise ValueError(f"state spec {spec!r} divides by zero; the normalization must be positive")
         kets, terms, pos = (outer.group("kets") if outer else s), [], 0
         while pos < len(kets):  # each ket after the first carries its own sign
             m = _KET.match(kets, pos)

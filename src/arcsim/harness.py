@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -310,8 +310,7 @@ def build_model(config: ExperimentConfig) -> tuple[Decomposition, HilbertStructu
     return builders[config.model](**config.params)
 
 
-@dataclass(eq=False)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     protocol: str
     x_kind: str
     x_value: float

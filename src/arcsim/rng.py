@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -192,28 +192,12 @@ def standard_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryStream:
-    """Per-trajectory stream; step(k) yields an independent generator for step k.
-
-    The stream keeps one Philox generator, built on the first step, and
-    step(k) moves it to counter (0, 0, 0, k), so the generator it returns
-    draws exactly what a fresh Generator(Philox(key, counter=[0, 0, 0, k]))
-    would. That generator is valid until the next step() call on the same
-    stream.
-    """
+    """Per-trajectory stream; step(k) is a fresh generator at Philox counter (0, 0, 0, k) under the key."""
 
     key: np.ndarray
 
-    @cached_property
-    def _philox(self) -> tuple:
-        """(bit generator, generator, state dict) of a fresh Philox under the key."""
-        bits = np.random.Philox(key=self.key)
-        return bits, np.random.Generator(bits), bits.state
-
     def step(self, k: int) -> np.random.Generator:
-        bits, generator, state = self._philox
-        state["state"]["counter"] = np.array([0, 0, 0, int(k)], dtype=np.uint64)
-        bits.state = state  # through the state setter, which also clears the buffer
-        return generator
+        return np.random.Generator(np.random.Philox(key=self.key, counter=[0, 0, 0, int(k)]))
 
 
 def trajectory_stream(master_seed: int, *path: int) -> TrajectoryStream:

@@ -6,14 +6,13 @@ branches, each weighted by the product of its p's: the random-compiler channel
 argument (Campbell, PRL 123, 070503 (2019)) applied branch by branch. The
 oracle takes each term's step from its own dense eigh, independent of
 HermitianOperator.eig, and each weight from the matrix oracle
-double_commutator_norm with the engine's zero threshold; branches with p = 0
-are pruned.
+double_commutator_norm with the engine's zero rule (p_j = 0 exactly where
+d_j = 0); branches with p = 0 are pruned.
 """
 
 import numpy as np
 import pytest
 
-from arcsim.compilers import ZERO_WEIGHT_EPS
 from arcsim.hamiltonians import basis_state
 from arcsim.harness import build_model, config_from_dict, run_ensemble
 from arcsim.linalg import QuantumState
@@ -34,7 +33,7 @@ def tree_fidelities(config) -> dict:
         children = []
         for weight, psi in level:
             d = np.array([double_commutator_norm(h, QuantumState(psi)) for h in dec.terms])
-            w = np.where(d > ZERO_WEIGHT_EPS, np.sqrt(d), 0.0)
+            w = np.where(d > 0.0, np.sqrt(d), 0.0)
             p = w / w.sum() if w.any() else np.full(len(w), 1.0 / len(w))
             for pj, (ej, vj) in zip(p, steps):
                 if pj > 0:

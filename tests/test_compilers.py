@@ -195,8 +195,9 @@ class TestOptimalDistribution:
         assert np.allclose(p.p, [2 / 3, 0.0, 1 / 3])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            optimal_distribution([1.0, -0.1])
+        for bad in ([1.0, -0.1], [math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                optimal_distribution(bad)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)

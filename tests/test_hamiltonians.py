@@ -285,6 +285,11 @@ class TestBasisState:
         with pytest.raises(ValueError, match=re.escape(f"(stray {stray!r})")):
             basis_state(spec, HilbertStructure(fock_dim=4))
 
+    @pytest.mark.parametrize("spec", ["(|0⟩+|1⟩)/0", "(|0⟩+|1⟩)/√0", "(|0⟩+|1⟩)/sqrt(0.0)"])
+    def test_zero_normalization_rejected(self, spec):
+        with pytest.raises(ValueError, match=re.escape(f"state spec {spec!r} divides by zero")):
+            basis_state(spec, HilbertStructure(fock_dim=4))
+
     def test_grammar_coefficients_and_normalizations(self):
         st = HilbertStructure(fock_dim=4)
         r = 1 / np.sqrt(2)

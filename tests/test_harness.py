@@ -136,6 +136,14 @@ class TestConfigParsing:
         assert harness.build_model(config_from_dict({"model": "mfim", "params": {"J": 2.0}})) == ("dec", "st")
         assert calls == [{"L": 4, "J": 2.0, "h_x": 0.5, "h_z": 0.3}]
 
+    @pytest.mark.parametrize("model, params", [
+        ("mfim", {"L": 2}), ("mfim", {"L": 4}), ("kerr", {"D": 2}), ("kerr", {"D": 50}),
+        ("rabi", {"D": 2}), ("rabi", {"D": 50}),
+    ])
+    def test_dimension_cap_reads_the_built_dimension(self, model, params):
+        config = config_from_dict({"model": model, "params": params})
+        assert harness._dimension(model, config.params) == harness.build_model(config)[1].dim
+
 
 class TestPlanPoints:
     def test_fixed_dt_points(self):
@@ -371,6 +379,25 @@ class TestPtrace:
         for k in range(10):
             j = table.sampled_indices[k]
             assert table.taus[k] == pytest.approx(0.02 / table.probabilities[k, j], rel=1e-12)
+
+    @pytest.mark.parametrize("model, couplings", [
+        ("mfim", ("J",)), ("kerr", ("delta", "K", "eps")), ("rabi", ("omega", "Omega", "g")),
+    ])
+    def test_arc_weights_do_not_depend_on_the_units_of_h(self, model, couplings):
+        # H -> sH with dt -> dt/s leaves every step exp(-i H_j tau_j) and every weight unchanged;
+        # MFIM's h_x and h_z multiply J, so J alone sets its scale
+        def trace(s):
+            params = {key: s * harness.DEFAULT_PARAMS[model][key] for key in couplings}
+            return run_ptrace(config_from_dict({
+                "model": model, "protocols": ["arc"], "master_seed": 3, "noise_std": 0.0,
+                "params": params, "plan": {"mode": "fixed_dt", "dt": 0.05 / s, "n_list": [20]},
+            }))
+
+        base = trace(1.0)
+        for s in (1e-4, 1e-8):
+            table = trace(s)
+            assert np.max(np.abs(table.probabilities - base.probabilities)) <= 1e-12, s
+            assert np.array_equal(table.sampled_indices, base.sampled_indices), s
 
     def test_matches_direct_trajectory(self):
         cfg = mfim_config(protocols=["arc"], noise_std=0.0)
