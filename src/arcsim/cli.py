@@ -114,6 +114,8 @@ def cmd_run(args) -> int:
     config = _load(args)
     if config.include_bounds and config.format == "csv":
         raise ConfigError("include_bounds needs --format json: CSV has no bounds")
+    if args.svg and config.out is None:
+        raise ConfigError("--svg needs --out to name the chart file")
     result = run_ensemble(config)
     bounds = None
     if config.include_bounds:
@@ -121,8 +123,6 @@ def cmd_run(args) -> int:
     text = series_csv(result) if config.format == "csv" else result_json(result, bounds)
     _deliver(text, config.out)
     if args.svg:
-        if config.out is None:
-            raise ConfigError("--svg needs --out to name the chart file")
         emit_svg(result, Path(config.out).with_suffix(".svg"))
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,9 +74,6 @@ class ProbabilityDistribution:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
-    def __len__(self) -> int:
-        return len(self.p)
-
 
 @dataclass(frozen=True)
 class StepPlan:
@@ -95,33 +93,22 @@ class StepPlan:
         return self.total_time / self.steps
 
 
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Per-step log of one protocol run plus the final state.
 
     For sampled protocols `indices[k]` is the term applied at step k,
     `taus[k]` its time slice, and `probabilities[k]` the full distribution in
     effect; deterministic protocols leave those fields None. `fidelities[k]`
-    compares the post-step pure state with the exact evolution. A plain
-    class: a dataclass costs every command its generated methods at import.
+    compares the post-step pure state with the exact evolution.
     """
 
-    def __init__(
-        self,
-        protocol: str,
-        plan: StepPlan,
-        fidelities: np.ndarray,
-        final_state: QuantumState,
-        indices: np.ndarray | None = None,
-        taus: np.ndarray | None = None,
-        probabilities: np.ndarray | None = None,
-    ):
-        self.protocol = protocol
-        self.plan = plan
-        self.fidelities = fidelities
-        self.final_state = final_state
-        self.indices = indices
-        self.taus = taus
-        self.probabilities = probabilities
+    protocol: str
+    plan: StepPlan
+    fidelities: np.ndarray
+    final_state: QuantumState
+    indices: np.ndarray | None = None
+    taus: np.ndarray | None = None
+    probabilities: np.ndarray | None = None
 
     @property
     def final_fidelity(self) -> float:

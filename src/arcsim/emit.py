@@ -108,7 +108,7 @@ def bounds_json(
         "note": _ORDER_NOTE,
         "state_independent": {
             "note": "per unit simulation-error budget",
-            "trotter1": len(decomposition) ** 3 * (decomposition.max_norm * t0) ** 2,
+            "trotter1": len(decomposition) ** 3 * (max(decomposition.inf_norms) * t0) ** 2,
             "rc": (decomposition.lam * t0) ** 2,
             "arc": None,
         },

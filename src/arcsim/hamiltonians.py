@@ -87,11 +87,6 @@ class Decomposition:
         """Absolute sum of term strengths, sum_j ||H_j||_inf."""
         return float(sum(self.inf_norms))
 
-    @property
-    def max_norm(self) -> float:
-        """Size of the largest term, max_j ||H_j||_inf."""
-        return float(max(self.inf_norms))
-
     def total(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for t in self.terms:

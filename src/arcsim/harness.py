@@ -60,6 +60,12 @@ MAX_STEPS = 10_000
 # within 1.4e101 of its exact value and no radicand product (8 (1.4e101)^2 ~
 # 1.6e203 for moments of that size) nears the float64 maximum, 1.8e308.
 MAX_NOISE_STD = 1e100
+# Largest magnitude of a coupling or of a plan's dt or t. `bounds` takes fourth moments
+# of the pair commutator, which grows as the couplings squared: with every MFIM L = 10
+# coupling at C they are finite at C = 1e19 and overflow at 1e20. At this cap, with dt
+# there too and noise_std at MAX_NOISE_STD, `run` and `bounds` on MFIM L = 10, Kerr
+# D = 1024 and Rabi D = 512 give only finite numbers and no overflow warning.
+MAX_MAGNITUDE = 1e15
 # The trajectories of all plan points with bit-equal dt are ordered longest first, as
 # (N descending, point, m), and stepped in blocks of _block_size(dim) along that order:
 # 6,400 at dim 2, 800 at 16 and 256 at 50, wide enough to spread each step's per-call cost
@@ -85,8 +91,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
-class PlanPoint:
+class PlanPoint(NamedTuple):
     x_kind: str  # "steps" | "dt"
     x_value: float
     plan: StepPlan
@@ -152,10 +157,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _real(value, name: str) -> float:
-    """A finite JSON number as a float; bools and strings are rejected."""
+def _real(value, name: str, limit: float) -> float:
+    """A finite JSON number of magnitude at most limit as a float; bools and strings are rejected."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     _require(ok, f"{name} must be a finite number, got {value!r}")
+    _require(abs(value) <= limit, f"{name} must be at most {limit:g} in magnitude, got {value!r}")
     return float(value)
 
 
@@ -163,12 +169,11 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
     _require(isinstance(raw, dict), "plan must be an object")
     mode = raw.get("mode", "fixed_dt")
     _require(mode in ("fixed_dt", "fixed_t"), f"unknown plan mode {mode!r}")
-    known = {"mode", "dt", "n_list", "t", "dt_list"}
-    unknown = set(raw) - known
-    _require(not unknown, f"unknown plan keys {sorted(unknown)}")
+    unknown = set(raw) - ({"mode", "dt", "n_list"} if mode == "fixed_dt" else {"mode", "t", "dt_list"})
+    _require(not unknown, f"unknown plan keys {sorted(unknown)} for mode {mode}")
     spec = PlanSpec(mode=mode)
     if mode == "fixed_dt":
-        spec.dt = _real(raw.get("dt", 0.02), "plan dt")
+        spec.dt = _real(raw.get("dt", 0.02), "plan dt", MAX_MAGNITUDE)
         _require(spec.dt > 0, "plan dt must be positive")
         n_list = raw.get("n_list", DEFAULT_N_LIST)
         _require(isinstance(n_list, list) and len(n_list) > 0, "plan n_list must be a nonempty list")
@@ -179,16 +184,17 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
             )
         spec.n_list = list(n_list)
     else:
-        spec.t = _real(raw.get("t", 1.0), "plan t")
+        spec.t = _real(raw.get("t", 1.0), "plan t", math.inf)
         _require(spec.t > 0, "plan t must be positive")
         dt_list = raw.get("dt_list", DEFAULT_DT_LIST)
         _require(isinstance(dt_list, list) and len(dt_list) > 0, "plan dt_list must be a nonempty list")
         for dt in dt_list:
-            _require(_real(dt, "plan step size") > 0, f"bad step size {dt!r}")
+            _require(_real(dt, "plan step size", MAX_MAGNITUDE) > 0, f"bad step size {dt!r}")
             _require(
                 spec.t / dt <= MAX_STEPS,
                 f"plan t / dt = {spec.t / dt:g} exceeds the step cap of {MAX_STEPS}",
             )
+        _real(spec.t, "plan t", MAX_MAGNITUDE)  # after the step cap, which names a huge t/dt first
         spec.dt_list = [float(dt) for dt in dt_list]
         steps = {}  # step count -> the step size that first gave it
         for dt, point in zip(spec.dt_list, spec.points()):
@@ -216,9 +222,8 @@ def check_trajectories(count, name: str) -> None:
 
 def check_noise_std(value, name: str) -> float:
     """A noise level as a float: reject it unless it is a finite number in [0, MAX_NOISE_STD]."""
-    std = _real(value, name)
+    std = _real(value, name, MAX_NOISE_STD)
     _require(std >= 0, f"{name} must be nonnegative")
-    _require(std <= MAX_NOISE_STD, f"{name} must be at most {MAX_NOISE_STD:g}, got {std!r}")
     return std
 
 
@@ -245,7 +250,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             ok = _is_int(value) and value >= 1
             _require(ok, f"params.{key} must be an integer >= 1, got {value!r}")
         else:
-            _real(value, f"params.{key}")
+            _real(value, f"params.{key}", MAX_MAGNITUDE)
     dim = _dimension(model, params)
     _require(dim <= MAX_DIM, f"{model} Hilbert dimension {dim} exceeds the cap of {MAX_DIM}")
 
@@ -319,16 +324,14 @@ class SeriesPoint(NamedTuple):
     trajectories: int
 
 
-@dataclass(eq=False)
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     series: list[SeriesPoint]
     extrapolated: dict[str, float]
     config: ExperimentConfig
-    context: _Context | None = field(default=None, repr=False)  # model and exact states it ran on
+    context: _Context | None = None  # model and exact states it ran on
 
 
-@dataclass(eq=False)
-class PTraceTable:
+class PTraceTable(NamedTuple):
     """Per-step sampling-probability trace of one adaptive trajectory."""
 
     labels: tuple[str, ...]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,80 @@ class TestCliErrors:
             cfg = write_config(tmp_path, shot_params=dict(good, **bad))
             assert cli.main(["bounds", "--config", str(cfg)]) == cli.EXIT_CONFIG
             assert "shot bounds overflow" in capsys.readouterr().err
+
+    def test_oversized_couplings_and_plan_times_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
+        for overrides, name in (
+            ({"params": {"J": 1e80}}, "params.J"),
+            ({"params": {"h_x": -1e16}}, "params.h_x"),
+            ({"plan": {"mode": "fixed_t", "t": 1e200, "dt_list": [1e198, 5e197, 2.5e197]}}, "plan step size"),
+            ({"plan": {"mode": "fixed_t", "t": 1e16, "dt_list": [1e15]}}, "plan t"),
+            ({"plan": {"mode": "fixed_dt", "dt": 1e16, "n_list": [5]}}, "plan dt"),
+        ):
+            cfg = write_config(tmp_path, **overrides)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert f"{name} must be at most {harness.MAX_MAGNITUDE:g} in magnitude" in err, err
+
+    def test_couplings_and_dt_at_the_magnitude_cap_give_finite_output(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARC_SIM_THREADS", "1")
+        cap = harness.MAX_MAGNITUDE
+        cfg = write_config(
+            tmp_path,
+            params={"L": 4, "J": cap, "h_x": cap, "h_z": cap},
+            protocols=["arc", "rc", "trotter1"],
+            plan={"mode": "fixed_dt", "dt": cap, "n_list": [1, 3]},
+            trajectories=5,
+            noise_std=harness.MAX_NOISE_STD,
+        )
+
+        def non_finite(constant):
+            raise AssertionError(f"{constant} in the output")
+
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the command with exit 3
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, usecols=(2, 3, 4, 5))))
+            for command, flags in (("run", ["--format", "json"]), ("bounds", [])):
+                assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+                json.loads(out.read_text(), parse_constant=non_finite)
+
+    def test_mixed_mode_plans_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
+        for plan, message in (
+            ({"mode": "fixed_t", "t": 2.0, "n_list": [7], "dt": 0.3}, "['dt', 'n_list'] for mode fixed_t"),
+            ({"mode": "fixed_t", "n_list": "junk"}, "['n_list'] for mode fixed_t"),
+            ({"mode": "fixed_dt", "n_list": [5], "t": 2.0, "dt_list": [0.1]}, "['dt_list', 't'] for mode fixed_dt"),
+            ({"dt": 0.02, "t": 2.0}, "['t'] for mode fixed_dt"),
+        ):
+            cfg = write_config(tmp_path, plan=plan)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert f"unknown plan keys {message}" in capsys.readouterr().err
+
+    def test_svg_without_out_exits_2_before_running(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_ensemble", lambda config: pytest.fail("the ensemble ran"))
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg), "--svg"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--svg needs --out" in captured.err
+
+    def test_negative_shot_exponents_or_no_qubits_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
+        good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
+        for bad, message in (
+            ({"S": -1}, "exponents S, R must be nonnegative"),
+            ({"R": -1}, "exponents S, R must be nonnegative"),
+            ({"n_qubits": 0}, "qubit count must be >= 1"),
+        ):
+            cfg = write_config(tmp_path, shot_params=dict(good, **bad))
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert "invalid shot_params" in err and message in err, err
 
     def test_unmapped_failures_exit_3(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
