@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,45 +46,6 @@ class BoundReport:
     def __post_init__(self):
         if self.arc > self.rc * (1.0 + 1e-9):
             raise np.linalg.LinAlgError(f"adaptive bound {self.arc} exceeds fixed-weight bound {self.rc}")
-
-
-@dataclass(frozen=True)
-class ShotParams:
-    """Inputs to the measurement-shot lower bounds.
-
-    k and w are the largest qubit supports of the Pauli strings measured for
-    dynamics observables and for the adaptive weights; S and R the exponents
-    of their string counts; eps_stat the statistical error target.
-    """
-
-    k: int
-    w: int
-    S: int
-    R: int
-    n_qubits: int
-    eps_stat: float
-
-    def __post_init__(self):
-        for name in ("k", "w", "S", "R", "n_qubits"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.eps_stat, numbers.Real) or isinstance(self.eps_stat, bool):
-            raise TypeError(f"eps_stat must be a number, got {self.eps_stat!r}")
-        if self.k < 1 or self.w < 1:
-            raise ValueError("locality parameters k, w must be >= 1")
-        if self.S < 0 or self.R < 0:
-            raise ValueError("exponents S, R must be nonnegative")
-        if self.n_qubits < 1:
-            raise ValueError("qubit count must be >= 1")
-        if not 0 < self.eps_stat < math.inf:
-            raise ValueError("statistical error must be positive and finite")
-        try:
-            finite = all(map(math.isfinite, shot_lower_bounds(self)))
-        except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
-            raise ValueError("shot bounds overflow a float: lower k, w, S or R, or raise eps_stat")
 
 
 def _rc_brackets(decomposition: Decomposition, collective, terms) -> np.ndarray:
@@ -131,13 +93,36 @@ def check_cauchy_schwarz(decomposition: Decomposition, rho: QuantumState) -> tup
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
 
 
-def shot_lower_bounds(p: ShotParams) -> tuple[float, float]:
+def shot_lower_bounds(*, k, w, S, R, n_qubits, eps_stat) -> tuple[float, float]:
     """Scaling values of the two shot-count lower bounds (constants unspecified).
 
-    Returns (adaptive state-preparation shots, real-time dynamics shots):
+    k and w are the largest qubit supports of the Pauli strings measured for
+    dynamics observables and for the adaptive weights; S and R the exponents
+    of their string counts; eps_stat the statistical error target. Returns
+    (adaptive state-preparation shots, real-time dynamics shots):
     3^w (4R) ln(N) / eps^2 and 3^max(w,k) max(S, 4R) ln(N) / eps^2.
+    Non-integer counts raise TypeError; out-of-range inputs and bounds that
+    overflow a float raise ValueError.
     """
-    log_n = math.log(p.n_qubits)
-    prep = 3.0**p.w * (4.0 * p.R) * log_n / p.eps_stat**2
-    dyn = 3.0 ** max(p.w, p.k) * max(p.S, 4.0 * p.R) * log_n / p.eps_stat**2
+    for name, value in (("k", k), ("w", w), ("S", S), ("R", R), ("n_qubits", n_qubits)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(eps_stat, numbers.Real) or isinstance(eps_stat, bool):
+        raise TypeError(f"eps_stat must be a number, got {eps_stat!r}")
+    if k < 1 or w < 1:
+        raise ValueError("locality parameters k, w must be >= 1")
+    if S < 0 or R < 0:
+        raise ValueError("exponents S, R must be nonnegative")
+    if n_qubits < 1:
+        raise ValueError("qubit count must be >= 1")
+    if not 0 < eps_stat <= sys.float_info.max:
+        raise ValueError("statistical error must be positive and finite")
+    try:
+        log_n = math.log(n_qubits)
+        prep = 3.0**w * (4.0 * R) * log_n / eps_stat**2
+        dyn = 3.0 ** max(w, k) * max(S, 4.0 * R) * log_n / eps_stat**2
+    except (OverflowError, ZeroDivisionError):
+        prep = dyn = math.inf
+    if not (math.isfinite(prep) and math.isfinite(dyn)):
+        raise ValueError("shot bounds overflow a float: lower k, w, S or R, or raise eps_stat")
     return prep, dyn

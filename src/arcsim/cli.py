@@ -30,8 +30,8 @@ import numpy as np  # noqa: E402
 
 from .emit import bounds_json, emit_svg, ptrace_csv, ptrace_json, result_json, series_csv, write_text  # noqa: E402
 from .harness import (  # noqa: E402
-    ConfigError, ExperimentConfig, _Context, check_noise_std, check_trajectories, load_config,
-    run_ensemble, run_ptrace,
+    ConfigError, ExperimentConfig, _Context, check_noise_std, check_seed, check_trajectories,
+    load_config, run_ensemble, run_ptrace,
 )
 
 EXIT_OK = 0
@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be an unsigned 64-bit integer")
+        check_seed(args.seed, "--seed")
         config.master_seed = args.seed
     if args.trajectories is not None:
         check_trajectories(args.trajectories, "--trajectories")
@@ -143,9 +142,9 @@ def cmd_bounds(args) -> int:
     decomp, reports = _compute_bounds(ctx)
     shots = None
     if config.shot_params is not None:
-        from .bounds import ShotParams, shot_lower_bounds
+        from .bounds import shot_lower_bounds
 
-        shots = shot_lower_bounds(ShotParams(**config.shot_params))
+        shots = shot_lower_bounds(**config.shot_params)
     _deliver(bounds_json(config, decomp, ctx.points, reports, shots), config.out)
     return EXIT_OK
 

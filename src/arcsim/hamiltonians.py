@@ -161,8 +161,6 @@ def build_kerr(delta: float, K: float, eps: float, D: int) -> tuple[Decompositio
     H = delta a^dag a + (K/2) a^dag a^dag a a + eps (a + a^dag); the three
     summands are the decomposition terms, in that order.
     """
-    if D < 2:
-        raise ValueError("Fock truncation must be >= 2")
     structure = HilbertStructure(fock_dim=D)
     a = annihilator(structure)
     adag = a.conj().T
@@ -179,8 +177,6 @@ def build_rabi(omega: float, Omega: float, g: float, D: int) -> tuple[Decomposit
 
     H = omega a^dag a + (Omega/2) sigma_z + g (a + a^dag) sigma_x.
     """
-    if D < 2:
-        raise ValueError("Fock truncation must be >= 2")
     structure = HilbertStructure(qubit_sites=1, fock_dim=D)
     a = annihilator(structure)
     adag = a.conj().T

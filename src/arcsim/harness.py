@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
@@ -158,8 +159,8 @@ def _is_int(value) -> bool:
 
 
 def _real(value, name: str, limit: float) -> float:
-    """A finite JSON number of magnitude at most limit as a float; bools and strings are rejected."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A number within limit and float range as a float: bools, strings, NaN, inf and huge ints are rejected."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     _require(ok, f"{name} must be a finite number, got {value!r}")
     _require(abs(value) <= limit, f"{name} must be at most {limit:g} in magnitude, got {value!r}")
     return float(value)
@@ -220,6 +221,11 @@ def check_trajectories(count, name: str) -> None:
     )
 
 
+def check_seed(value, name: str) -> None:
+    """Reject a seed that is not an unsigned 64-bit integer."""
+    _require(_is_int(value) and 0 <= value < 2**64, f"{name} must be an unsigned 64-bit integer")
+
+
 def check_noise_std(value, name: str) -> float:
     """A noise level as a float: reject it unless it is a finite number in [0, MAX_NOISE_STD]."""
     std = _real(value, name, MAX_NOISE_STD)
@@ -266,10 +272,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     check_trajectories(trajectories, "trajectories")
     noise_std = check_noise_std(raw.get("noise_std", 0.0), "noise_std")
     master_seed = raw.get("master_seed", 0)
-    _require(
-        _is_int(master_seed) and 0 <= master_seed < 2**64,
-        "master_seed must be an unsigned 64-bit integer",
-    )
+    check_seed(master_seed, "master_seed")
     fmt = raw.get("format", "csv")
     _require(fmt in ("csv", "json"), f"format must be csv or json, got {fmt!r}")
     ptrace_m = raw.get("ptrace_trajectories", 1)
@@ -282,11 +285,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
     shot_params = raw.get("shot_params")
     if shot_params is not None:
-        from .bounds import ShotParams
+        from .bounds import shot_lower_bounds
 
         _require(isinstance(shot_params, dict), "shot_params must be an object")
         try:
-            ShotParams(**shot_params)
+            shot_lower_bounds(**shot_params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid shot_params: {exc}") from None
 

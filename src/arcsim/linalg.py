@@ -28,6 +28,15 @@ def as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
+def _hermitian_matrix(entries, what: str) -> np.ndarray:
+    """as_complex_matrix(entries) symmetrized, (m + m^dag) / 2, if within HERMITICITY_ATOL of Hermitian."""
+    m = as_complex_matrix(entries)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > HERMITICITY_ATOL:
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    return (m + m.conj().T) / 2
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product, a-index major (row-major block layout)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -76,11 +85,7 @@ class HermitianOperator:
     label: str = ""
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > HERMITICITY_ATOL:
-            raise ValueError(f"matrix {self.label!r} is not Hermitian (max deviation {dev:.3e})")
-        m = (m + m.conj().T) / 2
+        m = _hermitian_matrix(self.matrix, f"matrix {self.label!r}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -114,9 +119,11 @@ class HermitianOperator:
 class QuantumState:
     """Pure state vector (1-d data) or density matrix (2-d data).
 
-    Construct external inputs through pure_state / mixed_state, which run the
-    full invariant checks; the bare constructor does only the cheap ones and
-    is what evolution uses internally.
+    A density matrix must be Hermitian within HERMITICITY_ATOL, of trace 1
+    within 1e-10 and PSD within 1e-10 (no eigenvalue below -1e-10); it is
+    symmetrized and divided by its trace once. A vector's norm must be 1
+    within 1e-8, which the engine's final states meet; pure_state asks 1e-10
+    of external inputs.
     """
 
     data: np.ndarray
@@ -129,14 +136,13 @@ class QuantumState:
                 raise ValueError(f"pure state norm {nrm} too far from 1")
             d = d / nrm
         elif d.ndim == 2:
-            d = as_complex_matrix(d)
-            dev = float(np.max(np.abs(d - d.conj().T)))
-            if dev > 1e-8:
-                raise ValueError(f"density matrix not Hermitian (deviation {dev:.3e})")
-            d = (d + d.conj().T) / 2
+            d = _hermitian_matrix(d, "density matrix")
             tr = float(np.trace(d).real)
-            if abs(tr - 1.0) > 1e-8:
-                raise ValueError(f"density matrix trace {tr} too far from 1")
+            if abs(tr - 1.0) > 1e-10:
+                raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
+            min_eig = float(np.min(np.linalg.eigvalsh(d)))
+            if min_eig < -1e-10:
+                raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
             d = d / tr
         else:
             raise ValueError("state data must be a vector or a square matrix")
@@ -176,19 +182,8 @@ def pure_state(vector) -> QuantumState:
 
 
 def mixed_state(matrix) -> QuantumState:
-    """Density matrix from a Hermitian, unit-trace, PSD matrix (1e-10 tolerances)."""
-    m = as_complex_matrix(matrix)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERMITICITY_ATOL:
-        raise ValueError(f"density matrix not Hermitian (deviation {dev:.3e})")
-    m = (m + m.conj().T) / 2
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
-    min_eig = float(np.min(np.linalg.eigvalsh(m)))
-    if min_eig < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-    return QuantumState(m / tr)
+    """Density matrix from a square matrix; QuantumState checks Hermiticity, trace and PSD at 1e-10."""
+    return QuantumState(as_complex_matrix(matrix))
 
 
 def column_norms(block: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 from arcsim import cli, linalg
 from arcsim.bounds import (
     BoundReport,
-    ShotParams,
     bound_report,
     check_cauchy_schwarz,
     shot_lower_bounds,
@@ -244,51 +243,50 @@ class TestBlockPath:
 
 class TestShotBounds:
     def test_reference_point(self):
-        prep, dyn = shot_lower_bounds(ShotParams(k=1, w=1, S=4, R=1, n_qubits=2, eps_stat=1.0))
+        prep, dyn = shot_lower_bounds(k=1, w=1, S=4, R=1, n_qubits=2, eps_stat=1.0)
         assert prep == pytest.approx(3 * 4 * np.log(2))
         assert prep == pytest.approx(8.317766166719343)
 
     def test_epsilon_scaling(self):
-        base = shot_lower_bounds(ShotParams(k=2, w=1, S=2, R=1, n_qubits=8, eps_stat=0.2))
-        half = shot_lower_bounds(ShotParams(k=2, w=1, S=2, R=1, n_qubits=8, eps_stat=0.1))
+        base = shot_lower_bounds(k=2, w=1, S=2, R=1, n_qubits=8, eps_stat=0.2)
+        half = shot_lower_bounds(k=2, w=1, S=2, R=1, n_qubits=8, eps_stat=0.1)
         assert half[0] == pytest.approx(4 * base[0])
         assert half[1] == pytest.approx(4 * base[1])
 
     def test_max_collapse(self):
-        p = ShotParams(k=3, w=3, S=8, R=2, n_qubits=16, eps_stat=0.5)
-        prep, dyn = shot_lower_bounds(p)
+        prep, dyn = shot_lower_bounds(k=3, w=3, S=8, R=2, n_qubits=16, eps_stat=0.5)
         assert dyn == pytest.approx(prep)  # k = w and S = 4R
 
     def test_types(self):
         good = dict(k=1, w=1, S=4, R=1, n_qubits=4, eps_stat=0.1)
         with pytest.raises(TypeError):
-            ShotParams(**dict(good, k=1.5, w=True, S=0.5))
+            shot_lower_bounds(**dict(good, k=1.5, w=True, S=0.5))
         for name in ("k", "w", "S", "R", "n_qubits"):
             for bad in (1.5, 2.0, True, "2", None):
                 with pytest.raises(TypeError, match=name):
-                    ShotParams(**dict(good, **{name: bad}))
+                    shot_lower_bounds(**dict(good, **{name: bad}))
         for bad in (True, "0.1", None):
             with pytest.raises(TypeError, match="eps_stat"):
-                ShotParams(**dict(good, eps_stat=bad))
-        for bad in (math.inf, math.nan, -math.inf):
+                shot_lower_bounds(**dict(good, eps_stat=bad))
+        for bad in (math.inf, math.nan, -math.inf, 10**400, 2**1024):  # ints past float range are not finite
             with pytest.raises(ValueError, match="positive and finite"):
-                ShotParams(**dict(good, eps_stat=bad))
-        ShotParams(**dict(good, k=np.int64(2), eps_stat=1))
+                shot_lower_bounds(**dict(good, eps_stat=bad))
+        shot_lower_bounds(**dict(good, k=np.int64(2), eps_stat=1))
 
     def test_bounds_must_be_finite(self):
         good = dict(k=1, w=1, S=4, R=1, n_qubits=4, eps_stat=0.1)
         for bad in ({"w": 1000}, {"k": 1000}, {"R": 10**400}, {"S": 10**400}, {"eps_stat": 1e-200},
                     {"eps_stat": 1e-160}):
             with pytest.raises(ValueError, match="shot bounds overflow"):
-                ShotParams(**dict(good, **bad))
-        prep, dyn = shot_lower_bounds(ShotParams(**dict(good, w=600, eps_stat=1e-10)))
+                shot_lower_bounds(**dict(good, **bad))
+        prep, dyn = shot_lower_bounds(**dict(good, w=600, eps_stat=1e-10))
         assert math.isfinite(prep) and math.isfinite(dyn)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShotParams(k=0, w=1, S=1, R=1, n_qubits=2, eps_stat=0.1)
+            shot_lower_bounds(k=0, w=1, S=1, R=1, n_qubits=2, eps_stat=0.1)
         with pytest.raises(ValueError):
-            ShotParams(k=1, w=1, S=1, R=1, n_qubits=2, eps_stat=0.0)
+            shot_lower_bounds(k=1, w=1, S=1, R=1, n_qubits=2, eps_stat=0.0)
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

@@ -441,6 +441,29 @@ class TestCliErrors:
         assert captured.out == ""
         assert "--svg needs --out" in captured.err
 
+    def test_integers_past_float_range_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
+        huge = 10**400
+        for overrides, name in (
+            ({"params": {"J": huge}}, "params.J"),
+            ({"noise_std": huge}, "noise_std"),
+            ({"plan": {"mode": "fixed_dt", "dt": huge, "n_list": [5]}}, "plan dt"),
+            ({"plan": {"mode": "fixed_t", "t": huge, "dt_list": [0.1]}}, "plan t"),
+            ({"plan": {"mode": "fixed_t", "t": 1.0, "dt_list": [0.1, huge]}}, "plan step size"),
+        ):
+            cfg = write_config(tmp_path, **overrides)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert f"config error: {name} must be a finite number" in err, err
+
+    def test_single_level_fock_modes_exit_2(self, tmp_path, capsys):
+        for model, ket in (("kerr", "|0⟩"), ("rabi", "|0,0⟩")):
+            cfg = write_config(tmp_path, model=model, params={"D": 1}, initial_state=ket)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert "Fock mode needs truncation dimension >= 2" in capsys.readouterr().err
+
     def test_negative_shot_exponents_or_no_qubits_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
         good = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
@@ -448,6 +471,7 @@ class TestCliErrors:
             ({"S": -1}, "exponents S, R must be nonnegative"),
             ({"R": -1}, "exponents S, R must be nonnegative"),
             ({"n_qubits": 0}, "qubit count must be >= 1"),
+            ({"eps_stat": 10**400}, "statistical error must be positive and finite"),
         ):
             cfg = write_config(tmp_path, shot_params=dict(good, **bad))
             for command in ("run", "bounds"):

@@ -9,6 +9,7 @@ from arcsim.harness import build_model, load_config
 from arcsim.hamiltonians import PAULI, I2, annihilator, build_kerr, build_mfim, build_rabi, HilbertStructure
 from arcsim.linalg import (
     HermitianOperator,
+    QuantumState,
     _eigensystem,
     basis_coordinates,
     commutator,
@@ -278,3 +279,21 @@ class TestStateValidation:
     def test_mixed_positivity_enforced(self):
         with pytest.raises(ValueError):
             mixed_state(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_bare_constructor_checks_every_density_rule(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            QuantumState(np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(ValueError, match="trace"):
+            QuantumState(np.diag([0.5, 0.5 + 1e-9]).astype(complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QuantumState(np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            mixed_state(np.array([1.0, 0.0]))
+
+    def test_mixed_state_is_the_bare_constructor(self):
+        rng = np.random.default_rng(25)
+        for dim in (2, 5, 16):
+            vecs = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = vecs @ vecs.conj().T
+            m = m / np.trace(m).real
+            assert np.array_equal(mixed_state(m).data, QuantumState(m).data)
