@@ -36,12 +36,12 @@ from .moments import centred_moments, double_commutator_norm, double_commutator_
 class BoundReport:
     """State-dependent depth bounds and their per-step bracket values."""
 
+    t: float
+    steps: int
     trotter1: float
     rc: float
     arc: float
     per_step: dict[str, list[float]]
-    total_time: float
-    steps: int
 
     def __post_init__(self):
         if self.arc > self.rc * (1.0 + 1e-9):
@@ -72,10 +72,10 @@ def bound_report(decomposition: Decomposition, exact_states: np.ndarray, plan: S
         "arc": _arc_brackets(collective, terms),
     }
     return BoundReport(
+        t=plan.total_time,
+        steps=plan.steps,
         **{k: plan.total_time**2 / (2.0 * plan.steps) * float(np.mean(v)) for k, v in per_step.items()},
         per_step={k: v.tolist() for k, v in per_step.items()},
-        total_time=plan.total_time,
-        steps=plan.steps,
     )
 
 
@@ -101,8 +101,8 @@ def shot_lower_bounds(*, k, w, S, R, n_qubits, eps_stat) -> tuple[float, float]:
     of their string counts; eps_stat the statistical error target. Returns
     (adaptive state-preparation shots, real-time dynamics shots):
     3^w (4R) ln(N) / eps^2 and 3^max(w,k) max(S, 4R) ln(N) / eps^2.
-    Non-integer counts raise TypeError; out-of-range inputs and bounds that
-    overflow a float raise ValueError.
+    Non-integer counts raise TypeError; out-of-range inputs and bounds past
+    float range raise ValueError, and bounds below it round toward 0.0.
     """
     for name, value in (("k", k), ("w", w), ("S", S), ("R", R), ("n_qubits", n_qubits)):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -119,8 +119,12 @@ def shot_lower_bounds(*, k, w, S, R, n_qubits, eps_stat) -> tuple[float, float]:
         raise ValueError("statistical error must be positive and finite")
     try:
         log_n = math.log(n_qubits)
-        prep = 3.0**w * (4.0 * R) * log_n / eps_stat**2
-        dyn = 3.0 ** max(w, k) * max(S, 4.0 * R) * log_n / eps_stat**2
+        prep = 3.0**w * (4.0 * R) * log_n
+        dyn = 3.0 ** max(w, k) * max(S, 4.0 * R) * log_n
+        try:
+            prep, dyn = prep / eps_stat**2, dyn / eps_stat**2
+        except OverflowError:  # eps_stat**2 is past float range, the quotients need not be
+            prep, dyn = prep / eps_stat / eps_stat, dyn / eps_stat / eps_stat
     except (OverflowError, ZeroDivisionError):
         prep = dyn = math.inf
     if not (math.isfinite(prep) and math.isfinite(dyn)):

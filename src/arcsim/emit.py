@@ -55,23 +55,12 @@ def _json(config: ExperimentConfig, **fields) -> str:
 _ORDER_NOTE = "order-of-growth values; constants unspecified"
 
 
-def _bound_dict(report: BoundReport) -> dict:
-    return {
-        "t": report.total_time,
-        "steps": report.steps,
-        "trotter1": report.trotter1,
-        "rc": report.rc,
-        "arc": report.arc,
-        "per_step": {k: list(v) for k, v in report.per_step.items()},
-    }
-
-
 def result_json(result: EnsembleResult, bounds: list[BoundReport] | None = None) -> str:
     fields = {"series": [sp._asdict() for sp in result.series]}
     if result.extrapolated:
         fields["extrapolated"] = dict(result.extrapolated)
     if bounds is not None:
-        fields["bounds"] = [{"note": _ORDER_NOTE, **_bound_dict(b)} for b in bounds]
+        fields["bounds"] = [{"note": _ORDER_NOTE, **vars(b)} for b in bounds]
     return _json(result.config, **fields)
 
 
@@ -113,7 +102,7 @@ def bounds_json(
             "arc": None,
         },
         "bounds": [
-            {"x_kind": point.x_kind, "x_value": point.x_value, **_bound_dict(report)}
+            {"x_kind": point.x_kind, "x_value": point.x_value, **vars(report)}
             for point, report in zip(points, reports)
         ],
     }

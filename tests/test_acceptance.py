@@ -11,17 +11,12 @@ import numpy as np
 import pytest
 
 from arcsim.bounds import bound_report, check_cauchy_schwarz
-from arcsim.compilers import ProbabilityDistribution, StepPlan, cost, optimal_distribution, run_exact
+from arcsim.compilers import StepPlan, run_exact
 from arcsim.emit import series_csv
 from arcsim.hamiltonians import Decomposition, basis_state, build_kerr, build_mfim, build_rabi
-from arcsim.linalg import HermitianOperator, basis_coordinates, mixed_state, pure_state
-from arcsim.moments import (
-    double_commutator_norm,
-    moment_block,
-    norm_finite_difference,
-    norms_from_moments,
-)
 from arcsim.harness import config_from_dict, run_ensemble, run_ptrace
+from arcsim.selftest import check_finite_difference, check_moment_formula, check_optimal_distribution
+from arcsim.selftest import check_weighted_sum, random_hermitian, random_pure
 
 MASTER_SEED = 7
 
@@ -30,24 +25,6 @@ def _report(num: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {num:02d} {status}: {detail}")
     assert passed, f"criterion {num}: {detail}"
-
-
-def random_hermitian(rng, dim, scale=1.0):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2)
-
-
-def random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v / np.linalg.norm(v))
-
-
-def random_mixed(rng, dim, rank=2):
-    vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-    w = rng.uniform(0.2, 1.0, size=rank)
-    w /= w.sum()
-    rho = sum(wi * np.outer(v, v.conj()) / np.vdot(v, v).real for wi, v in zip(w, vecs))
-    return mixed_state(rho)
 
 
 def fig2_config():
@@ -73,79 +50,33 @@ def fig2_run():
 
 def test_criterion_01_moment_formula_oracle_equivalence():
     start = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for dim in (2, 4, 8, 16):
-        for _ in range(25):
-            h = random_hermitian(rng, dim)
-            psi = random_pure(rng, dim)
-            exact = double_commutator_norm(h, psi)
-            est = norms_from_moments(moment_block(h, basis_coordinates(h, psi.data[:, None])).T)[0]
-            worst = max(worst, abs(est - exact) / (1.0 + exact))
+    ok, worst = check_moment_formula(np.random.default_rng(101), dims=(2, 4, 8, 16), count=25)
     elapsed = time.time() - start
-    _report(
-        1,
-        worst <= 1e-8 and elapsed < 5,
-        f"moment formula vs direct oracle on 100 random pairs: worst relative "
-        f"deviation {worst:.2e} (tol 1e-8), {elapsed:.1f}s",
-    )
+    _report(1, ok and elapsed < 5, f"moment formula vs direct oracle on 100 random pairs: worst relative "
+            f"deviation {worst:.2e} (tol 1e-8), {elapsed:.1f}s")
 
 
 def test_criterion_02_finite_difference_convergence():
     start = time.time()
-    rng = np.random.default_rng(102)
-    dts = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
-    slopes, worst_rel = [], 0.0
-    for _ in range(20):
-        h = random_hermitian(rng, 4, scale=2.0)
-        rho = random_mixed(rng, 4)
-        exact = double_commutator_norm(h, rho)
-        errs = [abs(norm_finite_difference(h, rho, dt=dt) - exact) for dt in dts]
-        slopes.append(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-        worst_rel = max(
-            worst_rel, abs(norm_finite_difference(h, rho, dt=1e-3) - exact) / exact
-        )
+    ok, worst_rel, slopes = check_finite_difference(np.random.default_rng(102), count=20)
     elapsed = time.time() - start
-    ok = all(1.7 <= s <= 2.3 for s in slopes) and worst_rel <= 1e-4 and elapsed < 10
-    _report(
-        2,
-        ok,
-        f"finite-difference estimator on 20 mixed states: slopes in "
-        f"[{min(slopes):.2f}, {max(slopes):.2f}] (window [1.7, 2.3]), worst relative "
-        f"error {worst_rel:.2e} at dt=1e-3 (tol 1e-4), {elapsed:.1f}s",
-    )
+    _report(2, ok and elapsed < 10, f"finite-difference estimator on 20 mixed states: slopes in "
+            f"[{min(slopes):.2f}, {max(slopes):.2f}] (window [1.7, 2.3]), worst relative "
+            f"error {worst_rel:.2e} at dt=1e-3 (tol 1e-4), {elapsed:.1f}s")
 
 
 def test_criterion_03_lagrange_optimality():
     start = time.time()
-    rng = np.random.default_rng(103)
-    violations = 0
-    for _ in range(200):
-        size = int(rng.integers(2, 7))
-        d = rng.uniform(0.0, 5.0, size=size)
-        best = cost(d, optimal_distribution(d))
-        for _ in range(1000):
-            q = ProbabilityDistribution(rng.uniform(1e-3, 1.0, size=size))
-            if best > cost(d, q) * (1 + 1e-12):
-                violations += 1
+    ok, violations = check_optimal_distribution(np.random.default_rng(103), count=200, rivals=1000)
     elapsed = time.time() - start
-    _report(
-        3,
-        violations == 0 and elapsed < 5,
-        f"optimal distribution beat all of 200x1000 random distributions "
-        f"({violations} violations), {elapsed:.1f}s",
-    )
+    _report(3, ok and elapsed < 5, f"optimal distribution beat all of 200x1000 random distributions "
+            f"({violations} violations), {elapsed:.1f}s")
 
 
 def test_criterion_04_weighted_sum_inequality():
     start = time.time()
     rng = np.random.default_rng(104)
-    holds_all = True
-    for i in range(500):
-        dim = (4, 8, 16)[i % 3]
-        dec = Decomposition(tuple(random_hermitian(rng, dim) for _ in range(3)))
-        _, _, holds = check_cauchy_schwarz(dec, random_pure(rng, dim))
-        holds_all = holds_all and holds
+    holds_all, _ = check_weighted_sum(rng, count=500)
     single = Decomposition((random_hermitian(rng, 8),))
     lhs, rhs, _ = check_cauchy_schwarz(single, random_pure(rng, 8))
     equality = abs(lhs - rhs) <= 1e-12 * rhs

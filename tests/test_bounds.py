@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +17,9 @@ from arcsim.hamiltonians import PAULI, Decomposition, basis_state, build_kerr, b
 from arcsim.harness import _Context, config_from_dict, load_config
 from arcsim.linalg import HermitianOperator, commutator, hs_norm, mixed_state, pure_state
 from arcsim.moments import centred_moments, double_commutator_norm, double_commutator_norms
+from arcsim.selftest import check_weighted_sum, random_hermitian, random_pure
 
 PLUS = pure_state(np.array([1, 1]) / np.sqrt(2))
-
-
-def random_hermitian(rng, dim, scale=1.0):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2)
-
-
-def random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v / np.linalg.norm(v))
 
 
 def mfim_fixture(n_steps=50, t=1.0):
@@ -132,7 +124,7 @@ class TestBoundOrdering:
 
     def test_report_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            BoundReport(trotter1=0.1, rc=1.0, arc=2.0, per_step={}, total_time=1.0, steps=5)
+            BoundReport(trotter1=0.1, rc=1.0, arc=2.0, per_step={}, t=1.0, steps=5)
 
 
 class TestCauchySchwarz:
@@ -144,11 +136,8 @@ class TestCauchySchwarz:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_random_three_term(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            dec = Decomposition(tuple(random_hermitian(rng, 8) for _ in range(3)))
-            lhs, rhs, holds = check_cauchy_schwarz(dec, random_pure(rng, 8))
-            assert holds
+        holds, violations = check_weighted_sum(np.random.default_rng(6), count=50)
+        assert holds, violations
 
     def test_equality_condition(self):
         # equality iff ||L_j^2(rho)|| / ||H_j||_inf^2 constant across terms:
@@ -281,6 +270,14 @@ class TestShotBounds:
                 shot_lower_bounds(**dict(good, **bad))
         prep, dyn = shot_lower_bounds(**dict(good, w=600, eps_stat=1e-10))
         assert math.isfinite(prep) and math.isfinite(dyn)
+
+    def test_eps_stat_whose_square_overflows(self):
+        # eps_stat**2 is past float range; the bounds are the exact quotient, small, subnormal or 0.0
+        for w, eps in ((1, 1e160), (1, 1e200), (1, 10**160), (600, 1e160), (600, 10**160)):
+            want = float(Fraction(3.0**w) * 4 * Fraction(math.log(4)) / Fraction(eps) ** 2)
+            prep, dyn = shot_lower_bounds(k=1, w=w, S=4, R=1, n_qubits=4, eps_stat=eps)
+            assert prep == dyn == pytest.approx(want, rel=1e-15, abs=1e-323), (w, eps)
+        assert shot_lower_bounds(k=1, w=1, S=4, R=1, n_qubits=4, eps_stat=1e200) == (0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,13 +13,9 @@ import pytest
 from arcsim import harness
 from arcsim.hamiltonians import basis_state
 from arcsim.harness import build_model, config_from_dict, run_ensemble
+from arcsim.selftest import expm
 
 CELLS = [("mfim", 50, 0.02), ("kerr", 50, 0.02), ("rabi", 50, 0.02), ("rabi", 20, 0.05)]
-
-
-def expm_h(h, t):
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 def channel_fidelity(config, protocol) -> float:
@@ -29,11 +25,11 @@ def channel_fidelity(config, protocol) -> float:
     (n,), dt = config.plan.n_list, config.plan.dt
     p = np.array(dec.inf_norms) if protocol == "rc" else np.ones(len(dec))
     p = p / p.sum()
-    steps = [expm_h(h.matrix, dt / pj) for h, pj in zip(dec.terms, p)]
+    steps = [expm(h.matrix, dt / pj) for h, pj in zip(dec.terms, p)]
     rho = np.outer(psi0, psi0.conj())
     for _ in range(n):
         rho = sum(pj * u @ rho @ u.conj().T for pj, u in zip(p, steps))
-    target = expm_h(dec.total(), n * dt) @ psi0
+    target = expm(dec.total(), n * dt) @ psi0
     return float(np.real(target.conj() @ rho @ target))
 
 

@@ -250,6 +250,16 @@ class TestCliPtraceBounds:
         assert json.loads(outs[0].read_text())["bounds"]
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_bounds_entries_keep_their_key_order(self, tmp_path):
+        # the plan point's labels or the note, then BoundReport's fields in declaration order
+        cfg = write_config(tmp_path, include_bounds=True, format="json")
+        fields = ["t", "steps", "trotter1", "rc", "arc", "per_step"]
+        for command, labels in (("bounds", ["x_kind", "x_value"]), ("run", ["note"])):
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            (entry,) = json.loads(out.read_text())["bounds"]
+            assert list(entry) == labels + fields and list(entry["per_step"]) == fields[2:5], command
+
 
 class TestCliErrors:
     def test_invalid_config_exits_2(self, tmp_path):
@@ -283,7 +293,7 @@ class TestCliErrors:
 
         def inverted(decomposition, exact_states, plan):
             return BoundReport(
-                trotter1=0.1, rc=1.0, arc=2.0, per_step={}, total_time=1.0, steps=plan.steps
+                trotter1=0.1, rc=1.0, arc=2.0, per_step={}, t=1.0, steps=plan.steps
             )
 
         monkeypatch.setattr(bounds, "bound_report", inverted)  # cli imports it when a command needs it

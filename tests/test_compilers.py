@@ -36,21 +36,12 @@ from arcsim.moments import (
     norms_from_moments,
 )
 from arcsim.rng import TrajectoryStream, trajectory_stream
+from arcsim.selftest import check_optimal_distribution, expm, random_hermitian, random_pure
 
 
 def sample(p: ProbabilityDistribution, u: float) -> int:
     """The term index that the steppers' inverse-CDF rule gives one uniform."""
     return int(compilers._sample(p.p[None], np.array([u]))[0])
-
-
-def random_hermitian(rng, dim, scale=1.0):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2)
-
-
-def random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v / np.linalg.norm(v))
 
 
 def evolve_unitary(state, h, tau):
@@ -64,11 +55,6 @@ def step_trotter1(state, decomposition, plan):
     for term in decomposition.terms:
         state = evolve_unitary(state, term, plan.dt)
     return state
-
-
-def expm_h(h, tau):
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * tau)) @ vecs.conj().T
 
 
 class TestProbabilityDistribution:
@@ -207,14 +193,8 @@ class TestOptimalDistribution:
         assert np.allclose(base.p, scaled.p)
 
     def test_lagrange_optimality_monte_carlo(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            d = rng.uniform(0.0, 5.0, size=int(rng.integers(2, 7)))
-            p_opt = optimal_distribution(d)
-            best = cost(d, p_opt)
-            for _ in range(200):
-                q = ProbabilityDistribution(rng.uniform(1e-3, 1.0, size=d.size))
-                assert best <= cost(d, q) * (1 + 1e-12)
+        optimal, violations = check_optimal_distribution(np.random.default_rng(2), count=30, rivals=200)
+        assert optimal, violations
 
 
 class TestCost:
@@ -733,10 +713,10 @@ class TestChannelMatching:
             p = optimal_distribution(d)
 
             def defect(dt):
-                exact_u = expm_h(dec.total(), dt)
+                exact_u = expm(dec.total(), dt)
                 chan = np.zeros((4, 4), dtype=complex)
                 for j, term in enumerate(dec.terms):
-                    u = expm_h(term.matrix, dt / p.p[j])
+                    u = expm(term.matrix, dt / p.p[j])
                     chan += p.p[j] * np.kron(u.conj(), u)
                 return hs_norm(chan - np.kron(exact_u.conj(), exact_u))
 

@@ -7,6 +7,7 @@ from arcsim import linalg
 from arcsim.compilers import StepPlan, run_exact
 from arcsim.harness import build_model, load_config
 from arcsim.hamiltonians import PAULI, I2, annihilator, build_kerr, build_mfim, build_rabi, HilbertStructure
+from arcsim.selftest import random_hermitian, random_pure
 from arcsim.linalg import (
     HermitianOperator,
     QuantumState,
@@ -24,16 +25,6 @@ from arcsim.linalg import (
 SX, SY, SZ = PAULI["x"], PAULI["y"], PAULI["z"]
 PLUS = np.array([1, 1]) / np.sqrt(2)
 MINUS = np.array([1, -1]) / np.sqrt(2)
-
-
-def random_hermitian(rng, dim, scale=1.0):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2)
-
-
-def random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v / np.linalg.norm(v))
 
 
 def evolve(psi, h, tau):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator, basis_state, build_kerr, build_mfim, build_rabi
-from arcsim.linalg import HermitianOperator, QuantumState, _eigensystem, basis_coordinates, mixed_state, pure_state
+from arcsim.linalg import HermitianOperator, QuantumState, basis_coordinates, mixed_state, pure_state
 from arcsim.moments import (
     FD_WEIGHTS,
     NoiseModel,
@@ -13,20 +13,12 @@ from arcsim.moments import (
     norms_from_moments,
 )
 from arcsim.rng import trajectory_stream
+from arcsim.selftest import check_finite_difference, check_moment_formula, expm, random_hermitian
+from arcsim.selftest import random_mixed, random_pure
 
 SZ = PAULI["z"]
 PLUS = pure_state(np.array([1, 1]) / np.sqrt(2))
 ZERO = pure_state(np.array([1, 0], dtype=complex))
-
-
-def random_hermitian(rng, dim, scale=1.0):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2)
-
-
-def random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v / np.linalg.norm(v))
 
 
 def moments(h, state):
@@ -35,9 +27,8 @@ def moments(h, state):
 
 
 def evolve_density(rho, h, tau):
-    """The density matrix U rho U^dag, U = V diag(exp(-i e tau)) V^dag from h's eigensystem."""
-    e, v = _eigensystem(h.matrix)
-    u = (v * np.exp(-1j * e * tau)) @ v.conj().T
+    """The density matrix U rho U^dag, U = exp(-i h tau)."""
+    u = expm(h.matrix, tau)
     return QuantumState(u @ rho.data @ u.conj().T)
 
 
@@ -61,14 +52,6 @@ def six_scalar_fd(h, rho, dt, errors=None):
         scalars = (scalars.astype(float) + errors).astype(np.longdouble)
     weights = np.array([1.0, 1.0, 4.0, 2.0, -4.0, -4.0], dtype=np.longdouble)
     return float(np.sqrt(max(float(weights @ scalars), 0.0)) / dt**2)
-
-
-def random_mixed(rng, dim, rank=2):
-    vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-    w = rng.uniform(0.2, 1.0, size=rank)
-    w /= w.sum()
-    rho = sum(wi * np.outer(v, v.conj()) / np.vdot(v, v).real for wi, v in zip(w, vecs))
-    return mixed_state(rho)
 
 
 class TestExactOracle:
@@ -166,14 +149,8 @@ class TestNormFromMoments:
         assert zeros > 0
 
     def test_oracle_equivalence_random(self):
-        rng = np.random.default_rng(4)
-        for dim in (2, 4, 8, 16):
-            for _ in range(10):
-                h = random_hermitian(rng, dim)
-                psi = random_pure(rng, dim)
-                exact = double_commutator_norm(h, psi)
-                est = norms_from_moments(moments(h, psi))
-                assert abs(est - exact) <= 1e-8 * (1 + exact)
+        within, worst = check_moment_formula(np.random.default_rng(4), dims=(2, 4, 8, 16), count=10)
+        assert within, worst
 
 
 class TestFiniteDifference:
@@ -203,15 +180,8 @@ class TestFiniteDifference:
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
     def test_convergence_slope(self):
-        rng = np.random.default_rng(6)
-        dts = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
-        for _ in range(5):
-            h = random_hermitian(rng, 4, scale=2.0)
-            rho = random_mixed(rng, 4)
-            exact = double_commutator_norm(h, rho)
-            errs = [abs(norm_finite_difference(h, rho, dt=dt) - exact) for dt in dts]
-            slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-            assert 1.7 <= slope <= 2.3
+        converges, worst, slopes = check_finite_difference(np.random.default_rng(6), count=5)
+        assert converges, (worst, slopes)
 
     def test_rejects_nonpositive_dt(self):
         rho = mixed_state(np.eye(2) / 2)
