@@ -54,7 +54,7 @@ def check_moment_formula(rng, *, dims=(8,), count=20) -> tuple[bool, float]:
             h, psi = random_hermitian(rng, dim), random_pure(rng, dim)
             exact = double_commutator_norm(h, psi)
             est = norms_from_moments(moment_block(h, basis_coordinates(h, psi.data[:, None])).T)[0]
-            worst = max(worst, abs(est - exact) / (1.0 + exact))
+            worst = np.maximum(worst, abs(est - exact) / (1.0 + exact))  # keeps a NaN, which then fails
     return worst <= 1e-8, worst
 
 
@@ -68,7 +68,7 @@ def check_finite_difference(rng, *, count=5) -> tuple[bool, float, list[float]]:
         exact = double_commutator_norm(h, rho)
         errs = [abs(norm_finite_difference(h, rho, dt=dt) - exact) for dt in dts]
         slopes.append(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-        worst = max(worst, abs(norm_finite_difference(h, rho, dt=1e-3) - exact) / exact)
+        worst = np.maximum(worst, abs(norm_finite_difference(h, rho, dt=1e-3) - exact) / exact)
     return all(1.7 <= s <= 2.3 for s in slopes) and worst <= 1e-4, worst, slopes
 
 
@@ -112,29 +112,29 @@ def _check_channel_matching(rng) -> tuple[bool, float]:
 
 def _check_trotter_single_term(rng) -> tuple[bool, float]:
     decomp = Decomposition((random_hermitian(rng, 4),))
-    psi = random_pure(rng, 4)
-    f = run_block("trotter1", psi, decomp, StepPlan(1.0, 10), [0])[0].final_fidelity
+    f = run_block("trotter1", random_pure(rng, 4), decomp, StepPlan(1.0, 10), [0])[0].final_fidelity
     return abs(f - 1.0) <= 1e-10, f
 
 
-# (name, check, detail): each check returns (passed, *measured), and detail formats the measured values
+# (name, check, detail[, detail on failure]): a detail formats what check measured and its keyword-default sizes
 CHECKS = [
     ("eigendecomposition round-trip", _check_eig_roundtrip, "reconstruction error {:.2e} at dim 64"),
-    ("moment formula vs direct oracle", check_moment_formula, "worst relative deviation {:.2e} over 20 states"),
+    ("moment formula vs direct oracle", check_moment_formula, "worst relative deviation {:.2e} over {count} states"),
     ("finite-difference estimator", check_finite_difference, "worst relative error {:.2e} at dt=1e-3"),
-    ("optimal sampling distribution", check_optimal_distribution, "optimal cost minimal over 20x200 random comparisons"),
-    ("adaptive vs fixed-weight inequality", check_weighted_sum, "holds on 50 random 3-term instances"),
+    ("optimal sampling distribution", check_optimal_distribution, "optimal cost minimal over {count}x{rivals} random "
+     "comparisons", "{} of {count}x{rivals} random distributions cost less than the optimum"),
+    ("adaptive vs fixed-weight inequality", check_weighted_sum, "holds on {count} random 3-term instances",
+     "violated on {} of {count} random 3-term instances"),
     ("first-order channel matching", _check_channel_matching, "defect ratio {:.2f} for dt halving (expect ~4)"),
     ("single-term product step exactness", _check_trotter_single_term, "single-term product step fidelity {:.12f}"),
 ]
-_FAILED = {check_optimal_distribution: "{} of 20x200 random distributions cost less than the optimum",
-           check_weighted_sum: "violated on {} of 50 random 3-term instances"}  # details that differ on failure
 
 
 def run_selftest(seed: int = 20240817) -> list[tuple[str, bool, str]]:
     """Run every check with a fixed seed; returns (name, passed, detail) rows."""
     results = []
-    for name, check, detail in CHECKS:
+    for name, check, detail, *failed in CHECKS:
         ok, *measured = check(np.random.default_rng(seed))
-        results.append((name, ok, (detail if ok else _FAILED.get(check, detail)).format(*measured)))
+        detail = failed[0] if failed and not ok else detail
+        results.append((name, ok, detail.format(*measured, **(check.__kwdefaults__ or {}))))
     return results

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcsim import bounds, cli, harness
+from arcsim import bounds, cli, harness, selftest
 from arcsim.bounds import BoundReport
 from arcsim.emit import SERIES_COLUMNS, emit_svg, ptrace_csv, result_json, series_csv
 from arcsim.harness import config_from_dict, run_ensemble, run_ptrace
@@ -503,28 +503,42 @@ class TestCliErrors:
 
 class TestSelftest:
     def test_selftest_passes(self):
-        from arcsim.selftest import run_selftest
-
-        results = run_selftest()
+        results = selftest.run_selftest()
         assert results and all(ok for _, ok, _ in results)
         assert cli.main(["selftest"]) == 0
 
+    def test_failing_checks_print_their_failure_detail(self, monkeypatch, capsys):
+        rows = [("a", lambda rng, *, count=7: (False, 3), "holds on {count}", "violated on {} of {count}"),
+                ("b", lambda rng, *, count=9: (False, 0.5), "deviation {:.1f} over {count}")]
+        monkeypatch.setattr(selftest, "CHECKS", rows)
+        assert selftest.run_selftest() == [("a", False, "violated on 3 of 7"), ("b", False, "deviation 0.5 over 9")]
+        assert cli.main(["selftest"]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 checks failed"
+
+    def test_invariant_checks_fail_on_nan(self, monkeypatch):
+        exact_fd = selftest.norm_finite_difference
+        monkeypatch.setattr(selftest, "norms_from_moments", lambda moments: np.full(moments.shape[:-1], np.nan))
+        monkeypatch.setattr(selftest, "norm_finite_difference",
+                            lambda h, rho, dt: np.nan if dt == 1e-3 else exact_fd(h, rho, dt=dt))
+        assert not selftest.check_moment_formula(np.random.default_rng(4), count=3)[0]
+        ok, worst, slopes = selftest.check_finite_difference(np.random.default_rng(6), count=2)
+        assert not ok and all(1.7 <= s <= 2.3 for s in slopes), (worst, slopes)
+
 
 PERFBENCH_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(*argv, **env) -> subprocess.CompletedProcess:
+    """python argv in a fresh interpreter with src on the path and `env` added to the environment."""
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.skipif(not PERFBENCH_TRACER.exists(), reason="perfbench/ is not in this tree")
 def test_perfbench_tracer_installs(tmp_path):
     """The tracer wraps private boundaries by name; a rename makes it fail to install."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PERFBENCH_TRACE_DIR=str(tmp_path), PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH_TRACER), "selftest"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python(str(PERFBENCH_TRACER), "selftest", PERFBENCH_TRACE_DIR=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.glob("meta-*.json"))
 
@@ -532,80 +546,51 @@ def test_perfbench_tracer_installs(tmp_path):
 def test_noise_free_ptrace_never_imports_numpy_random(tmp_path):
     """Noise-free draws are all array-computed, so numpy.random stays unloaded."""
     cfg = write_config(tmp_path, protocols=["arc"], noise_std=0.0, ptrace_trajectories=3)
-    src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import sys; from arcsim import cli; "
         f"code = cli.main(['ptrace', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'p.csv')!r}]); "
         "print(code, 'numpy.random' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", code)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_noisy_run_never_imports_numpy_random(tmp_path):
     """Noisy arc draws its Gaussians in arrays, slow path included, so numpy.random stays unloaded."""
     cfg = write_config(tmp_path, protocols=["arc", "rc"], noise_std=0.1, trajectories=40)
-    src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import sys; from arcsim import cli, rng; slow = []; walk = rng._slow_rows; "
         "rng._slow_rows = lambda *a: slow.append(1) or walk(*a); "
         f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'r.csv')!r}]); "
         "print(code, len(slow) > 0, 'numpy.random' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="1"),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", code, ARC_SIM_THREADS="1")
     assert proc.stdout.split() == ["0", "True", "False"], proc.stderr
 
 
 def test_run_and_ptrace_never_import_bounds(tmp_path):
     """Only the commands that compute a bound, or read shot_params, load the bounds module."""
     cfg = write_config(tmp_path, protocols=["arc"], trajectories=4, ptrace_trajectories=3)
-    src = Path(cli.__file__).resolve().parents[1]
     for name in ("run", "ptrace"):
         argv = [name, "--config", str(cfg), "--out", str(tmp_path / f"{name}.csv")]
         code = f"import sys; from arcsim import cli; print(cli.main({argv!r}), 'arcsim.bounds' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="1"),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_python("-c", code, ARC_SIM_THREADS="1")
         assert proc.stdout.split() == ["0", "False"], (name, proc.stderr)
 
 
 def test_bounds_never_imports_rng(tmp_path):
     """bounds draws nothing, so it never loads the random-stream module, with or without shot_params."""
     configs = Path(__file__).resolve().parents[1] / "configs"
-    src = Path(cli.__file__).resolve().parents[1]
     for cfg in (write_config(tmp_path, protocols=["arc"]), configs / "mfim_bounds.json"):
         argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path / "bounds.json")]
         code = f"import sys; from arcsim import cli; print(cli.main({argv!r}), 'arcsim.rng' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="1"),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_python("-c", code, ARC_SIM_THREADS="1")
         assert proc.stdout.split() == ["0", "False"], (cfg.name, proc.stderr)
 
 
 def test_small_commands_never_import_the_pool(tmp_path):
     """ptrace, bounds and a run below the pool threshold stay in one process."""
     cfg = write_config(tmp_path, protocols=["arc"], ptrace_trajectories=3)
-    src = Path(cli.__file__).resolve().parents[1]
     commands = [[name, "--config", str(cfg), "--out", str(tmp_path / name)]
                 for name in ("run", "ptrace", "bounds")]
     code = (
@@ -614,17 +599,10 @@ def test_small_commands_never_import_the_pool(tmp_path):
         "print(*codes, *(name in sys.modules for name in "
         "('concurrent.futures.process', 'multiprocessing')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(src), ARC_SIM_THREADS="2"),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", code, ARC_SIM_THREADS="2")
     assert proc.stdout.split() == ["0", "0", "0", "False", "False"], proc.stderr
 
 
-SRC = Path(cli.__file__).resolve().parents[1]
 THREADS = "from arcsim.harness import _openblas_threads; print(_openblas_threads()[1]())"
 
 
