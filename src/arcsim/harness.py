@@ -346,7 +346,7 @@ class PTraceTable(NamedTuple):
 
 
 def worker_count() -> int:
-    """Largest worker pool size; ARC_SIM_THREADS overrides the default."""
+    """Largest worker pool size: the CPUs this process may run on, at most 8; ARC_SIM_THREADS overrides it."""
     env = os.environ.get("ARC_SIM_THREADS", "").strip()
     if env:
         try:
@@ -355,7 +355,7 @@ def worker_count() -> int:
             raise ConfigError(f"ARC_SIM_THREADS must be an integer, got {env!r}") from None
         _require(n >= 1, "ARC_SIM_THREADS must be >= 1")
         return n
-    return min(8, os.cpu_count() or 1)
+    return min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _block_size(dim: int) -> int:
@@ -396,13 +396,17 @@ class _Context:
                 self._exact[plan.dt] = run_exact(self.state0, self.decomp.total_operator, longest)
         return self._exact[plan.dt][: plan.steps]
 
+    def count(self, protocol: str) -> int:
+        """Trajectories protocol runs at each plan point: one if it draws no random numbers."""
+        return 1 if protocol in DETERMINISTIC_PROTOCOLS else self.config.trajectories
+
     def members(self, protocol: str, point_idx: int, lo: int, hi: int) -> list[tuple[int, int]]:
         """Pairs lo..hi-1 of point_idx's dt group, longest first: (N descending, point, m).
 
         Each of the group's points runs `count` trajectories, so pair i is
         (group[i // count], i % count) and no list of the whole group is built.
         """
-        count = 1 if protocol in DETERMINISTIC_PROTOCOLS else self.config.trajectories
+        count = self.count(protocol)
         group = self.groups[self.points[point_idx].plan.dt]
         return [(group[i // count], i % count) for i in range(lo, hi)]
 
@@ -501,14 +505,13 @@ def _ensemble_fidelities(ctx: _Context, config: ExperimentConfig) -> dict:
     the pool starts, so the workers share the parent's.
     """
     firsts = sorted(min(group) for group in ctx.groups.values())
-    counts = {p: 1 if p in DETERMINISTIC_PROTOCOLS else config.trajectories for p in config.protocols}
     tasks = [  # (protocol, first point of a dt group, lo, hi)
         (protocol, first, lo, hi)
         for protocol in config.protocols
         for first in firsts
-        for lo, hi in _blocks(counts[protocol] * len(ctx.groups[ctx.points[first].plan.dt]), ctx.state0.dim)
+        for lo, hi in _blocks(ctx.count(protocol) * len(ctx.groups[ctx.points[first].plan.dt]), ctx.state0.dim)
     ]
-    fids = {(p, q): np.empty(counts[p]) for p in config.protocols for q in range(len(ctx.points))}
+    fids = {(p, q): np.empty(ctx.count(p)) for p in config.protocols for q in range(len(ctx.points))}
 
     def store(protocol, first, lo, values):
         for (q, m), value in zip(ctx.members(protocol, first, lo, lo + len(values)), values):

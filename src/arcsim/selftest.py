@@ -1,6 +1,6 @@
 """Built-in oracle and invariant checks, runnable without any config.
 
-The one home of the paper's four invariants (the public check_* functions) and of the random
+The one home of the paper's five invariants (the public check_* functions) and of the random
 instances (random_*, expm): `arcsim selftest` runs them at their defaults, the tests at their own sizes.
 """
 
@@ -37,13 +37,6 @@ def expm(h: np.ndarray, tau: float) -> np.ndarray:
     """exp(-i h tau) of a Hermitian matrix through numpy's eigh, apart from the engine's eigensystem."""
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals * tau)) @ vecs.conj().T
-
-
-def _check_eig_roundtrip(rng) -> tuple[bool, float]:
-    h = random_hermitian(rng, 64)
-    values, vectors = h.eig
-    err = np.max(np.abs((vectors * values) @ vectors.conj().T - h.matrix))
-    return err <= 1e-8 * np.max(np.abs(h.matrix)), err
 
 
 def check_moment_formula(rng, *, dims=(8,), count=20) -> tuple[bool, float]:
@@ -94,20 +87,24 @@ def check_weighted_sum(rng, *, count=50) -> tuple[bool, int]:
     return not violations, violations
 
 
-def _check_channel_matching(rng) -> tuple[bool, float]:
-    decomp = Decomposition(tuple(random_hermitian(rng, 2) for _ in range(2)))
-    p = optimal_distribution([1.0, 1.0])
+def check_channel_matching(rng, *, count=1) -> tuple[bool, float]:
+    """Averaged sampled step vs exact step, as superoperators on vec(rho), on count random 2-term splits with
+    p the optimum of a random d: (every defect ratio for dt halving in [3, 5], the ratio farthest from 4)."""
+    ratios = []
+    for _ in range(count):
+        decomp = Decomposition(tuple(random_hermitian(rng, 2) for _ in range(2)))
+        p = optimal_distribution(rng.uniform(0.5, 2.0, size=2))
 
-    def defect(dt: float) -> float:
-        exact_u = expm(decomp.total(), dt)
-        chan = np.zeros((4, 4), dtype=complex)
-        for j, term in enumerate(decomp.terms):
-            u = expm(term.matrix, dt / p.p[j])
-            chan += p.p[j] * kron(u.conj(), u)
-        return hs_norm(chan - kron(exact_u.conj(), exact_u))
+        def defect(dt: float) -> float:
+            exact_u = expm(decomp.total(), dt)
+            chan = np.zeros((4, 4), dtype=complex)
+            for j, term in enumerate(decomp.terms):
+                u = expm(term.matrix, dt / p.p[j])
+                chan += p.p[j] * kron(u.conj(), u)
+            return hs_norm(chan - kron(exact_u.conj(), exact_u))
 
-    ratio = defect(0.02) / defect(0.01)
-    return 3.0 <= ratio <= 5.0, ratio
+        ratios.append(defect(0.02) / defect(0.01))
+    return all(3.0 <= r <= 5.0 for r in ratios), max(ratios, key=lambda r: abs(r - 4.0))
 
 
 def _check_trotter_single_term(rng) -> tuple[bool, float]:
@@ -118,14 +115,13 @@ def _check_trotter_single_term(rng) -> tuple[bool, float]:
 
 # (name, check, detail[, detail on failure]): a detail formats what check measured and its keyword-default sizes
 CHECKS = [
-    ("eigendecomposition round-trip", _check_eig_roundtrip, "reconstruction error {:.2e} at dim 64"),
     ("moment formula vs direct oracle", check_moment_formula, "worst relative deviation {:.2e} over {count} states"),
     ("finite-difference estimator", check_finite_difference, "worst relative error {:.2e} at dt=1e-3"),
     ("optimal sampling distribution", check_optimal_distribution, "optimal cost minimal over {count}x{rivals} random "
      "comparisons", "{} of {count}x{rivals} random distributions cost less than the optimum"),
     ("adaptive vs fixed-weight inequality", check_weighted_sum, "holds on {count} random 3-term instances",
      "violated on {} of {count} random 3-term instances"),
-    ("first-order channel matching", _check_channel_matching, "defect ratio {:.2f} for dt halving (expect ~4)"),
+    ("first-order channel matching", check_channel_matching, "defect ratio {:.2f} for dt halving (expect ~4)"),
     ("single-term product step exactness", _check_trotter_single_term, "single-term product step fidelity {:.12f}"),
 ]
 

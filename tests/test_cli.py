@@ -507,6 +507,21 @@ class TestSelftest:
         assert results and all(ok for _, ok, _ in results)
         assert cli.main(["selftest"]) == 0
 
+    def test_every_invariant_check_is_a_row(self):
+        checks = {f for name, f in vars(selftest).items() if name.startswith("check_")}
+        assert {f for f in checks if f.__module__ == selftest.__name__} <= {row[1] for row in selftest.CHECKS}
+
+    def test_a_broken_eigendecomposition_fails_the_selftest(self, monkeypatch, capsys):
+        exact_eigh = np.linalg.eigh
+
+        def eigh(m):
+            vals, vecs = exact_eigh(m)
+            return vals * (1 + 1e-6), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert cli.main(["selftest"]) == cli.EXIT_NUMERICAL
+        assert "eigendecomposition failed to reconstruct input" in capsys.readouterr().err
+
     def test_failing_checks_print_their_failure_detail(self, monkeypatch, capsys):
         rows = [("a", lambda rng, *, count=7: (False, 3), "holds on {count}", "violated on {} of {count}"),
                 ("b", lambda rng, *, count=9: (False, 0.5), "deviation {:.1f} over {count}")]

@@ -23,7 +23,6 @@ from arcsim.linalg import (
     _eigensystem,
     basis_coordinates,
     fidelities,
-    hs_norm,
     kron,
     mixed_state,
     pure_state,
@@ -36,7 +35,7 @@ from arcsim.moments import (
     norms_from_moments,
 )
 from arcsim.rng import TrajectoryStream, trajectory_stream
-from arcsim.selftest import check_optimal_distribution, expm, random_hermitian, random_pure
+from arcsim.selftest import check_channel_matching, check_optimal_distribution, random_hermitian, random_pure
 
 
 def sample(p: ProbabilityDistribution, u: float) -> int:
@@ -704,24 +703,8 @@ class TestFixedStepLoop:
 
 class TestChannelMatching:
     def test_first_order_defect_scales_quadratically(self):
-        # averaged sampled step vs exact step as superoperators on vec(rho)
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            t1, t2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
-            dec = Decomposition((t1, t2))
-            d = rng.uniform(0.5, 2.0, size=2)
-            p = optimal_distribution(d)
-
-            def defect(dt):
-                exact_u = expm(dec.total(), dt)
-                chan = np.zeros((4, 4), dtype=complex)
-                for j, term in enumerate(dec.terms):
-                    u = expm(term.matrix, dt / p.p[j])
-                    chan += p.p[j] * np.kron(u.conj(), u)
-                return hs_norm(chan - np.kron(exact_u.conj(), exact_u))
-
-            ratio = defect(0.02) / defect(0.01)
-            assert 3.0 <= ratio <= 5.0
+        ok, farthest = check_channel_matching(np.random.default_rng(12), count=5)
+        assert ok, farthest
 
 
 def block_cases():

@@ -29,10 +29,9 @@ from arcsim.harness import (
     worker_count,
 )
 from arcsim.hamiltonians import Decomposition
-from arcsim.linalg import (
-    HermitianOperator, QuantumState, basis_coordinates, fidelities, pure_state, rotate_coordinates,
-)
+from arcsim.linalg import QuantumState, basis_coordinates, fidelities, rotate_coordinates
 from arcsim.rng import trajectory_stream
+from arcsim.selftest import random_hermitian, random_pure
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 MFIM_BLOCK = _block_size(16)  # trajectories per block of the four-site MFIM
@@ -179,11 +178,8 @@ class TestRunEnsemble:
 
     def test_single_term_random_protocol_is_exact(self):
         rng = np.random.default_rng(0)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        dec = Decomposition((HermitianOperator((m + m.conj().T) / 2),))
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = pure_state(v / np.linalg.norm(v))
-        (rec,) = run_block("rc", psi, dec, StepPlan(1.0, 10), [trajectory_stream(1)])
+        dec = Decomposition((random_hermitian(rng, 4),))
+        (rec,) = run_block("rc", random_pure(rng, 4), dec, StepPlan(1.0, 10), [trajectory_stream(1)])
         assert rec.final_fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_seed_determinism(self):
@@ -469,6 +465,11 @@ class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("ARC_SIM_THREADS", "3")
         assert worker_count() == 3
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("ARC_SIM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count() == 1
 
     def test_env_validation(self, monkeypatch):
         monkeypatch.setenv("ARC_SIM_THREADS", "soon")
