@@ -84,10 +84,6 @@ def _load(args) -> ExperimentConfig:
         setattr(config, key, args.trajectories)
     if args.noise_std is not None:
         config.noise_std = check_noise_std(args.noise_std, "--noise-std")
-    if args.out is not None:
-        config.out = args.out
-    if args.format is not None:
-        config.format = args.format
     return config
 
 
@@ -111,26 +107,28 @@ def _compute_bounds(ctx: _Context):
 
 def cmd_run(args) -> int:
     config = _load(args)
-    if config.include_bounds and config.format == "csv":
+    if config.include_bounds and args.format != "json":
         raise ConfigError("include_bounds needs --format json: CSV has no bounds")
-    if args.svg and config.out is None:
+    if args.svg and args.out is None:
         raise ConfigError("--svg needs --out to name the chart file")
+    if args.svg and Path(args.out).suffix == ".svg":
+        raise ConfigError(f"--svg would write its chart over --out {args.out}: give --out another suffix")
     result = run_ensemble(config)
     bounds = None
     if config.include_bounds:
         _, bounds = _compute_bounds(result.context)
-    text = series_csv(result) if config.format == "csv" else result_json(result, bounds)
-    _deliver(text, config.out)
+    text = result_json(result, bounds) if args.format == "json" else series_csv(result)
+    _deliver(text, args.out)
     if args.svg:
-        emit_svg(result, Path(config.out).with_suffix(".svg"))
+        emit_svg(result, Path(args.out).with_suffix(".svg"))
     return EXIT_OK
 
 
 def cmd_ptrace(args) -> int:
     config = _load(args)
     table = run_ptrace(config)
-    render = ptrace_csv if config.format == "csv" else ptrace_json
-    _deliver(render(table), config.out)
+    render = ptrace_json if args.format == "json" else ptrace_csv
+    _deliver(render(table), args.out)
     return EXIT_OK
 
 
@@ -145,7 +143,7 @@ def cmd_bounds(args) -> int:
         from .bounds import shot_lower_bounds
 
         shots = shot_lower_bounds(**config.shot_params)
-    _deliver(bounds_json(config, decomp, ctx.points, reports, shots), config.out)
+    _deliver(bounds_json(config, decomp, ctx.points, reports, shots), args.out)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .hamiltonians import Decomposition
 from .linalg import (
     HermitianOperator, QuantumState, basis_coordinates, column_norms, fidelities, rotate_coordinates,
 )
-from .moments import EXACT, NoiseModel, moments_of_weights, norms_from_moments, power_rows, squared_moduli
+from .moments import EPS, EXACT, NoiseModel, moments_of_weights, norms_from_moments, power_rows, squared_moduli
 
 PROTOCOL_NAMES = ("trotter1", "rc", "arc", "equal", "exact")
 DETERMINISTIC_PROTOCOLS = frozenset({"trotter1", "exact"})
@@ -77,20 +77,22 @@ class ProbabilityDistribution:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Total evolution time t split into N equal steps."""
+    """Total evolution time t split into N equal steps of dt: t / N, or a given dt within rounding of it."""
 
     total_time: float
     steps: int
+    dt: float | None = None
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("step count must be >= 1")
         if not self.total_time > 0:
             raise ValueError("total time must be positive")
-
-    @property
-    def dt(self) -> float:
-        return self.total_time / self.steps
+        dt = self.total_time / self.steps
+        if self.dt is None:
+            object.__setattr__(self, "dt", dt)
+        elif not math.isclose(self.dt, dt, rel_tol=4 * EPS):
+            raise ValueError(f"step size {self.dt!r} is not total time / steps = {dt!r}")
 
 
 class TrajectoryRecord(NamedTuple):

@@ -108,7 +108,7 @@ class PlanSpec:
 
     def points(self) -> list[PlanPoint]:
         if self.mode == "fixed_dt":
-            return [PlanPoint("steps", float(n), StepPlan(n * self.dt, n)) for n in self.n_list]
+            return [PlanPoint("steps", float(n), StepPlan(n * self.dt, n, self.dt)) for n in self.n_list]
         out = []
         for dt in self.dt_list:
             n = max(1, round(self.t / dt))
@@ -131,19 +131,17 @@ class ExperimentConfig:
     trajectories: int = 2000
     noise_std: float = 0.0
     master_seed: int = 0
-    out: str | None = None
-    format: str = "csv"
     include_bounds: bool = False
     ptrace_trajectories: int = 1
     shot_params: dict | None = None
 
     def to_dict(self) -> dict:
-        """The JSON echo: every field but out and format, in order, the last three only when set."""
+        """The JSON echo: every field, in order, the last three only when set."""
         d = {}
         for f in fields(self):
             value = getattr(self, f.name)
             unset = f.name in ("include_bounds", "ptrace_trajectories", "shot_params") and value == f.default
-            if f.name not in ("out", "format") and not unset:
+            if not unset:
                 d[f.name] = value.to_dict() if isinstance(value, PlanSpec) else copy.copy(value)
         return d
 
@@ -273,14 +271,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     noise_std = check_noise_std(raw.get("noise_std", 0.0), "noise_std")
     master_seed = raw.get("master_seed", 0)
     check_seed(master_seed, "master_seed")
-    fmt = raw.get("format", "csv")
-    _require(fmt in ("csv", "json"), f"format must be csv or json, got {fmt!r}")
     ptrace_m = raw.get("ptrace_trajectories", 1)
     check_trajectories(ptrace_m, "ptrace_trajectories")
     initial_state = raw.get("initial_state", DEFAULT_INITIAL_STATE[model])
     _require(isinstance(initial_state, str), "initial_state must be a string")
-    out = raw.get("out")
-    _require(out is None or isinstance(out, str), "out must be a path string")
     include_bounds = raw.get("include_bounds", False)
     _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
     shot_params = raw.get("shot_params")
@@ -296,8 +290,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=model, params=params, initial_state=initial_state, protocols=list(protocols),
         plan=plan, trajectories=trajectories, noise_std=noise_std, master_seed=master_seed,
-        out=out, format=fmt, include_bounds=include_bounds, ptrace_trajectories=ptrace_m,
-        shot_params=shot_params,
+        include_bounds=include_bounds, ptrace_trajectories=ptrace_m, shot_params=shot_params,
     )
 
 

@@ -8,6 +8,15 @@ oracle takes each term's step from its own dense eigh, independent of
 HermitianOperator.eig, and each weight from the matrix oracle
 double_commutator_norm with the engine's zero rule (p_j = 0 exactly where
 d_j = 0); branches with p = 0 are pruned.
+
+With noise, p and the time slice dt / p_j depend on each step's Gaussian
+draws, so the mean fidelity is an expectation over them. The noisy oracle
+estimates it by Monte Carlo: each sample draws its own noise at every node
+of the full branch tree (every branch j at every step) and sums the leaves
+by their weights. It shares only the model builders with the engine: its own
+generator, raw moments <H^k> from dense matrix powers, norms
+sqrt(max(6 m2^2 - 8 m1 m3 + 2 m4, 0)) (the engine's rounding-bound zero acts
+only within rounding of 0), and each term's step from its own dense eigh.
 """
 
 import numpy as np
@@ -19,6 +28,9 @@ from arcsim.linalg import QuantumState
 from arcsim.moments import double_commutator_norm
 
 TRAJECTORIES, SEED, Z_BOUND = 2000, 3, 4.0
+# Noisy cells: oracle samples and generator seed, and the trajectory count of the noise-1.0 cell,
+# four times the others', at which an oracle at half that noise fails it (z = -5.5 at N = 2).
+SAMPLES, ORACLE_SEED, STRONG_NOISE_TRAJECTORIES = 5000, 29, 8000
 
 
 def tree_fidelities(config) -> dict:
@@ -49,6 +61,41 @@ def tree_fidelities(config) -> dict:
     return out
 
 
+def noisy_tree_fidelities(config) -> dict:
+    """{N: (Monte-Carlo mean, variance of that mean) of one trajectory's final fidelity} per plan point."""
+    dec, structure = build_model(config)
+    rng = np.random.default_rng(ORACLE_SEED)
+    psi0 = basis_state(config.initial_state, structure).data
+    dt, depths, std = config.plan.dt, config.plan.n_list, config.noise_std
+    squares = [h.matrix @ h.matrix for h in dec.terms]
+    steps = [np.linalg.eigh(h.matrix) for h in dec.terms]
+    e, v = np.linalg.eigh(dec.total())
+    level, out = [(np.ones(SAMPLES), np.repeat(psi0[:, None], SAMPLES, axis=1))], {}
+    for n in range(1, max(depths) + 1):
+        children = []
+        for weight, psi in level:  # psi: (dim, SAMPLES), one state per sample
+            moments = []
+            for h, h2 in zip(dec.terms, squares):
+                hpsi, h2psi = h.matrix @ psi, h2 @ psi
+                pairs = ((psi, hpsi), (psi, h2psi), (hpsi, h2psi), (h2psi, h2psi))
+                moments.append([np.sum(a.conj() * b, axis=0).real for a, b in pairs])
+            m1, m2, m3, m4 = np.moveaxis(np.array(moments) + rng.normal(0.0, std, (len(dec), 4, SAMPLES)), 1, 0)
+            d = np.sqrt(np.maximum(6 * m2 * m2 - 8 * m1 * m3 + 2 * m4, 0.0))
+            w = np.where(d > 0.0, np.sqrt(d), 0.0)
+            w[:, ~w.any(axis=0)] = 1.0
+            p = w / w.sum(axis=0)
+            for pj, (ej, vj) in zip(p, steps):
+                tau = np.divide(dt, pj, out=np.zeros(SAMPLES), where=pj > 0)
+                phi = vj @ (np.exp(-1j * np.outer(ej, tau)) * (vj.conj().T @ psi))
+                children.append((weight * pj, phi / np.linalg.norm(phi, axis=0)))
+        level = children
+        if n in depths:
+            target = v @ (np.exp(-1j * e * (n * dt)) * (v.conj().T @ psi0))
+            per_sample = sum(weight * np.abs(target.conj() @ psi) ** 2 for weight, psi in level)
+            out[n] = (float(np.mean(per_sample)), float(np.var(per_sample, ddof=1) / SAMPLES))
+    return out
+
+
 def arc_config(model, dt, n_list, **extra):
     return config_from_dict({
         "model": model, "protocols": ["arc"], "trajectories": TRAJECTORIES, "master_seed": SEED,
@@ -75,3 +122,16 @@ def test_commuting_terms_get_no_weight_on_a_fock_state():
     (sp,) = run_ensemble(config).series
     assert leaves == 1
     assert abs(sp.mean_fidelity - mean) <= 1e-12, (sp.mean_fidelity, mean)
+
+
+@pytest.mark.parametrize("model, dt, noise_std, trajectories", [
+    ("mfim", 0.1, 0.1, TRAJECTORIES), ("kerr", 0.05, 0.1, TRAJECTORIES), ("rabi", 0.05, 0.1, TRAJECTORIES),
+    ("rabi", 0.05, 1.0, STRONG_NOISE_TRAJECTORIES),
+])
+def test_noisy_ensemble_mean_matches_monte_carlo_tree(model, dt, noise_std, trajectories):
+    config = arc_config(model, dt, [1, 2], noise_std=noise_std, trajectories=trajectories)
+    oracle = noisy_tree_fidelities(config)
+    for sp in run_ensemble(config).series:
+        mean, mc_var = oracle[int(sp.x_value)]
+        z = (sp.mean_fidelity - mean) / np.sqrt(sp.stderr**2 + mc_var)
+        assert abs(z) <= Z_BOUND, (model, noise_std, sp.x_value, z)

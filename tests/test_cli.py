@@ -99,9 +99,9 @@ class TestCliRun:
         assert len(lines) == 3
 
     def test_run_json_with_bounds(self, tmp_path):
-        cfg = write_config(tmp_path, include_bounds=True, format="json")
+        cfg = write_config(tmp_path, include_bounds=True)
         out = tmp_path / "out.json"
-        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"])
         assert code == 0
         doc = json.loads(out.read_text())
         assert "bounds" in doc
@@ -122,12 +122,7 @@ class TestCliRun:
         assert out1.read_text() != out2.read_text()
 
     def test_run_with_bounds_builds_one_context(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path,
-            include_bounds=True,
-            format="json",
-            plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]},
-        )
+        cfg = write_config(tmp_path, include_bounds=True, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]})
         parent = os.getpid()
         calls = {"contexts": 0, "exact": 0}
         init, run_exact = harness._Context.__init__, harness.run_exact
@@ -145,7 +140,7 @@ class TestCliRun:
         for threads in ("1", "2"):
             monkeypatch.setenv("ARC_SIM_THREADS", threads)
             calls.update(contexts=0, exact=0)
-            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json"), "--format", "json"]) == 0
             # both plan points share dt, so one exact trajectory serves them
             assert calls == {"contexts": 1, "exact": 1}, threads
 
@@ -155,13 +150,12 @@ class TestCliRun:
 
         monkeypatch.setattr(cli, "run_ensemble", no_run)
         out = tmp_path / "out.csv"
-        for cfg, flags in ((write_config(tmp_path, include_bounds=True), []),
-                           (write_config(tmp_path, "j.json", include_bounds=True, format="json"), ["--format", "csv"])):
+        cfg = write_config(tmp_path, include_bounds=True)
+        for flags in ([], ["--format", "csv"]):
             assert cli.main(["run", "--config", str(cfg), "--out", str(out), *flags]) == cli.EXIT_CONFIG
             assert "--format json" in capsys.readouterr().err
         assert not out.exists()
         monkeypatch.undo()
-        cfg = write_config(tmp_path, include_bounds=True)
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
         assert json.loads(out.read_text())["bounds"]
 
@@ -242,21 +236,13 @@ class TestCliPtraceBounds:
         assert "bounds writes JSON only" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bounds_ignores_config_format_field(self, tmp_path):
-        csv_cfg, plain_cfg = write_config(tmp_path, format="csv"), write_config(tmp_path, "plain.json")
-        outs = [tmp_path / "a.json", tmp_path / "b.json"]
-        for cfg, out in zip((csv_cfg, plain_cfg), outs):
-            assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads(outs[0].read_text())["bounds"]
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-
     def test_bounds_entries_keep_their_key_order(self, tmp_path):
         # the plan point's labels or the note, then BoundReport's fields in declaration order
-        cfg = write_config(tmp_path, include_bounds=True, format="json")
+        cfg = write_config(tmp_path, include_bounds=True)
         fields = ["t", "steps", "trotter1", "rc", "arc", "per_step"]
         for command, labels in (("bounds", ["x_kind", "x_value"]), ("run", ["note"])):
             out = tmp_path / f"{command}.json"
-            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert cli.main([command, "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
             (entry,) = json.loads(out.read_text())["bounds"]
             assert list(entry) == labels + fields and list(entry["per_step"]) == fields[2:5], command
 
@@ -450,6 +436,23 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--svg needs --out" in captured.err
+
+    def test_svg_over_out_exits_2_before_running(self, tmp_path, monkeypatch, capsys):
+        # the chart goes to --out with a .svg suffix, which an --out ending in .svg already is
+        monkeypatch.setattr(cli, "run_ensemble", lambda config: pytest.fail("the ensemble ran"))
+        cfg, out = write_config(tmp_path), tmp_path / "r.svg"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--svg"]) == cli.EXIT_CONFIG
+        assert "--svg would write its chart over --out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_settings_in_a_config_exit_2(self, tmp_path, monkeypatch, capsys):
+        # where the results go is a command-line setting, not part of the experiment
+        monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
+        for key, value in (("out", "results.csv"), ("format", "json")):
+            cfg = write_config(tmp_path, protocols=["arc"], **{key: value})
+            for command in ("run", "ptrace", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
     def test_integers_past_float_range_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))

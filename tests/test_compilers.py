@@ -213,12 +213,15 @@ class TestCost:
 class TestStepPlan:
     def test_dt(self):
         assert StepPlan(1.0, 50).dt == pytest.approx(0.02)
+        assert (3 * 0.05) / 3 != 0.05 and StepPlan(3 * 0.05, 3, 0.05).dt == 0.05  # a given dt is kept
 
     def test_validation(self):
         with pytest.raises(ValueError):
             StepPlan(1.0, 0)
         with pytest.raises(ValueError):
             StepPlan(0.0, 5)
+        with pytest.raises(ValueError, match="step size"):
+            StepPlan(1.0, 50, 0.021)
 
 
 class TestExactOnDiagonalTotals:

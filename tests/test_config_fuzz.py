@@ -32,8 +32,6 @@ configs = st.fixed_dictionaries(
         "trajectories": counts,
         "noise_std": reals,
         "master_seed": counts,
-        "out": st.just("out.csv"),
-        "format": st.sampled_from(["csv", "json"]),
         "include_bounds": st.booleans(),
         "ptrace_trajectories": counts,
         "shot_params": st.fixed_dictionaries(

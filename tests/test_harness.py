@@ -109,13 +109,12 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.trajectories == 7
 
-    def test_echo_lists_every_field_but_out_and_format(self):
+    def test_echo_lists_every_field(self):
         shots = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
         full = config_from_dict({
-            "model": "mfim", "out": "x.json", "format": "json", "include_bounds": True,
-            "ptrace_trajectories": 3, "shot_params": shots,
+            "model": "mfim", "include_bounds": True, "ptrace_trajectories": 3, "shot_params": shots,
         })
-        names = [f.name for f in dataclasses.fields(full) if f.name not in ("out", "format")]
+        names = [f.name for f in dataclasses.fields(full)]
         assert list(full.to_dict()) == names
         bare = config_from_dict({"model": "mfim"}).to_dict()
         assert list(bare) == [n for n in names if n not in ("include_bounds", "ptrace_trajectories", "shot_params")]
@@ -741,6 +740,12 @@ class TestDtGroups:
         cfg = mfim_config(plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 15, 10]}, trajectories=2)
         assert _Context(cfg).members("arc", 0, 0, 6) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
         assert _Context(cfg).members("arc", 0, 3, 5) == [(2, 1), (0, 0)]
+
+    def test_fixed_dt_sweep_is_one_group(self):
+        # every point steps with the config's dt, though (n * 0.05) / n is not 0.05 for n = 3 or 6
+        ctx = _Context(mfim_config(plan={"mode": "fixed_dt", "dt": 0.05, "n_list": [3, 4, 5, 6, 10]}))
+        assert ctx.groups == {0.05: [4, 3, 2, 1, 0]}
+        assert [point.plan.dt for point in ctx.points] == [0.05] * 5
 
     def test_block_width_follows_dimension(self):
         # wide blocks of small states, 128 from dim 100 up; the worker count plays no part
