@@ -247,16 +247,6 @@ def _apply_step(step: np.ndarray, block: np.ndarray) -> np.ndarray:
     return step[:, None] * block if step.ndim == 1 else step @ block
 
 
-def _keys_of(streams) -> np.ndarray:
-    """(M, 2) Philox keys of streams given as a key array, TrajectoryStreams or int seeds."""
-    from .rng import TrajectoryStream, stream_key
-
-    if isinstance(streams, np.ndarray):
-        return streams
-    keys = [s.key if isinstance(s, TrajectoryStream) else stream_key(int(s)) for s in streams]
-    return np.array(keys, dtype=np.uint64)
-
-
 def _self_fidelities(states) -> np.ndarray:
     """Each exact state scored against itself, as the "exact" protocol's fidelities."""
     return np.array([fidelities(s, s[:, None])[0] for s in states])
@@ -269,13 +259,13 @@ def run_block(
 ) -> list[TrajectoryRecord]:
     """Every protocol's run: one trajectory per stream, stepped as one block by _pure_steps.
 
-    Streams are TrajectoryStreams, int seeds of trajectory_stream(seed), or
-    an (M, 2) array of their keys. `plan` is one StepPlan for every stream,
-    or one per stream with bit-equal dt and non-increasing step counts; the
-    block then steps only its still-running prefix. A pure state0 becomes a
-    (dim, M) block. Step k takes p ("arc" measures it on the current block,
-    "rc" and "equal" fix it) and samples each trajectory's term with its
-    uniform. The draws (uniforms and arc measurement noise) come from
+    Streams are TrajectoryStreams or an (M, 2) array of their keys. `plan`
+    is one StepPlan for every stream, or one per stream with bit-equal dt
+    and non-increasing step counts; the block then steps only its
+    still-running prefix. A pure state0 becomes a (dim, M) block. Step k
+    samples each trajectory's term with its uniform from (M, L) weights p
+    ("arc" measures them on the block, "rc" and "equal" broadcast one row).
+    The draws (uniforms and arc measurement noise) come from
     rng.stream_draws, DRAW_PAIRS (noisy: NOISY_DRAW_PAIRS) trajectory-steps
     per call, bit-identical to each stream's step(k) generator. Fixed time
     slices apply each term's _fixed_step, built once per call; "trotter1"
@@ -373,7 +363,7 @@ def _pure_steps(name, state0, decomposition, plans, streams, noise):
         slices = [dt] * len(terms) if fixed is None else [dt / pj if pj > 0 else None for pj in fixed.p]
         steps = [None if tau is None else _fixed_step(h, tau) for h, tau in zip(terms, slices)]
     if name != "trotter1":
-        keys = _keys_of(streams)
+        keys = streams if isinstance(streams, np.ndarray) else np.array([s.key for s in streams], np.uint64)
         ends = np.array([q.steps for q in plans])
         noise_shape = (len(terms), 4) if name == "arc" and noise.std > 0.0 else None
         budget = DRAW_PAIRS if noise_shape is None else NOISY_DRAW_PAIRS
@@ -392,15 +382,13 @@ def _pure_steps(name, state0, decomposition, plans, streams, noise):
                 chunk_noise, chunk_u = stream_draws(
                     keys[:width], k, np.minimum(ends[:width], drawn), noise_shape, noise.std
                 )
-                if name != "arc":  # the chunk's samples from the one CDF
-                    chunk_j = _sample(fixed.p[None], chunk_u.ravel()).reshape(chunk_u.shape)
             c = k - first
             if name == "arc":
                 step_noise = None if chunk_noise is None else chunk_noise[:width, c]
                 p, coords = _arc_weights(terms, powers, state, step_noise)
-                j = _sample(p, chunk_u[:width, c])
             else:
-                p, j = np.broadcast_to(fixed.p, (width, len(terms))), chunk_j[:width, c]
+                p = np.broadcast_to(fixed.p, (width, len(terms)))
+            j = _sample(p, chunk_u[:width, c])
             tau = dt / p[np.arange(width), j]
             out = np.empty_like(state)
             for term in range(len(terms)):

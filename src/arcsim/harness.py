@@ -202,13 +202,13 @@ def _plan_from_dict(raw: dict) -> PlanSpec:
     return spec
 
 
-def _dimension(model: str, params: dict) -> int:
-    """Hilbert-space dimension of a model; MFIM's saturates at 2**64 so a huge L costs nothing."""
+def _structure(model: str, params: dict) -> HilbertStructure:
+    """A model's Hilbert structure, built from its sizes alone; MFIM's L saturates at 64 so a huge L costs nothing."""
     if model == "mfim":
-        return 2 ** min(int(params["L"]), 64)
+        return HilbertStructure(qubit_sites=min(params["L"], 64))
     if model == "kerr":
-        return params["D"]
-    return 2 * params["D"]
+        return HilbertStructure(fock_dim=params["D"])
+    return HilbertStructure(qubit_sites=1, fock_dim=params["D"])
 
 
 def check_trajectories(count, name: str) -> None:
@@ -255,8 +255,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             _require(ok, f"params.{key} must be an integer >= 1, got {value!r}")
         else:
             _real(value, f"params.{key}", MAX_MAGNITUDE)
-    dim = _dimension(model, params)
-    _require(dim <= MAX_DIM, f"{model} Hilbert dimension {dim} exceeds the cap of {MAX_DIM}")
+    try:
+        structure = _structure(model, params)
+    except ValueError as exc:  # a one-level Fock mode
+        raise ConfigError(str(exc)) from None
+    _require(structure.dim <= MAX_DIM, f"{model} Hilbert dimension {structure.dim} exceeds the cap of {MAX_DIM}")
 
     protocols = raw.get("protocols", ["arc", "rc"])
     _require(isinstance(protocols, list) and len(protocols) > 0, "protocols must be a nonempty list")
@@ -275,6 +278,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     check_trajectories(ptrace_m, "ptrace_trajectories")
     initial_state = raw.get("initial_state", DEFAULT_INITIAL_STATE[model])
     _require(isinstance(initial_state, str), "initial_state must be a string")
+    try:
+        basis_state(initial_state, structure)
+    except ValueError as exc:
+        hint = "" if "initial_state" in raw else f"default ket {initial_state!r} does not fit; set initial_state: "
+        raise ConfigError(f"{hint}{exc}") from None
     include_bounds = raw.get("include_bounds", False)
     _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
     shot_params = raw.get("shot_params")

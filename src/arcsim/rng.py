@@ -14,9 +14,9 @@ through stream_draws. Gaussians follow numpy's ziggurat,
 whose layer widths ship with the package: the fast path for every word at
 once, then the wedge and tail tests, in arrays, for the few that leave it.
 `TrajectoryStream.step` is the numpy reference those draws are tested
-against. `numpy.random` is imported only when a stream is stepped,
-stream_key derives a key, or a Gaussian lands within rounding of one of
-numpy's acceptance thresholds and is replayed by a numpy generator.
+against. `numpy.random` is imported only when a stream is stepped or a
+Gaussian lands within rounding of one of numpy's acceptance thresholds and
+is replayed by a numpy generator.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ _POOL_SIZE = 4
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-
-
-def stream_key(master_seed: int, *path: int) -> np.ndarray:
-    """Two uint64 key words derived from a master seed and an integer path."""
-    if master_seed < 0:
-        raise ValueError("master seed must be nonnegative")
-    entropy = [int(master_seed)] + [int(p) for p in path]
-    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
 def _int_words(n: int) -> list[int]:
@@ -76,7 +68,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(master_seed: int, paths) -> np.ndarray:
-    """stream_key(master_seed, *path) for every row of an (n, d) array of paths, as (n, 2).
+    """SeedSequence([master_seed, *path]).generate_state(2, uint64) for every row of an (n, d) array of paths.
 
     Every path entry must be below 2**32 (one entropy word each).
     """
@@ -201,7 +193,8 @@ class TrajectoryStream:
 
 
 def trajectory_stream(master_seed: int, *path: int) -> TrajectoryStream:
-    return TrajectoryStream(stream_key(master_seed, *path))
+    """The stream keyed by stream_keys(master_seed, [path]): path entries must be below 2**32."""
+    return TrajectoryStream(stream_keys(master_seed, [path])[0])
 
 
 def stream_draws(

@@ -13,6 +13,7 @@ from .compilers import ProbabilityDistribution, StepPlan, cost, optimal_distribu
 from .hamiltonians import Decomposition
 from .linalg import HermitianOperator, basis_coordinates, hs_norm, kron, pure_state, mixed_state
 from .moments import double_commutator_norm, moment_block, norm_finite_difference, norms_from_moments
+from .rng import trajectory_stream
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
@@ -109,7 +110,7 @@ def check_channel_matching(rng, *, count=1) -> tuple[bool, float]:
 
 def _check_trotter_single_term(rng) -> tuple[bool, float]:
     decomp = Decomposition((random_hermitian(rng, 4),))
-    f = run_block("trotter1", random_pure(rng, 4), decomp, StepPlan(1.0, 10), [0])[0].final_fidelity
+    f = run_block("trotter1", random_pure(rng, 4), decomp, StepPlan(1.0, 10), [trajectory_stream(0)])[0].final_fidelity
     return abs(f - 1.0) <= 1e-10, f
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from arcsim.hamiltonians import basis_state
-from arcsim.harness import build_model, config_from_dict, run_ensemble
+from arcsim.harness import build_model, config_from_dict, run_ensemble, run_ptrace
 from arcsim.linalg import QuantumState
 from arcsim.moments import double_commutator_norm
 
@@ -33,31 +33,49 @@ TRAJECTORIES, SEED, Z_BOUND = 2000, 3, 4.0
 SAMPLES, ORACLE_SEED, STRONG_NOISE_TRAJECTORIES = 5000, 29, 8000
 
 
-def tree_fidelities(config) -> dict:
-    """{N: (exact mean, exact variance, leaves) of one trajectory's final fidelity} per plan point."""
+def branch_tree(config):
+    """Steps n = 1..max N of the tree: (n, [(weight, p)] of the nodes step n samples at, [(weight, psi)] after it)."""
     dec, structure = build_model(config)
-    psi0 = basis_state(config.initial_state, structure).data
-    dt, depths = config.plan.dt, config.plan.n_list
     steps = [np.linalg.eigh(h.matrix) for h in dec.terms]
-    e, v = np.linalg.eigh(dec.total())
-    level, out = [(1.0, psi0)], {}
-    for n in range(1, max(depths) + 1):
-        children = []
+    level = [(1.0, basis_state(config.initial_state, structure).data)]
+    for n in range(1, max(config.plan.n_list) + 1):
+        nodes, children = [], []
         for weight, psi in level:
             d = np.array([double_commutator_norm(h, QuantumState(psi)) for h in dec.terms])
             w = np.where(d > 0.0, np.sqrt(d), 0.0)
             p = w / w.sum() if w.any() else np.full(len(w), 1.0 / len(w))
+            nodes.append((weight, p))
             for pj, (ej, vj) in zip(p, steps):
                 if pj > 0:
-                    phi = vj @ (np.exp(-1j * ej * (dt / pj)) * (vj.conj().T @ psi))
+                    phi = vj @ (np.exp(-1j * ej * (config.plan.dt / pj)) * (vj.conj().T @ psi))
                     children.append((weight * pj, phi / np.linalg.norm(phi)))
         level = children
-        if n in depths:
-            target = v @ (np.exp(-1j * e * (n * dt)) * (v.conj().T @ psi0))
+        yield n, nodes, level
+
+
+def tree_fidelities(config) -> dict:
+    """{N: (exact mean, exact variance, leaves) of one trajectory's final fidelity} per plan point."""
+    dec, structure = build_model(config)
+    psi0 = basis_state(config.initial_state, structure).data
+    e, v = np.linalg.eigh(dec.total())
+    out = {}
+    for n, _, level in branch_tree(config):
+        if n in config.plan.n_list:
+            target = v @ (np.exp(-1j * e * (n * config.plan.dt)) * (v.conj().T @ psi0))
             weights = np.array([weight for weight, _ in level])
             fids = np.abs(np.array([psi for _, psi in level]) @ target.conj()) ** 2
             mean = float(weights @ fids)
             out[n] = (mean, float(weights @ fids**2) - mean**2, len(level))
+    return out
+
+
+def tree_probabilities(config) -> list:
+    """[(exact mean, exact variance, nodes) of one trajectory's p at step k] for k = 1..N."""
+    out = []
+    for _, nodes, _ in branch_tree(config):
+        weights, ps = np.array([weight for weight, _ in nodes]), np.array([p for _, p in nodes])
+        mean = weights @ ps
+        out.append((mean, weights @ (ps - mean) ** 2, len(nodes)))
     return out
 
 
@@ -122,6 +140,29 @@ def test_commuting_terms_get_no_weight_on_a_fock_state():
     (sp,) = run_ensemble(config).series
     assert leaves == 1
     assert abs(sp.mean_fidelity - mean) <= 1e-12, (sp.mean_fidelity, mean)
+
+
+PTRACE_CELLS = [("mfim", 0.1, {}), ("kerr", 0.05, {}), ("rabi", 0.05, {"g": 0.2}), ("rabi", 0.05, {"g": 0.8})]
+PTRACE_IDS = ["mfim", "kerr", "rabi-g0.2", "rabi-g0.8"]
+
+
+@pytest.mark.parametrize("model, dt, params", PTRACE_CELLS, ids=PTRACE_IDS)
+def test_probability_trace_matches_branch_tree(model, dt, params):
+    config = arc_config(model, dt, [6], params=params, ptrace_trajectories=TRAJECTORIES)
+    table = run_ptrace(config)
+    for k, (row, (mean, var, nodes)) in enumerate(zip(table.probabilities, tree_probabilities(config))):
+        if nodes == 1:
+            assert np.allclose(row, mean, rtol=0, atol=1e-12), (model, params, k, row, mean)
+        else:
+            z = (row - mean) / np.sqrt(var / TRAJECTORIES)
+            assert np.all(np.abs(z) <= Z_BOUND), (model, params, k, nodes, z)
+
+
+@pytest.mark.parametrize("model, dt, params", PTRACE_CELLS, ids=PTRACE_IDS)
+def test_single_trajectory_trace_slices_by_its_sampled_weight(model, dt, params):
+    table = run_ptrace(arc_config(model, dt, [6], params=params))
+    sampled = table.probabilities[np.arange(6), table.sampled_indices]
+    assert np.all(sampled > 0) and np.array_equal(table.taus, dt / sampled), (model, params)
 
 
 @pytest.mark.parametrize("model, dt, noise_std, trajectories", [

@@ -304,6 +304,24 @@ class TestCliErrors:
             assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
             assert message in capsys.readouterr().err
 
+    def test_ket_off_the_model_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("model built")
+
+        for builder in ("build_mfim", "build_kerr", "build_rabi"):
+            monkeypatch.setattr(harness, builder, never)
+        default = "config error: default ket {} does not fit; set initial_state: {}"
+        for overrides, message in (
+            ({"params": {"L": 6}}, default.format("'0011'", "qubit string '0011' must be 6 characters")),
+            ({"model": "kerr", "params": {"D": 5}}, default.format("'(|1⟩+|5⟩)/√2'", "Fock level 5 outside")),
+            ({"model": "rabi", "params": {"D": 4}}, default.format("'(|2,0⟩+|5,0⟩)/√2'", "Fock level 5 outside")),
+            ({"params": {"L": 6}, "initial_state": "0011"}, "config error: qubit string '0011' must be 6 characters"),
+        ):
+            cfg = write_config(tmp_path, **overrides)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert message in capsys.readouterr().err
+
     def test_bad_shot_params_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("model built")

@@ -634,7 +634,7 @@ class TestSteppingLoopReference:
         dec, st = build_mfim(3, 1.0, 0.5, 0.3)
         psi, plan = basis_state("011", st), StepPlan(0.3, 5)
         for name in ("rc", "equal", "arc"):
-            (got,) = run_block(name, psi, dec, plan, [3])
+            (got,) = run_block(name, psi, dec, plan, [trajectory_stream(3)])
             want = reference_run(name, psi, dec, plan, EXACT, 3, None)
             self._assert_same_record(got, want, name, self._atol(name))
 
@@ -780,7 +780,7 @@ class TestBlockEngine:
         rotate = compilers.rotate_coordinates
         monkeypatch.setattr(compilers, "rotate_coordinates", lambda *a: 1.01 * rotate(*a))
         with pytest.raises(np.linalg.LinAlgError, match="norm drifted"):
-            run_block("rc", psi, dec, plan, [0, 1, 2])
+            run_block("rc", psi, dec, plan, [trajectory_stream(m) for m in range(3)])
 
 
 class TestDiagonalShortcut:

@@ -139,8 +139,9 @@ class TestConfigParsing:
         ("rabi", {"D": 2}), ("rabi", {"D": 50}),
     ])
     def test_dimension_cap_reads_the_built_dimension(self, model, params):
-        config = config_from_dict({"model": model, "params": params})
-        assert harness._dimension(model, config.params) == harness.build_model(config)[1].dim
+        ket = {"mfim": "0" * params.get("L", 0), "kerr": "0", "rabi": "0,0"}[model]
+        config = config_from_dict({"model": model, "params": params, "initial_state": ket})
+        assert harness._structure(model, config.params) == harness.build_model(config)[1]
 
 
 class TestPlanPoints:
@@ -674,8 +675,10 @@ class TestConfigValidation:
 
     def test_dimension_cap(self):
         assert harness.MAX_DIM == 1024
-        for model, key, largest in (("mfim", "L", 10), ("kerr", "D", 1024), ("rabi", "D", 512)):
-            config_from_dict({"model": model, "params": {key: largest}})
+        for model, key, largest, ket in (
+            ("mfim", "L", 10, "0" * 10), ("kerr", "D", 1024, "|1⟩"), ("rabi", "D", 512, "|2,0⟩")
+        ):
+            config_from_dict({"model": model, "params": {key: largest}, "initial_state": ket})
             for too_big in (largest + 1, 10**12):
                 with pytest.raises(ConfigError, match="exceeds the cap of 1024"):
                     config_from_dict({"model": model, "params": {key: too_big}})

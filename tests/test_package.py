@@ -43,6 +43,15 @@ def test_readme_library_example_runs():
     assert out.getvalue().strip()
 
 
+def test_readme_library_example_never_imports_numpy_random():
+    """The noise-free example's keys and draws are array-computed, so numpy.random stays unloaded."""
+    code = re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+    code += "import sys; print('numpy.random' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.split()[-1] == "False", proc.stderr
+
+
 def test_package_root_holds_the_documented_names():
     # dir() lists the lazily resolved names too, whether or not they were read yet
     public = {

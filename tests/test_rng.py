@@ -12,11 +12,15 @@ from arcsim.rng import (
     philox_words,
     standard_normals,
     stream_draws,
-    stream_key,
     stream_keys,
     trajectory_stream,
     uniforms,
 )
+
+
+def seed_sequence_key(seed, *path):
+    """The oracle for stream keys: numpy's own SeedSequence."""
+    return np.random.SeedSequence([seed, *path]).generate_state(2, np.uint64)
 
 
 def fresh_generator(key, k):
@@ -45,7 +49,19 @@ class TestTrajectoryStream:
         gen = stream.step(7)
         gen.random()
         gen.normal(size=3)  # leave a buffered word behind
-        assert draws(stream.step(7))[0] == fresh_generator(stream_key(9, 2, 0, 4), 7).random()
+        assert draws(stream.step(7))[0] == fresh_generator(seed_sequence_key(9, 2, 0, 4), 7).random()
+
+    def test_key_matches_seed_sequence(self):
+        for seed, path in ((0, ()), (5, ()), (2**64 - 1, ()), (2**64 - 1, (2, 0, 4)), (2**100, (1,)),
+                           (9, (2**32 - 1,)), (9, (3, 2**32 - 1, 0))):
+            assert np.array_equal(trajectory_stream(seed, *path).key, seed_sequence_key(seed, *path)), (seed, path)
+
+    def test_path_entries_are_one_word(self):
+        # stream_keys takes one 32-bit entropy word per path entry; the ensemble's
+        # (protocol, point, trajectory) paths are far below that
+        for path in ((2**32,), (0, 2**32), (-1,)):
+            with pytest.raises(ValueError):
+                trajectory_stream(1, *path)
 
     def test_streams_are_independent(self):
         a, b = trajectory_stream(1, 0), trajectory_stream(1, 1)
@@ -82,7 +98,7 @@ class TestArrayDraws:
                 paths = rng.integers(0, 2**32, size=(7, depth))
                 paths[0], paths[1] = 0, 2**32 - 1
                 got = stream_keys(seed, paths)
-                want = [stream_key(seed, *(int(v) for v in path)) for path in paths]
+                want = [seed_sequence_key(seed, *(int(v) for v in path)) for path in paths]
                 assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, depth)
 
     def test_keys_reject_wide_or_negative_entries(self):
