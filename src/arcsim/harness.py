@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,8 +40,12 @@ DEFAULT_PARAMS = {
     "rabi": {"omega": 1.0, "Omega": 1.0, "g": 0.2, "D": 50},
 }
 DEFAULT_INITIAL_STATE = {"mfim": "0011", "kerr": "(|1⟩+|5⟩)/√2", "rabi": "(|2,0⟩+|5,0⟩)/√2"}
-DEFAULT_N_LIST = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
-DEFAULT_DT_LIST = [0.01, 0.02, 0.04, 0.05, 0.1]
+# Each plan mode's keys besides "mode", in echo order, with their defaults: a
+# step-count sweep at fixed dt, or a step-size sweep at fixed total time t.
+PLAN_MODES = {
+    "fixed_dt": {"dt": 0.02, "n_list": [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]},
+    "fixed_t": {"t": 1.0, "dt_list": [0.01, 0.02, 0.04, 0.05, 0.1]},
+}
 # Largest Hilbert-space dimension a config may ask for: every operator is a
 # dense dim x dim complex matrix (16 MB at the cap), and configs are rejected
 # before any is allocated.
@@ -86,6 +90,10 @@ STEP_DIM2_S = 1e-9
 # `multiprocessing` imports, each worker's first `numpy.random` use), broke
 # even at an estimate of about 0.35 s and won by 5-25% from 0.5 s up.
 POOL_MIN_S = 0.5
+# Largest worker count ARC_SIM_THREADS may ask for. The pool starts one process per
+# task up to that count, and a 2,000-trajectory Rabi run has 471 tasks, so a larger
+# value is rejected before any worker is forked.
+MAX_WORKERS = 64
 
 
 class ConfigError(ValueError):
@@ -98,27 +106,13 @@ class PlanPoint(NamedTuple):
     plan: StepPlan
 
 
-@dataclass
-class PlanSpec:
-    mode: str = "fixed_dt"
-    dt: float = 0.02
-    n_list: list[int] = field(default_factory=lambda: list(DEFAULT_N_LIST))
-    t: float = 1.0
-    dt_list: list[float] = field(default_factory=lambda: list(DEFAULT_DT_LIST))
-
-    def points(self) -> list[PlanPoint]:
-        if self.mode == "fixed_dt":
-            return [PlanPoint("steps", float(n), StepPlan(n * self.dt, n, self.dt)) for n in self.n_list]
-        out = []
-        for dt in self.dt_list:
-            n = max(1, round(self.t / dt))
-            out.append(PlanPoint("dt", self.t / n, StepPlan(self.t, n)))
-        return out
-
-    def to_dict(self) -> dict:
-        if self.mode == "fixed_dt":
-            return {"mode": "fixed_dt", "dt": self.dt, "n_list": list(self.n_list)}
-        return {"mode": "fixed_t", "t": self.t, "dt_list": list(self.dt_list)}
+def plan_points(plan: dict) -> list[PlanPoint]:
+    """A validated plan's points: one per step count at fixed dt, or per step size at fixed t."""
+    if plan["mode"] == "fixed_dt":
+        dt = plan["dt"]
+        return [PlanPoint("steps", float(n), StepPlan(n * dt, n, dt)) for n in plan["n_list"]]
+    steps = [max(1, round(plan["t"] / dt)) for dt in plan["dt_list"]]
+    return [PlanPoint("dt", plan["t"] / n, StepPlan(plan["t"], n)) for n in steps]
 
 
 @dataclass
@@ -127,7 +121,7 @@ class ExperimentConfig:
     params: dict
     initial_state: str
     protocols: list[str]
-    plan: PlanSpec
+    plan: dict  # {"mode": ..., then that mode's PLAN_MODES keys}
     trajectories: int = 2000
     noise_std: float = 0.0
     master_seed: int = 0
@@ -136,14 +130,9 @@ class ExperimentConfig:
     shot_params: dict | None = None
 
     def to_dict(self) -> dict:
-        """The JSON echo: every field, in order, the last three only when set."""
-        d = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            unset = f.name in ("include_bounds", "ptrace_trajectories", "shot_params") and value == f.default
-            if not unset:
-                d[f.name] = value.to_dict() if isinstance(value, PlanSpec) else copy.copy(value)
-        return d
+        """The JSON echo: a deep copy of every field, in order, the last three only when set."""
+        unset = {f.name for f in fields(self)[-3:] if getattr(self, f.name) == f.default}
+        return {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self) if f.name not in unset}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -164,42 +153,40 @@ def _real(value, name: str, limit: float) -> float:
     return float(value)
 
 
-def _plan_from_dict(raw: dict) -> PlanSpec:
+def _plan_from_dict(raw: dict) -> dict:
+    """The validated plan: "mode", then that mode's PLAN_MODES keys in order, given or default."""
     _require(isinstance(raw, dict), "plan must be an object")
     mode = raw.get("mode", "fixed_dt")
-    _require(mode in ("fixed_dt", "fixed_t"), f"unknown plan mode {mode!r}")
-    unknown = set(raw) - ({"mode", "dt", "n_list"} if mode == "fixed_dt" else {"mode", "t", "dt_list"})
+    _require(isinstance(mode, str) and mode in PLAN_MODES, f"unknown plan mode {mode!r}")
+    unknown = set(raw) - {"mode", *PLAN_MODES[mode]}
     _require(not unknown, f"unknown plan keys {sorted(unknown)} for mode {mode}")
-    spec = PlanSpec(mode=mode)
+    plan = {"mode": mode, **PLAN_MODES[mode], **raw}
     if mode == "fixed_dt":
-        spec.dt = _real(raw.get("dt", 0.02), "plan dt", MAX_MAGNITUDE)
-        _require(spec.dt > 0, "plan dt must be positive")
-        n_list = raw.get("n_list", DEFAULT_N_LIST)
+        plan["dt"] = _real(plan["dt"], "plan dt", MAX_MAGNITUDE)
+        _require(plan["dt"] > 0, "plan dt must be positive")
+        n_list = plan["n_list"]
         _require(isinstance(n_list, list) and len(n_list) > 0, "plan n_list must be a nonempty list")
         for n in n_list:
             _require(
                 _is_int(n) and 1 <= n <= MAX_STEPS,
                 f"step count must be an integer from 1 to {MAX_STEPS}, got {n!r}",
             )
-        spec.n_list = list(n_list)
-    else:
-        spec.t = _real(raw.get("t", 1.0), "plan t", math.inf)
-        _require(spec.t > 0, "plan t must be positive")
-        dt_list = raw.get("dt_list", DEFAULT_DT_LIST)
-        _require(isinstance(dt_list, list) and len(dt_list) > 0, "plan dt_list must be a nonempty list")
-        for dt in dt_list:
-            _require(_real(dt, "plan step size", MAX_MAGNITUDE) > 0, f"bad step size {dt!r}")
-            _require(
-                spec.t / dt <= MAX_STEPS,
-                f"plan t / dt = {spec.t / dt:g} exceeds the step cap of {MAX_STEPS}",
-            )
-        _real(spec.t, "plan t", MAX_MAGNITUDE)  # after the step cap, which names a huge t/dt first
-        spec.dt_list = [float(dt) for dt in dt_list]
-        steps = {}  # step count -> the step size that first gave it
-        for dt, point in zip(spec.dt_list, spec.points()):
-            n = point.plan.steps
-            _require(steps.setdefault(n, dt) == dt, f"step sizes {steps[n]!r} and {dt!r} both give {n} steps")
-    return spec
+        plan["n_list"] = list(n_list)
+        return plan
+    t = plan["t"] = _real(plan["t"], "plan t", math.inf)
+    _require(t > 0, "plan t must be positive")
+    dt_list = plan["dt_list"]
+    _require(isinstance(dt_list, list) and len(dt_list) > 0, "plan dt_list must be a nonempty list")
+    for dt in dt_list:
+        _require(_real(dt, "plan step size", MAX_MAGNITUDE) > 0, f"bad step size {dt!r}")
+        _require(t / dt <= MAX_STEPS, f"plan t / dt = {t / dt:g} exceeds the step cap of {MAX_STEPS}")
+    _real(t, "plan t", MAX_MAGNITUDE)  # after the step cap, which names a huge t/dt first
+    plan["dt_list"] = [float(dt) for dt in dt_list]
+    steps = {}  # step count -> the step size that first gave it
+    for dt, point in zip(plan["dt_list"], plan_points(plan)):
+        n = point.plan.steps
+        _require(steps.setdefault(n, dt) == dt, f"step sizes {steps[n]!r} and {dt!r} both give {n} steps")
+    return plan
 
 
 def _structure(model: str, params: dict) -> HilbertStructure:
@@ -250,15 +237,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(not bad, f"unknown {model} parameters {sorted(bad)}")
     params.update(overrides)
     for key, value in params.items():
-        if key in ("L", "D"):
-            ok = _is_int(value) and value >= 1
-            _require(ok, f"params.{key} must be an integer >= 1, got {value!r}")
+        if key in ("L", "D"):  # build_mfim needs two sites, and HilbertStructure two Fock levels
+            _require(_is_int(value) and value >= 2, f"params.{key} must be an integer >= 2, got {value!r}")
         else:
             _real(value, f"params.{key}", MAX_MAGNITUDE)
-    try:
-        structure = _structure(model, params)
-    except ValueError as exc:  # a one-level Fock mode
-        raise ConfigError(str(exc)) from None
+    structure = _structure(model, params)
     _require(structure.dim <= MAX_DIM, f"{model} Hilbert dimension {structure.dim} exceeds the cap of {MAX_DIM}")
 
     protocols = raw.get("protocols", ["arc", "rc"])
@@ -267,14 +250,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _require(name in PROTOCOL_NAMES, f"unknown protocol {name!r}")
     _require(len(set(protocols)) == len(protocols), "duplicate protocol names")
 
-    plan = _plan_from_dict(raw.get("plan", {"mode": "fixed_dt"}))
+    plan = _plan_from_dict(raw.get("plan", {}))
 
-    trajectories = raw.get("trajectories", 2000)
+    trajectories = raw.get("trajectories", ExperimentConfig.trajectories)
     check_trajectories(trajectories, "trajectories")
-    noise_std = check_noise_std(raw.get("noise_std", 0.0), "noise_std")
-    master_seed = raw.get("master_seed", 0)
+    noise_std = check_noise_std(raw.get("noise_std", ExperimentConfig.noise_std), "noise_std")
+    master_seed = raw.get("master_seed", ExperimentConfig.master_seed)
     check_seed(master_seed, "master_seed")
-    ptrace_m = raw.get("ptrace_trajectories", 1)
+    ptrace_m = raw.get("ptrace_trajectories", ExperimentConfig.ptrace_trajectories)
     check_trajectories(ptrace_m, "ptrace_trajectories")
     initial_state = raw.get("initial_state", DEFAULT_INITIAL_STATE[model])
     _require(isinstance(initial_state, str), "initial_state must be a string")
@@ -283,9 +266,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         hint = "" if "initial_state" in raw else f"default ket {initial_state!r} does not fit; set initial_state: "
         raise ConfigError(f"{hint}{exc}") from None
-    include_bounds = raw.get("include_bounds", False)
+    include_bounds = raw.get("include_bounds", ExperimentConfig.include_bounds)
     _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
-    shot_params = raw.get("shot_params")
+    shot_params = raw.get("shot_params", ExperimentConfig.shot_params)
     if shot_params is not None:
         from .bounds import shot_lower_bounds
 
@@ -347,14 +330,17 @@ class PTraceTable(NamedTuple):
 
 
 def worker_count() -> int:
-    """Largest worker pool size: the CPUs this process may run on, at most 8; ARC_SIM_THREADS overrides it."""
+    """Largest worker pool size: the CPUs this process may run on, at most 8; ARC_SIM_THREADS overrides it.
+
+    An ARC_SIM_THREADS above MAX_WORKERS is a ConfigError, raised before any pool starts.
+    """
     env = os.environ.get("ARC_SIM_THREADS", "").strip()
     if env:
         try:
             n = int(env)
         except ValueError:
             raise ConfigError(f"ARC_SIM_THREADS must be an integer, got {env!r}") from None
-        _require(n >= 1, "ARC_SIM_THREADS must be >= 1")
+        _require(1 <= n <= MAX_WORKERS, f"ARC_SIM_THREADS must be from 1 to {MAX_WORKERS}, got {n}")
         return n
     return min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -382,7 +368,7 @@ class _Context:
         self.config = config
         self.decomp, self.structure = build_model(config)
         self.state0 = basis_state(config.initial_state, self.structure)
-        self.points = config.plan.points()
+        self.points = plan_points(config.plan)
         # dt -> its plan points, longest first: (N descending, point)
         self.groups: dict[float, list[int]] = {}
         for q in sorted(range(len(self.points)), key=lambda q: -self.points[q].plan.steps):
@@ -561,7 +547,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
             stderr = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
             series.append(SeriesPoint(protocol, point.x_kind, point.x_value, mean, stderr, m))
     extrapolated = {}
-    if config.plan.mode == "fixed_t" and len(ctx.groups) >= 3:
+    if config.plan["mode"] == "fixed_t" and len(ctx.groups) >= 3:
         for protocol in config.protocols:
             pts = [(sp.x_value, sp.mean_fidelity) for sp in series if sp.protocol == protocol]
             extrapolated[protocol] = extrapolate_zero_dt(pts)
@@ -577,7 +563,7 @@ def run_ptrace(config: ExperimentConfig) -> PTraceTable:
     """
     if config.protocols != ["arc"]:
         raise ConfigError('probability traces require protocols == ["arc"]')
-    points = config.plan.points()
+    points = plan_points(config.plan)
     if len(points) != 1:
         raise ConfigError("probability traces require a single plan point")
     ctx, count = _Context(config), config.ptrace_trajectories

@@ -74,8 +74,10 @@ def stream_keys(master_seed: int, paths) -> np.ndarray:
     """
     if master_seed < 0:
         raise ValueError("master seed must be nonnegative")
-    paths = np.asarray(paths, dtype=np.int64)
-    if paths.ndim != 2 or (paths.size and not 0 <= paths.min() <= paths.max() <= _MASK32):
+    paths = np.asarray(paths)  # not cast to int64, which overflows past it: a float or object array fails below
+    if paths.ndim != 2 or (
+        paths.size and not (paths.dtype.kind in "iu" and 0 <= paths.min() <= paths.max() <= _MASK32)
+    ):
         raise ValueError("paths must be an (n, d) array of entries in [0, 2**32)")
     seed = np.array(_int_words(int(master_seed)), dtype=np.uint32)
     seed = np.broadcast_to(seed, (len(paths), seed.size))

@@ -38,7 +38,7 @@ def branch_tree(config):
     dec, structure = build_model(config)
     steps = [np.linalg.eigh(h.matrix) for h in dec.terms]
     level = [(1.0, basis_state(config.initial_state, structure).data)]
-    for n in range(1, max(config.plan.n_list) + 1):
+    for n in range(1, max(config.plan["n_list"]) + 1):
         nodes, children = [], []
         for weight, psi in level:
             d = np.array([double_commutator_norm(h, QuantumState(psi)) for h in dec.terms])
@@ -47,7 +47,7 @@ def branch_tree(config):
             nodes.append((weight, p))
             for pj, (ej, vj) in zip(p, steps):
                 if pj > 0:
-                    phi = vj @ (np.exp(-1j * ej * (config.plan.dt / pj)) * (vj.conj().T @ psi))
+                    phi = vj @ (np.exp(-1j * ej * (config.plan["dt"] / pj)) * (vj.conj().T @ psi))
                     children.append((weight * pj, phi / np.linalg.norm(phi)))
         level = children
         yield n, nodes, level
@@ -60,8 +60,8 @@ def tree_fidelities(config) -> dict:
     e, v = np.linalg.eigh(dec.total())
     out = {}
     for n, _, level in branch_tree(config):
-        if n in config.plan.n_list:
-            target = v @ (np.exp(-1j * e * (n * config.plan.dt)) * (v.conj().T @ psi0))
+        if n in config.plan["n_list"]:
+            target = v @ (np.exp(-1j * e * (n * config.plan["dt"])) * (v.conj().T @ psi0))
             weights = np.array([weight for weight, _ in level])
             fids = np.abs(np.array([psi for _, psi in level]) @ target.conj()) ** 2
             mean = float(weights @ fids)
@@ -84,7 +84,7 @@ def noisy_tree_fidelities(config) -> dict:
     dec, structure = build_model(config)
     rng = np.random.default_rng(ORACLE_SEED)
     psi0 = basis_state(config.initial_state, structure).data
-    dt, depths, std = config.plan.dt, config.plan.n_list, config.noise_std
+    dt, depths, std = config.plan["dt"], config.plan["n_list"], config.noise_std
     squares = [h.matrix @ h.matrix for h in dec.terms]
     steps = [np.linalg.eigh(h.matrix) for h in dec.terms]
     e, v = np.linalg.eigh(dec.total())

@@ -22,7 +22,7 @@ def channel_fidelity(config, protocol) -> float:
     """<psi_exact|Phi^N(rho0)|psi_exact> for the fixed distribution of rc or equal."""
     dec, structure = build_model(config)
     psi0 = basis_state(config.initial_state, structure).data
-    (n,), dt = config.plan.n_list, config.plan.dt
+    (n,), dt = config.plan["n_list"], config.plan["dt"]
     p = np.array(dec.inf_norms) if protocol == "rc" else np.ones(len(dec))
     p = p / p.sum()
     steps = [expm(h.matrix, dt / pj) for h, pj in zip(dec.terms, p)]

@@ -493,7 +493,31 @@ class TestCliErrors:
             cfg = write_config(tmp_path, model=model, params={"D": 1}, initial_state=ket)
             for command in ("run", "bounds"):
                 assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
-                assert "Fock mode needs truncation dimension >= 2" in capsys.readouterr().err
+                assert "params.D must be an integer >= 2, got 1" in capsys.readouterr().err
+
+    def test_sizes_below_two_exit_2_before_building(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("model built")
+
+        for builder in ("build_mfim", "build_kerr", "build_rabi"):
+            monkeypatch.setattr(harness, builder, never)
+        for model, key, ket in (("mfim", "L", "0"), ("kerr", "D", "|0⟩"), ("rabi", "D", "|0,0⟩")):
+            cfg = write_config(tmp_path, model=model, params={key: 1}, initial_state=ket)
+            for command in ("run", "bounds"):
+                assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+                assert f"config error: params.{key} must be an integer >= 2, got 1" in capsys.readouterr().err
+
+    def test_too_many_workers_exit_2_before_any_pool(self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+
+        def never(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(harness, "POOL_MIN_S", 0.0)  # any pool this run may start would be started
+        monkeypatch.setenv("ARC_SIM_THREADS", "1000")
+        assert cli.main(["run", "--config", str(write_config(tmp_path))]) == cli.EXIT_CONFIG
+        assert "config error: ARC_SIM_THREADS must be from 1 to 64, got 1000" in capsys.readouterr().err
 
     def test_negative_shot_exponents_or_no_qubits_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))

@@ -14,8 +14,7 @@ from arcsim import harness, rng
 from arcsim.emit import ptrace_csv, series_csv
 from arcsim.harness import (
     ConfigError,
-    DEFAULT_DT_LIST,
-    DEFAULT_N_LIST,
+    PLAN_MODES,
     PROTOCOL_IDS,
     _Context,
     _block_size,
@@ -24,6 +23,7 @@ from arcsim.harness import (
     config_from_dict,
     extrapolate_zero_dt,
     load_config,
+    plan_points,
     run_ensemble,
     run_ptrace,
     worker_count,
@@ -35,6 +35,7 @@ from arcsim.selftest import random_hermitian, random_pure
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 MFIM_BLOCK = _block_size(16)  # trajectories per block of the four-site MFIM
+DEFAULT_N_LIST, DEFAULT_DT_LIST = list(PLAN_MODES["fixed_dt"]["n_list"]), list(PLAN_MODES["fixed_t"]["dt_list"])
 
 
 def mfim_config(**overrides):
@@ -55,12 +56,12 @@ class TestConfigParsing:
         cfg = config_from_dict({"model": "kerr"})
         assert cfg.params == {"delta": 0.3, "K": 1.0, "eps": 0.5, "D": 50}
         assert cfg.initial_state == "(|1⟩+|5⟩)/√2"
-        assert cfg.plan.n_list == DEFAULT_N_LIST
+        assert cfg.plan["n_list"] == DEFAULT_N_LIST
         assert cfg.trajectories == 2000
 
     def test_fixed_t_defaults(self):
         cfg = config_from_dict({"model": "rabi", "plan": {"mode": "fixed_t"}})
-        assert cfg.plan.dt_list == DEFAULT_DT_LIST
+        assert cfg.plan["dt_list"] == DEFAULT_DT_LIST
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -123,7 +124,7 @@ class TestConfigParsing:
         echo["protocols"].append("equal")
         echo["shot_params"]["k"] = 2
         echo["plan"]["n_list"].append(99)
-        assert (full.params["L"], full.protocols, full.shot_params, full.plan.n_list) == (
+        assert (full.params["L"], full.protocols, full.shot_params, full.plan["n_list"]) == (
             4, ["arc", "rc"], shots, DEFAULT_N_LIST
         )
         assert full.to_dict() == config_from_dict(full.to_dict()).to_dict()
@@ -144,12 +145,27 @@ class TestConfigParsing:
         assert harness._structure(model, config.params) == harness.build_model(config)[1]
 
 
+class TestPlanModes:
+    @pytest.mark.parametrize("mode", sorted(PLAN_MODES))
+    def test_keys_defaults_and_echo_come_from_the_table(self, mode):
+        table = PLAN_MODES[mode]
+        default = config_from_dict({"model": "mfim", "plan": {"mode": mode}}).plan
+        assert list(default) == ["mode", *table] and default == {"mode": mode, **table}
+        assert all(default[key] is not value for key, value in table.items() if isinstance(value, list))
+        given = dict(reversed(table.items()), mode=mode)  # any key order in, table order out
+        assert list(config_from_dict({"model": "mfim", "plan": given}).to_dict()["plan"]) == ["mode", *table]
+        others = {key for keys in PLAN_MODES.values() for key in keys} - set(table)
+        for key in sorted(others) + ["bogus"]:
+            with pytest.raises(ConfigError, match=rf"unknown plan keys \['{key}'\] for mode {mode}"):
+                config_from_dict({"model": "mfim", "plan": {"mode": mode, key: 1}})
+
+
 class TestPlanPoints:
     def test_fixed_dt_points(self):
         cfg = config_from_dict(
             {"model": "mfim", "plan": {"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 50]}}
         )
-        points = cfg.plan.points()
+        points = plan_points(cfg.plan)
         assert [(p.x_kind, p.x_value) for p in points] == [("steps", 5.0), ("steps", 50.0)]
         assert points[1].plan.total_time == pytest.approx(1.0)
 
@@ -157,7 +173,7 @@ class TestPlanPoints:
         cfg = config_from_dict(
             {"model": "mfim", "plan": {"mode": "fixed_t", "t": 1.0, "dt_list": [0.02, 0.1]}}
         )
-        points = cfg.plan.points()
+        points = plan_points(cfg.plan)
         assert points[0].plan.steps == 50
         assert points[1].plan.steps == 10
         assert points[0].x_value == pytest.approx(0.02)
@@ -479,6 +495,15 @@ class TestWorkerCount:
         with pytest.raises(ConfigError):
             worker_count()
 
+    def test_env_cap(self, monkeypatch):
+        # only the count is read: no process starts
+        monkeypatch.setenv("ARC_SIM_THREADS", str(harness.MAX_WORKERS))
+        assert worker_count() == harness.MAX_WORKERS == 64
+        for value in ("65", "1000"):
+            monkeypatch.setenv("ARC_SIM_THREADS", value)
+            with pytest.raises(ConfigError, match=f"ARC_SIM_THREADS must be from 1 to 64, got {value}"):
+                worker_count()
+
     def test_single_blas_thread_restores_count(self):
         fns = _openblas_threads()
         before = fns[1]() if fns else None
@@ -720,11 +745,11 @@ class TestConfigValidation:
         assert harness.MAX_STEPS == 10_000
         monkeypatch.setattr(harness, "MAX_STEPS", 50)
         ok = config_from_dict({"model": "mfim", "plan": {"mode": "fixed_dt", "n_list": [5, 50]}})
-        assert [p.plan.steps for p in ok.plan.points()] == [5, 50]
+        assert [p.plan.steps for p in plan_points(ok.plan)] == [5, 50]
         with pytest.raises(ConfigError, match="step count must be an integer from 1 to 50, got 51"):
             config_from_dict({"model": "mfim", "plan": {"mode": "fixed_dt", "n_list": [5, 51]}})
         ok = config_from_dict({"model": "mfim", "plan": {"mode": "fixed_t", "t": 1.0, "dt_list": [0.02]}})
-        assert [p.plan.steps for p in ok.plan.points()] == [50]
+        assert [p.plan.steps for p in plan_points(ok.plan)] == [50]
         for t, dt in ((1.0, 0.01), (1e300, 1e-10)):
             with pytest.raises(ConfigError, match="exceeds the step cap of 50"):
                 config_from_dict({"model": "mfim", "plan": {"mode": "fixed_t", "t": t, "dt_list": [dt]}})

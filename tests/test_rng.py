@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestArrayDraws:
                 stream_keys(3, paths)
         with pytest.raises(ValueError):
             stream_keys(-1, [(0, 0)])
+
+    def test_keys_reject_entries_past_int64_with_the_range_message(self):
+        # checked before any int64 cast, which would raise OverflowError instead
+        message = re.escape("paths must be an (n, d) array of entries in [0, 2**32)")
+        for entry in (2**63, 2**64, -(2**63) - 1):
+            with pytest.raises(ValueError, match=message):
+                trajectory_stream(1, entry)
+            with pytest.raises(ValueError, match=message):
+                stream_keys(1, [(0, entry)])
 
     def test_words_match_random_raw(self):
         rng = np.random.default_rng(41)
