@@ -107,17 +107,12 @@ def _compute_bounds(ctx: _Context):
 
 def cmd_run(args) -> int:
     config = _load(args)
-    if config.include_bounds and args.format != "json":
-        raise ConfigError("include_bounds needs --format json: CSV has no bounds")
     if args.svg and args.out is None:
         raise ConfigError("--svg needs --out to name the chart file")
     if args.svg and Path(args.out).suffix == ".svg":
         raise ConfigError(f"--svg would write its chart over --out {args.out}: give --out another suffix")
     result = run_ensemble(config)
-    bounds = None
-    if config.include_bounds:
-        _, bounds = _compute_bounds(result.context)
-    text = result_json(result, bounds) if args.format == "json" else series_csv(result)
+    text = result_json(result) if args.format == "json" else series_csv(result)
     _deliver(text, args.out)
     if args.svg:
         emit_svg(result, Path(args.out).with_suffix(".svg"))

@@ -55,12 +55,10 @@ def _json(config: ExperimentConfig, **fields) -> str:
 _ORDER_NOTE = "order-of-growth values; constants unspecified"
 
 
-def result_json(result: EnsembleResult, bounds: list[BoundReport] | None = None) -> str:
+def result_json(result: EnsembleResult) -> str:
     fields = {"series": [sp._asdict() for sp in result.series]}
     if result.extrapolated:
         fields["extrapolated"] = dict(result.extrapolated)
-    if bounds is not None:
-        fields["bounds"] = [{"note": _ORDER_NOTE, **vars(b)} for b in bounds]
     return _json(result.config, **fields)
 
 

@@ -30,7 +30,7 @@ from .compilers import (
 from .hamiltonians import (
     Decomposition, HilbertStructure, basis_state, build_kerr, build_mfim, build_rabi,
 )
-from .moments import NoiseModel
+from .moments import MAX_NOISE_STD, NoiseModel
 
 PROTOCOL_IDS = {name: i for i, name in enumerate(PROTOCOL_NAMES)}
 
@@ -60,11 +60,6 @@ MAX_TRAJECTORIES = 100_000
 # rejected before it is allocated. An ensemble block keeps no per-step history (a
 # 6,400-wide dim-2 block would hold 1.5 GB of it at the cap), only states and fidelities.
 MAX_STEPS = 10_000
-# Largest measurement noise std a config or --noise-std may ask for. numpy's
-# Gaussians are below 14 in magnitude, so a perturbed moment or overlap is
-# within 1.4e101 of its exact value and no radicand product (8 (1.4e101)^2 ~
-# 1.6e203 for moments of that size) nears the float64 maximum, 1.8e308.
-MAX_NOISE_STD = 1e100
 # Largest magnitude of a coupling or of a plan's dt or t. `bounds` takes fourth moments
 # of the pair commutator, which grows as the couplings squared: with every MFIM L = 10
 # coupling at C they are finite at C = 1e19 and overflow at 1e20. At this cap, with dt
@@ -125,13 +120,12 @@ class ExperimentConfig:
     trajectories: int = 2000
     noise_std: float = 0.0
     master_seed: int = 0
-    include_bounds: bool = False
     ptrace_trajectories: int = 1
     shot_params: dict | None = None
 
     def to_dict(self) -> dict:
-        """The JSON echo: a deep copy of every field, in order, the last three only when set."""
-        unset = {f.name for f in fields(self)[-3:] if getattr(self, f.name) == f.default}
+        """The JSON echo: a deep copy of every field, in order, the last two only when set."""
+        unset = {f.name for f in fields(self)[-2:] if getattr(self, f.name) == f.default}
         return {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self) if f.name not in unset}
 
 
@@ -266,8 +260,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         hint = "" if "initial_state" in raw else f"default ket {initial_state!r} does not fit; set initial_state: "
         raise ConfigError(f"{hint}{exc}") from None
-    include_bounds = raw.get("include_bounds", ExperimentConfig.include_bounds)
-    _require(isinstance(include_bounds, bool), "include_bounds must be true or false")
     shot_params = raw.get("shot_params", ExperimentConfig.shot_params)
     if shot_params is not None:
         from .bounds import shot_lower_bounds
@@ -281,7 +273,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=model, params=params, initial_state=initial_state, protocols=list(protocols),
         plan=plan, trajectories=trajectories, noise_std=noise_std, master_seed=master_seed,
-        include_bounds=include_bounds, ptrace_trajectories=ptrace_m, shot_params=shot_params,
+        ptrace_trajectories=ptrace_m, shot_params=shot_params,
     )
 
 
@@ -315,7 +307,6 @@ class EnsembleResult(NamedTuple):
     series: list[SeriesPoint]
     extrapolated: dict[str, float]
     config: ExperimentConfig
-    context: _Context | None = None  # model and exact states it ran on
 
 
 class PTraceTable(NamedTuple):
@@ -551,7 +542,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
         for protocol in config.protocols:
             pts = [(sp.x_value, sp.mean_fidelity) for sp in series if sp.protocol == protocol]
             extrapolated[protocol] = extrapolate_zero_dt(pts)
-    return EnsembleResult(series=series, extrapolated=extrapolated, config=config, context=ctx)
+    return EnsembleResult(series=series, extrapolated=extrapolated, config=config)
 
 
 def run_ptrace(config: ExperimentConfig) -> PTraceTable:

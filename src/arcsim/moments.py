@@ -19,6 +19,13 @@ import numpy as np
 from .linalg import HermitianOperator, QuantumState, basis_coordinates, commutator, hs_norm
 
 
+# Largest measurement noise std a NoiseModel, a config or --noise-std may take. numpy's
+# Gaussians are below 14 in magnitude, so a perturbed moment or overlap is
+# within 1.4e101 of its exact value and no radicand product (8 (1.4e101)^2 ~
+# 1.6e203 for moments of that size) nears the float64 maximum, 1.8e308.
+MAX_NOISE_STD = 1e100
+
+
 @dataclass
 class NoiseModel:
     """Additive Gaussian perturbation applied independently to each measured scalar.
@@ -29,8 +36,8 @@ class NoiseModel:
     std: float = 0.0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("noise std must be nonnegative")
+        if not 0 <= self.std <= MAX_NOISE_STD:  # NaN fails too
+            raise ValueError(f"noise std must be from 0 to {MAX_NOISE_STD:g}, got {self.std!r}")
 
     def perturb(self, values: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         values = np.asarray(values, dtype=float)

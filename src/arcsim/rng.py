@@ -22,6 +22,7 @@ is replayed by a numpy generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -72,6 +73,8 @@ def stream_keys(master_seed: int, paths) -> np.ndarray:
 
     Every path entry must be below 2**32 (one entropy word each).
     """
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):  # int() would truncate it
+        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
     if master_seed < 0:
         raise ValueError("master seed must be nonnegative")
     paths = np.asarray(paths)  # not cast to int64, which overflows past it: a float or object array fails below

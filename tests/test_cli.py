@@ -98,15 +98,6 @@ class TestCliRun:
         assert lines[0] == ",".join(SERIES_COLUMNS)
         assert len(lines) == 3
 
-    def test_run_json_with_bounds(self, tmp_path):
-        cfg = write_config(tmp_path, include_bounds=True)
-        out = tmp_path / "out.json"
-        code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert "bounds" in doc
-        assert doc["bounds"][0]["arc"] <= doc["bounds"][0]["rc"] * (1 + 1e-9)
-
     def test_run_svg_flag(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "fig.csv"
@@ -122,7 +113,8 @@ class TestCliRun:
         assert out1.read_text() != out2.read_text()
 
     def test_run_with_bounds_builds_one_context(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, include_bounds=True, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]})
+        # `bounds`, the one command that reports them, reads one exact trajectory per dt
+        cfg = write_config(tmp_path, plan={"mode": "fixed_dt", "dt": 0.02, "n_list": [5, 10]})
         parent = os.getpid()
         calls = {"contexts": 0, "exact": 0}
         init, run_exact = harness._Context.__init__, harness.run_exact
@@ -140,24 +132,9 @@ class TestCliRun:
         for threads in ("1", "2"):
             monkeypatch.setenv("ARC_SIM_THREADS", threads)
             calls.update(contexts=0, exact=0)
-            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json"), "--format", "json"]) == 0
+            assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
             # both plan points share dt, so one exact trajectory serves them
             assert calls == {"contexts": 1, "exact": 1}, threads
-
-    def test_include_bounds_with_csv_is_config_error(self, tmp_path, monkeypatch, capsys):
-        def no_run(config):
-            raise AssertionError("the ensemble ran before the format check")
-
-        monkeypatch.setattr(cli, "run_ensemble", no_run)
-        out = tmp_path / "out.csv"
-        cfg = write_config(tmp_path, include_bounds=True)
-        for flags in ([], ["--format", "csv"]):
-            assert cli.main(["run", "--config", str(cfg), "--out", str(out), *flags]) == cli.EXIT_CONFIG
-            assert "--format json" in capsys.readouterr().err
-        assert not out.exists()
-        monkeypatch.undo()
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
-        assert json.loads(out.read_text())["bounds"]
 
     def test_seed_override_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -237,14 +214,13 @@ class TestCliPtraceBounds:
         assert not out.exists()
 
     def test_bounds_entries_keep_their_key_order(self, tmp_path):
-        # the plan point's labels or the note, then BoundReport's fields in declaration order
-        cfg = write_config(tmp_path, include_bounds=True)
+        # the plan point's labels, then BoundReport's fields in declaration order
+        cfg = write_config(tmp_path)
         fields = ["t", "steps", "trotter1", "rc", "arc", "per_step"]
-        for command, labels in (("bounds", ["x_kind", "x_value"]), ("run", ["note"])):
-            out = tmp_path / f"{command}.json"
-            assert cli.main([command, "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
-            (entry,) = json.loads(out.read_text())["bounds"]
-            assert list(entry) == labels + fields and list(entry["per_step"]) == fields[2:5], command
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        (entry,) = json.loads(out.read_text())["bounds"]
+        assert list(entry) == ["x_kind", "x_value"] + fields and list(entry["per_step"]) == fields[2:5]
 
 
 class TestCliErrors:
@@ -464,9 +440,10 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_output_settings_in_a_config_exit_2(self, tmp_path, monkeypatch, capsys):
-        # where the results go is a command-line setting, not part of the experiment
+        # where and in what form the results go are command-line settings, not part of the
+        # experiment, and bounds come from the `bounds` command alone
         monkeypatch.setattr(harness, "build_mfim", lambda *args, **kwargs: pytest.fail("model built"))
-        for key, value in (("out", "results.csv"), ("format", "json")):
+        for key, value in (("out", "results.csv"), ("format", "json"), ("include_bounds", True)):
             cfg = write_config(tmp_path, protocols=["arc"], **{key: value})
             for command in ("run", "ptrace", "bounds"):
                 assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG

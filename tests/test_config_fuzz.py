@@ -32,7 +32,6 @@ configs = st.fixed_dictionaries(
         "trajectories": counts,
         "noise_std": reals,
         "master_seed": counts,
-        "include_bounds": st.booleans(),
         "ptrace_trajectories": counts,
         "shot_params": st.fixed_dictionaries(
             {key: counts | reals for key in ("k", "w", "S", "R", "n_qubits", "eps_stat")}

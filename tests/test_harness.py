@@ -113,12 +113,12 @@ class TestConfigParsing:
     def test_echo_lists_every_field(self):
         shots = {"k": 1, "w": 1, "S": 4, "R": 1, "n_qubits": 4, "eps_stat": 0.1}
         full = config_from_dict({
-            "model": "mfim", "include_bounds": True, "ptrace_trajectories": 3, "shot_params": shots,
+            "model": "mfim", "ptrace_trajectories": 3, "shot_params": shots,
         })
         names = [f.name for f in dataclasses.fields(full)]
         assert list(full.to_dict()) == names
         bare = config_from_dict({"model": "mfim"}).to_dict()
-        assert list(bare) == [n for n in names if n not in ("include_bounds", "ptrace_trajectories", "shot_params")]
+        assert list(bare) == [n for n in names if n not in ("ptrace_trajectories", "shot_params")]
         echo = full.to_dict()
         echo["params"]["L"] = 9
         echo["protocols"].append("equal")

@@ -5,6 +5,7 @@ from arcsim.hamiltonians import PAULI, HilbertStructure, annihilator, basis_stat
 from arcsim.linalg import HermitianOperator, QuantumState, basis_coordinates, mixed_state, pure_state
 from arcsim.moments import (
     FD_WEIGHTS,
+    MAX_NOISE_STD,
     NoiseModel,
     double_commutator_norm,
     double_commutator_norms,
@@ -223,6 +224,14 @@ class TestNoiseModel:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
+
+    def test_std_is_finite_and_capped(self):
+        # NaN would read as no noise, and inf or a huge std overflows the radicands into NaN
+        for std in (float("nan"), float("inf"), -float("inf"), 1e101):
+            with pytest.raises(ValueError, match="noise std must be from 0 to 1e"):
+                NoiseModel(std)
+        for std in (0.0, MAX_NOISE_STD):
+            assert NoiseModel(std).std == std
 
     def test_requires_generator_when_noisy(self):
         with pytest.raises(ValueError):

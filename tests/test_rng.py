@@ -64,6 +64,14 @@ class TestTrajectoryStream:
             with pytest.raises(ValueError):
                 trajectory_stream(1, *path)
 
+    def test_master_seed_is_an_integer(self):
+        # int() would key a float or bool seed as its truncation: 7.9 as 7, True as 1
+        for seed in (7.9, 7.0, True, False, np.float64(7.0), "7"):
+            with pytest.raises(ValueError, match="master seed must be an integer"):
+                stream_keys(seed, [[1]])
+        assert np.array_equal(stream_keys(np.uint64(7), [[1]]), stream_keys(7, [[1]]))
+        assert np.array_equal(stream_keys(np.int64(7), [[1]]), seed_sequence_key(7, 1)[None])
+
     def test_streams_are_independent(self):
         a, b = trajectory_stream(1, 0), trajectory_stream(1, 1)
         ga = a.step(2)
