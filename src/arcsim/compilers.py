@@ -18,6 +18,7 @@ change for its step. The exact reference is closed-form, not stepped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,14 +85,14 @@ class StepPlan:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("step count must be >= 1")
-        if not self.total_time > 0:
-            raise ValueError("total time must be positive")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise ValueError(f"step count must be an integer >= 1, got {self.steps!r}")
+        if not 0 < self.total_time < math.inf:  # NaN fails too
+            raise ValueError(f"total time must be finite and positive, got {self.total_time!r}")
         dt = self.total_time / self.steps
         if self.dt is None:
             object.__setattr__(self, "dt", dt)
-        elif not math.isclose(self.dt, dt, rel_tol=4 * EPS):
+        elif isinstance(self.dt, bool) or not math.isclose(self.dt, dt, rel_tol=4 * EPS):
             raise ValueError(f"step size {self.dt!r} is not total time / steps = {dt!r}")
 
 

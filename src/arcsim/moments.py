@@ -36,7 +36,7 @@ class NoiseModel:
     std: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.std <= MAX_NOISE_STD:  # NaN fails too
+        if isinstance(self.std, (bool, np.bool_)) or not 0 <= self.std <= MAX_NOISE_STD:  # NaN fails too
             raise ValueError(f"noise std must be from 0 to {MAX_NOISE_STD:g}, got {self.std!r}")
 
     def perturb(self, values: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -7,16 +7,13 @@ key; the step number goes into the high word of the Philox counter, so every
 how work is scheduled across processes.
 
 Every draw is a pure function of (key, step) (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), so a block's draws are computed
-here as arrays, bit-identical to numpy's SeedSequence, Philox4x64-10,
-Generator.random and Generator.normal; every trajectory block draws
-through stream_draws. Gaussians follow numpy's ziggurat,
-whose layer widths ship with the package: the fast path for every word at
-once, then the wedge and tail tests, in arrays, for the few that leave it.
-`TrajectoryStream.step` is the numpy reference those draws are tested
-against. `numpy.random` is imported only when a stream is stepped or a
-Gaussian lands within rounding of one of numpy's acceptance thresholds and
-is replayed by a numpy generator.
+random numbers: as easy as 1, 2, 3", SC'11), so every trajectory block draws
+through stream_draws, in arrays bit-identical to numpy's SeedSequence,
+Philox4x64-10, Generator.random and Generator.normal. Gaussians follow
+numpy's ziggurat, whose tables ship with the package: the fast path for
+every word at once, then the wedge and tail tests, in arrays, for the few
+that leave it. `TrajectoryStream.step` is the numpy reference those draws
+are tested against; `numpy.random` is imported only when a stream is stepped.
 """
 
 from __future__ import annotations
@@ -101,11 +98,8 @@ def stream_keys(master_seed: int, paths) -> np.ndarray:
     return np.stack([words[0] | words[1] << np.uint64(32), words[2] | words[3] << np.uint64(32)], axis=1)
 
 
-# numpy's ziggurat: the tail's start r and the 1/r it multiplies by. A rabs
-# less than _KI_BAND above ki, or a wedge test within _TIE of its threshold,
-# may be decided either way by numpy's exact tables: a numpy generator replays it.
+# numpy's ziggurat: the tail's start r and the 1/r it multiplies by
 _NOR_R, _NOR_INV_R = 3.6541528853610088, 0.27366123732975828
-_KI_BAND, _TIE = 8, 1e-12
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,25 +145,13 @@ def uniforms(words: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's layer widths wi, shipped as package data, and conservative acceptance bounds ki.
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's own ziggurat tables, read-only: layer widths wi, acceptance bounds ki and wedge densities fi.
 
-    numpy's bound is floor(2**52 x_{i-1}/x_i) with x_i = 2**52 wi[i] and
-    x_{-1} = x_255 (ki[1] = 0); 2 less stays below it whatever the rounding
-    of the table, and _KI_BAND more stays above it.
+    They ship as package data: wi_double, ki_double and fi_double, 256 little-endian 8-byte entries each.
     """
-    wi = np.frombuffer(Path(__file__).with_name("ziggurat_wi.bin").read_bytes(), dtype="<f8")
-    ki = np.floor(np.roll(wi, 1) / wi * 2.0**52).astype(np.uint64) - np.uint64(2)
-    ki[1] = 0
-    ki.flags.writeable = False
-    return wi, ki
-
-
-@cache
-def _heights() -> np.ndarray:
-    """The wedge tests' densities f[i] = exp(-x_i**2 / 2) at the layer edges, and f[0] = 1."""
-    x = _ziggurat()[0][1:] * 2.0**52
-    return np.concatenate([[1.0], np.exp(-0.5 * x * x)])
+    data = Path(__file__).with_name("ziggurat.bin").read_bytes()
+    return tuple(np.frombuffer(data, dtype, 256, 2048 * n) for n, dtype in enumerate(("<f8", "<u8", "<f8")))
 
 
 def standard_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +161,7 @@ def standard_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from that word; elsewhere numpy would draw more words and the value is
     meaningless.
     """
-    wi, ki = _ziggurat()
+    wi, ki, _ = _ziggurat()
     layer = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64((1 << 52) - 1)
     x = rabs.astype(np.float64) * wi[layer]
@@ -237,30 +219,25 @@ def _gaussians(keys: np.ndarray, steps: np.ndarray, count: int) -> tuple[np.ndar
     x, fast = standard_normals(words[:, :count])
     u = uniforms(words[:, count])
     slow = np.flatnonzero(~fast.all(axis=1))
-    for i in _slow_rows(keys[slow], steps[slow], words[slow], count, x, u, slow) if slow.size else ():
-        gen = TrajectoryStream(keys[i]).step(steps[i])
-        x[i], u[i] = gen.standard_normal(size=count), gen.random()
+    if slow.size:
+        _slow_rows(keys[slow], steps[slow], words[slow], count, x, u, slow)
     return x, u
 
 
-def _slow_rows(keys, steps, words, count: int, x, u, rows) -> list[int]:
+def _slow_rows(keys, steps, words, count: int, x, u, rows) -> None:
     """numpy's random_standard_normal continued past the fast path, writing x[rows] and u[rows].
 
     Gaussian g of a row starts at word g + d, d being the extra words its
     slow Gaussians before g took. Each pass fills every row's fast Gaussians
     up to its next slow one and decides that one: layer i >= 1 tests the
-    wedge with the next word's uniform (accepted: one extra word; rejected:
-    two, and the Gaussian restarts), layer 0 samples the tail. A row out of
-    words starts all rows again with twice as many. Returns the rows that a
-    numpy generator must replay: a rabs within _KI_BAND of ki, or a wedge
-    test within _TIE of its threshold, which numpy's table and libm's exp
-    might decide either way.
+    wedge with the next word's uniform against libm's exp (accepted: one extra
+    word; rejected: two, and the Gaussian restarts), layer 0 samples the tail.
+    A row out of words starts all rows again with twice as many.
     """
-    ki, f = _ziggurat()[1], _heights()
+    f = _ziggurat()[2]
     lane = np.arange(count)
     values, fast = standard_normals(words)
     src, g, d = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
-    unsure = []
     while src.size:
         if np.any(count + d >= words.shape[1]):
             return _slow_rows(keys, steps, philox_words(keys, steps, 2 * words.shape[1]), count, x, u, rows)
@@ -276,22 +253,17 @@ def _slow_rows(keys, steps, words, count: int, x, u, rows) -> list[int]:
         layer = (word & np.uint64(0xFF)).astype(np.intp)
         rabs = (word >> np.uint64(9)) & np.uint64((1 << 52) - 1)
         value = values[src, k]
-        lhs = (f[layer - 1] - f[layer]) * uniforms(words[src, k + 1]) + f[layer]
-        wedge = lhs - np.exp(-0.5 * value * value)
-        doubt = (rabs < ki[layer] + np.uint64(_KI_BAND)) | ((layer > 0) & (np.abs(wedge) < _TIE))
-        accept = (layer > 0) & (wedge < 0)
+        lhs = ((f[layer - 1] - f[layer]) * uniforms(words[src, k + 1]) + f[layer]).tolist()
+        accept = np.array([n > 0 and y < math.exp(-0.5 * v * v) for n, y, v in zip(layer, lhs, value.tolist())], bool)
         x[rows[src[accept]], g[accept]] = value[accept]
         d += 2 - accept
         g += accept
-        for t in np.flatnonzero((layer == 0) & ~doubt):
+        for t in np.flatnonzero(layer == 0):
             tail = _tail(words[src[t]], k[t] + 1, int(rabs[t]))
             if tail is None:  # out of words, which the next pass finds
                 d[t] = words.shape[1]
             else:
                 x[rows[src[t]], g[t]], d[t], g[t] = tail[0], d[t] + tail[1] - 2, g[t] + 1
-        unsure.extend(rows[src[doubt]].tolist())
-        src, g, d = src[~doubt], g[~doubt], d[~doubt]
-    return unsure
 
 
 def _tail(words: np.ndarray, pos: int, rabs: int) -> tuple[float, int] | None:

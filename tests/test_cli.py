@@ -605,6 +605,24 @@ def test_noisy_run_never_imports_numpy_random(tmp_path):
     assert proc.stdout.split() == ["0", "True", "False"], proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, config, noise, trajectories",
+    [("run", "mfim_steps", "0.3", "20"), ("ptrace", "rabi_trace_strong_coupling", "0.5", "3")],
+)
+def test_noisy_shipped_config_never_imports_numpy_random(tmp_path, command, config, noise, trajectories):
+    """A noisy MFIM run and a noisy Rabi trace leave the ziggurat's fast path, and numpy.random stays unloaded."""
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    argv = [command, "--config", str(config), "--noise-std", noise, "--trajectories", trajectories,
+            "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys; from arcsim import cli, rng; slow = []; walk = rng._slow_rows; "
+        "rng._slow_rows = lambda *a: slow.append(1) or walk(*a); "
+        f"print(cli.main({argv!r}), len(slow) > 0, 'numpy.random' in sys.modules)"
+    )
+    proc = run_python("-c", code, ARC_SIM_THREADS="1")
+    assert proc.stdout.split() == ["0", "True", "False"], proc.stderr
+
+
 def test_run_and_ptrace_never_import_bounds(tmp_path):
     """Only the commands that compute a bound, or read shot_params, load the bounds module."""
     cfg = write_config(tmp_path, protocols=["arc"], trajectories=4, ptrace_trajectories=3)

@@ -222,6 +222,16 @@ class TestStepPlan:
             StepPlan(0.0, 5)
         with pytest.raises(ValueError, match="step size"):
             StepPlan(1.0, 50, 0.021)
+        # run_block needs an integer step count, and a finite time for a finite step
+        for steps in (2.5, 3.0, True, np.True_, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="step count must be an integer"):
+                StepPlan(1.0, steps)
+        for total in (float("inf"), float("nan"), -1.0):
+            with pytest.raises(ValueError, match="total time must be finite and positive"):
+                StepPlan(total, 3)
+        with pytest.raises(ValueError, match="step size"):
+            StepPlan(1.0, 1, True)
+        assert StepPlan(1.0, np.int64(4)).dt == 0.25
 
 
 class TestExactOnDiagonalTotals:

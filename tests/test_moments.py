@@ -227,7 +227,8 @@ class TestNoiseModel:
 
     def test_std_is_finite_and_capped(self):
         # NaN would read as no noise, and inf or a huge std overflows the radicands into NaN
-        for std in (float("nan"), float("inf"), -float("inf"), 1e101):
+        # and a bool is no std: True would read as std 1
+        for std in (float("nan"), float("inf"), -float("inf"), 1e101, True, False, np.True_):
             with pytest.raises(ValueError, match="noise std must be from 0 to 1e"):
                 NoiseModel(std)
         for std in (0.0, MAX_NOISE_STD):

@@ -12,6 +12,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import arcsim
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +79,18 @@ def test_importing_the_package_loads_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def test_package_data_lists_the_data_files():
+    """pyproject's package-data names every non-Python file in src/arcsim, and each name it lists exists.
+
+    An editable install reads the source tree, so only a built wheel would miss a file left unlisted.
+    """
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    listed = pyproject["tool"]["setuptools"]["package-data"]["arcsim"]
+    files = [path.name for path in (ROOT / "src" / "arcsim").iterdir() if path.is_file() and path.suffix != ".py"]
+    assert sorted(listed) == sorted(files)
 
 
 def test_perfbench_probe_imports_resolve():

@@ -7,7 +7,7 @@ import pytest
 from arcsim import rng
 from arcsim.rng import (
     TrajectoryStream,
-    _heights,
+    _slow_rows,
     _tail,
     _ziggurat,
     philox_words,
@@ -154,26 +154,22 @@ class TestArrayDraws:
             assert np.array_equal(0.0 + 0.3 * row, gen.normal(0.0, 0.3, size=(3, 4)).ravel())
             assert u == gen.random()
 
-    def test_acceptance_bound_is_conservative(self):
-        # numpy accepts rabs = ki[i] - 1 in every layer on its first word, so
-        # its own bound is at least ki[i]; layer 1 is never accepted
-        wi, ki = _ziggurat()
+    def test_acceptance_bound_is_exact(self):
+        # numpy accepts rabs = ki[i] - 1 in every layer on its first word and
+        # takes rabs = ki[i] on to more words; layer 1 (ki = 0) is never accepted
+        wi, ki, _ = _ziggurat()
         assert ki[1] == 0
-        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        gen, state = np.random.Generator(bits), bits.state
         for layer in range(256):
-            if layer == 1:
-                continue
-            rabs = int(ki[layer]) - 1
-            for sign in (0, 1):
-                word = layer | sign << 8 | rabs << 9
-                state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
-                state["buffer_pos"] = 0
-                bits.state = state
-                value = gen.standard_normal()
-                assert bits.state["buffer_pos"] == 1, layer
-                x, fast = standard_normals(np.array([word], dtype=np.uint64))
-                assert fast[0] and x[0] == value == (-1) ** sign * rabs * wi[layer], layer
+            for rabs in (int(ki[layer]) - 1, int(ki[layer])) if layer != 1 else (0,):
+                for sign in (0, 1):
+                    word = layer | sign << 8 | rabs << 9
+                    bits, gen = crafted([word, 0, 7 << 11])
+                    value = gen.standard_normal()
+                    first = bits.state["buffer_pos"] == 1
+                    assert first == (rabs < ki[layer]), (layer, rabs)
+                    x, fast = standard_normals(np.array([word], dtype=np.uint64))
+                    assert fast[0] == first, (layer, rabs)
+                    assert not first or x[0] == value == (-1) ** sign * rabs * wi[layer], (layer, rabs)
 
     def test_stream_draws_match_stream_steps(self):
         rng = np.random.default_rng(44)
@@ -234,8 +230,7 @@ def numpy_normal_walk(words, count):
 
     Returns the values, the index of the word after them and the slow events met.
     """
-    wi, ki = _ziggurat()
-    f = _heights()
+    wi, ki, f = _ziggurat()
     events = {"wedge": 0, "reject": 0, "tail": 0}
     values, pos = [], 0
     while len(values) < count:
@@ -270,25 +265,56 @@ class TestZigguratSlowPath:
         # a word with layer i, sign 0 and rabs = 1 makes standard_normal() return
         # exactly wi[i] (layer 1, never accepted, goes through the wedge test with
         # a zero uniform, which returns it)
-        wi, _ = _ziggurat()
+        wi = _ziggurat()[0]
         assert wi.shape == (256,) and wi.dtype == np.float64
         for layer in range(256):
             _, gen = crafted([layer | 1 << 9, 0])
             assert gen.standard_normal() == wi[layer], layer
 
     def test_band_above_ki_leaves_the_fast_path(self):
-        # numpy takes a rabs of ki + _KI_BAND to its wedge or tail test in every layer
-        _, ki = _ziggurat()
+        # numpy takes a rabs of ki to its wedge or tail test in every layer
+        ki = _ziggurat()[1]
         for layer in range(256):
             for sign in (0, 1):
-                bits, gen = crafted([layer | sign << 8 | int(ki[layer] + rng._KI_BAND) << 9, 0, 7 << 11])
+                bits, gen = crafted([layer | sign << 8 | int(ki[layer]) << 9, 0, 7 << 11])
                 gen.standard_normal()
                 assert bits.state["buffer_pos"] >= 2, layer
+
+    def test_wedge_densities_match_numpy(self):
+        # in each layer i >= 1, at the rabs halfway from ki[i] to 2**52, numpy's
+        # wedge test (fi[i-1] - fi[i]) * U + fi[i] < exp(-x**2 / 2) accepts up
+        # to some uniform and rejects from it on; a 1-ulp change in fi[i] moves
+        # that first rejecting uniform
+        wi, ki, fi = _ziggurat()
+        assert fi[0] == 1.0
+        words, want = [], []
+        for layer in range(1, 256):
+            word = layer | (int(ki[layer]) + (1 << 52)) // 2 << 9
+
+            def rejects(n):
+                bits, gen = crafted([word, n << 11, 7 << 11])
+                gen.standard_normal()
+                return bits.state["buffer_pos"] == 3
+
+            lo, hi = 0, (1 << 53) - 1
+            assert not rejects(lo) and rejects(hi), layer
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if rejects(mid) else (mid, hi)
+            for n in (lo, hi):
+                words.append([word, n << 11, 7 << 11, 0])
+                want.append(crafted(words[-1])[1].standard_normal())
+        words = np.array(words, dtype=np.uint64)
+        x, u = np.empty((len(words), 1)), np.empty(len(words))
+        _slow_rows(None, None, words, 1, x, u, np.arange(len(words)))
+        # accepted below the first rejecting uniform; from it, restarted on the word 7 << 11
+        assert np.array_equal(x[:, 0], want)
+        assert np.all(x[1::2, 0] == 28 * wi[0]) and not np.any(x[::2, 0] == 28 * wi[0])
 
     def test_tail_matches_numpy(self):
         # the tail multiplies log1p(-u) by numpy's 1/r, which rounds differently from dividing by r
         g = np.random.default_rng(47)
-        _, ki = _ziggurat()
+        ki = _ziggurat()[1]
         differ = 0
         for trial in range(200):
             rabs = int(g.integers(int(ki[0]), 2**52))
@@ -326,18 +352,3 @@ class TestZigguratSlowPath:
             assert np.array_equal(0.0 + 0.1 * np.array(values), want.ravel()), m
             assert uniforms(words[m, pos]) == u[m, 0], m
         assert min(events.values()) > 0 and longest > 20, events
-
-    def test_unsure_rows_replay_through_numpy(self, monkeypatch):
-        # widen both doubt margins so every Gaussian off the fast path is replayed
-        monkeypatch.setattr(rng, "_KI_BAND", 2**52)
-        monkeypatch.setattr(rng, "_TIE", 2.0)
-        keys = stream_keys(8, [(m,) for m in range(200)])
-        noise, u = stream_draws(keys, 3, np.full(len(keys), 5), (3, 4), 0.2)
-        replayed = 0
-        for m, key in enumerate(keys):
-            for s in range(2):
-                gen = TrajectoryStream(key).step(3 + s)
-                assert np.array_equal(noise[m, s], gen.normal(0.0, 0.2, size=(3, 4)))
-                assert u[m, s] == gen.random()
-            replayed += not standard_normals(philox_words(keys[m : m + 1], [3], 12))[1].all()
-        assert replayed > 0
