@@ -190,7 +190,8 @@ def build_rabi(omega: float, Omega: float, g: float, D: int) -> tuple[Decomposit
 
 
 _NUM = r"\d+(?:\.\d+)?"
-_KET = re.compile(rf"\s*(?P<sign>[+-])?\s*(?P<coef>{_NUM})?\s*\|(?P<label>[^|⟩>]*)[⟩>]\s*", re.ASCII)
+# each optional part owns the \s* after it: a run of spaces then matches one way, so a failed match backtracks linearly
+_KET = re.compile(rf"\s*(?:(?P<sign>[+-])\s*)?(?:(?P<coef>{_NUM})\s*)?\|(?P<label>[^|⟩>]*)[⟩>]\s*", re.ASCII)
 # kets in one pair of outer parentheses, optionally over a normalization: /√n, /sqrt(n) or /n
 _OUTER = re.compile(rf"\((?P<kets>[^()]*)\)\s*(?:/\s*(?P<n>√\s*{_NUM}|sqrt\(\s*{_NUM}\s*\)|{_NUM}))?", re.ASCII)
 

@@ -283,7 +283,7 @@ def load_config(path) -> ExperimentConfig:
         text = fh.read()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the parser's depth limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(raw)
 

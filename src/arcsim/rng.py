@@ -11,9 +11,9 @@ random numbers: as easy as 1, 2, 3", SC'11), so every trajectory block draws
 through stream_draws, in arrays bit-identical to numpy's SeedSequence,
 Philox4x64-10, Generator.random and Generator.normal. Gaussians follow
 numpy's ziggurat, whose tables ship with the package: the fast path for
-every word at once, then the wedge and tail tests, in arrays, for the few
-that leave it. `TrajectoryStream.step` is the numpy reference those draws
-are tested against; `numpy.random` is imported only when a stream is stepped.
+every word at once, then, in a row with a Gaussian that leaves it, numpy's
+own loop on Python ints from that Gaussian on. `TrajectoryStream.step` is the
+numpy reference; `numpy.random` is imported only when a stream is stepped.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def stream_keys(master_seed: int, paths) -> np.ndarray:
     return np.stack([words[0] | words[1] << np.uint64(32), words[2] | words[3] << np.uint64(32)], axis=1)
 
 
-# numpy's ziggurat: the tail's start r and the 1/r it multiplies by
-_NOR_R, _NOR_INV_R = 3.6541528853610088, 0.27366123732975828
+# numpy's ziggurat: the tail's start r and the 1/r it multiplies by; Generator.random()'s word to [0, 1) scale
+_NOR_R, _NOR_INV_R, _UNIT = 3.6541528853610088, 0.27366123732975828, 2.0**-53
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +141,7 @@ def philox_words(keys: np.ndarray, steps, count: int) -> np.ndarray:
 
 def uniforms(words: np.ndarray) -> np.ndarray:
     """Generator.random() of each word: (w >> 11) * 2**-53."""
-    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return (words >> np.uint64(11)).astype(np.float64) * _UNIT
 
 
 @cache
@@ -210,71 +210,54 @@ def stream_draws(
 
 
 def _gaussians(keys: np.ndarray, steps: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """standard_normal() `count` times, then random(), on each (key, step) stream: (x, u).
-
-    Words are fetched one counter past what the fast path needs; rows with a
-    Gaussian off the fast path continue numpy's loop in _slow_rows.
-    """
-    words = philox_words(keys, steps, 4 * (count // 4 + 2))
+    """standard_normal() `count` times, then random(), on each (key, step) stream: (x, u)."""
+    words = philox_words(keys, steps, 4 * (count // 4 + 2))  # one counter past what the fast path needs
     x, fast = standard_normals(words[:, :count])
     u = uniforms(words[:, count])
     slow = np.flatnonzero(~fast.all(axis=1))
-    if slow.size:
+    if slow.size:  # rows with a Gaussian off the fast path continue numpy's loop
         _slow_rows(keys[slow], steps[slow], words[slow], count, x, u, slow)
     return x, u
 
 
 def _slow_rows(keys, steps, words, count: int, x, u, rows) -> None:
-    """numpy's random_standard_normal continued past the fast path, writing x[rows] and u[rows].
-
-    Gaussian g of a row starts at word g + d, d being the extra words its
-    slow Gaussians before g took. Each pass fills every row's fast Gaussians
-    up to its next slow one and decides that one: layer i >= 1 tests the
-    wedge with the next word's uniform against libm's exp (accepted: one extra
-    word; rejected: two, and the Gaussian restarts), layer 0 samples the tail.
-    A row out of words starts all rows again with twice as many.
-    """
-    f = _ziggurat()[2]
-    lane = np.arange(count)
-    values, fast = standard_normals(words)
-    src, g, d = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
-    while src.size:
-        if np.any(count + d >= words.shape[1]):
-            return _slow_rows(keys, steps, philox_words(keys, steps, 2 * words.shape[1]), count, x, u, rows)
-        i, at, settled = src[:, None], lane + d[:, None], lane < g[:, None]
-        ahead = fast[i, at] | settled
-        nxt = np.where(ahead.all(axis=1), count, ahead.argmin(axis=1))
-        x[rows[src]] = np.where(settled | (lane >= nxt[:, None]), x[rows[src]], values[i, at])
-        done = nxt == count
-        u[rows[src[done]]] = uniforms(words[src[done], count + d[done]])
-        src, g, d = src[~done], nxt[~done], d[~done]
-        k = g + d
-        word = words[src, k]
-        layer = (word & np.uint64(0xFF)).astype(np.intp)
-        rabs = (word >> np.uint64(9)) & np.uint64((1 << 52) - 1)
-        value = values[src, k]
-        lhs = ((f[layer - 1] - f[layer]) * uniforms(words[src, k + 1]) + f[layer]).tolist()
-        accept = np.array([n > 0 and y < math.exp(-0.5 * v * v) for n, y, v in zip(layer, lhs, value.tolist())], bool)
-        x[rows[src[accept]], g[accept]] = value[accept]
-        d += 2 - accept
-        g += accept
-        for t in np.flatnonzero(layer == 0):
-            tail = _tail(words[src[t]], k[t] + 1, int(rabs[t]))
-            if tail is None:  # out of words, which the next pass finds
-                d[t] = words.shape[1]
-            else:
-                x[rows[src[t]], g[t]], d[t], g[t] = tail[0], d[t] + tail[1] - 2, g[t] + 1
+    """Writes x[rows, g:] and u[rows]: numpy's draws resumed on word g at each row's first slow Gaussian g."""
+    tables = [t.tolist() for t in _ziggurat()]
+    firsts = standard_normals(words[:, :count])[1].argmin(axis=1)  # each Gaussian before g took one word
+    values = []
+    for r, (g, w) in enumerate(zip(firsts.tolist(), words.tolist())):
+        while True:
+            try:
+                values += _draws(w, g, count - g, *tables)
+                break
+            except IndexError:  # out of words: fetch twice as many and resume from g
+                w = philox_words(keys[r : r + 1], steps[r : r + 1], 2 * len(w))[0].tolist()
+    slow = np.column_stack([x[rows], u[rows]])
+    slow[np.arange(count + 1) >= firsts[:, None]] = values
+    x[rows], u[rows] = slow[:, :count], slow[:, count]
 
 
-def _tail(words: np.ndarray, pos: int, rabs: int) -> tuple[float, int] | None:
-    """numpy's tail beyond r from pairs of uniforms at words pos, pos + 1, ...: (value, words taken).
-
-    libm's log1p, which numpy's C code calls; None if the words run out.
-    """
-    for first in range(pos, len(words) - 1, 2):
-        u1, u2 = uniforms(words[first : first + 2]).tolist()
-        xx = -_NOR_INV_R * math.log1p(-u1)
-        yy = -math.log1p(-u2)
-        if yy + yy > xx * xx:
-            return (-(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx), first + 2 - pos
-    return None
+def _draws(w: list[int], pos: int, count: int, wi, ki, fi) -> list[float]:
+    """numpy's standard_normal() `count` times from word pos, with libm's exp and log1p, then random()."""
+    values = []
+    for _ in range(count):
+        while True:
+            word, pos = w[pos], pos + 1
+            i, rabs = word & 0xFF, word >> 9 & (1 << 52) - 1
+            x = -(rabs * wi[i]) if word & 0x100 else rabs * wi[i]
+            if rabs < ki[i]:
+                break
+            if i == 0:  # the tail beyond r, from pairs of uniforms
+                while True:
+                    xx = -_NOR_INV_R * math.log1p(-((w[pos] >> 11) * _UNIT))
+                    yy = -math.log1p(-((w[pos + 1] >> 11) * _UNIT))
+                    pos += 2
+                    if yy + yy > xx * xx:
+                        break
+                x = -(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx
+                break
+            pos += 1  # the wedge test, with the next word's uniform: a rejection draws again
+            if (fi[i - 1] - fi[i]) * ((w[pos - 1] >> 11) * _UNIT) + fi[i] < math.exp(-0.5 * x * x):
+                break
+        values.append(x)
+    return values + [(w[pos] >> 11) * _UNIT]

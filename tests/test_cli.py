@@ -233,6 +233,13 @@ class TestCliErrors:
         path.write_text("{oops")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # nested past the JSON parser's depth limit, which raises RecursionError, not JSONDecodeError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config {path} is not valid JSON: ")
+
     def test_missing_config_exits_4(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == cli.EXIT_IO
 

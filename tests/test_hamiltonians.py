@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arcsim import hamiltonians
 from arcsim.hamiltonians import (
     Decomposition,
     HilbertStructure,
@@ -267,6 +272,19 @@ class TestBasisState:
         st = HilbertStructure(fock_dim=4)
         with pytest.raises(ValueError, match="too large"):
             basis_state("9" * 400 + "|0⟩", st)
+
+    def test_long_whitespace_run_is_rejected_in_linear_time(self):
+        # a run of spaces between a sign and stray text once backtracked quadratically
+        # (about 4 s at 40,000 spaces); a fresh process, so the timeout can stop it
+        code = (
+            "from arcsim.hamiltonians import HilbertStructure, basis_state\n"
+            "try:\n    basis_state('|0⟩+' + ' ' * 200_000 + 'x|1⟩', HilbertStructure(fock_dim=2))\n"
+            "except ValueError as exc:\n    print(\"(stray '+  \" in str(exc) and str(exc).endswith(\"x|1⟩')\"))\n"
+        )
+        src = Path(hamiltonians.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout == "True\n", proc.stderr
 
     def test_malformed_spec(self):
         st = HilbertStructure(qubit_sites=2)

@@ -8,7 +8,6 @@ from arcsim import rng
 from arcsim.rng import (
     TrajectoryStream,
     _slow_rows,
-    _tail,
     _ziggurat,
     philox_words,
     standard_normals,
@@ -156,7 +155,8 @@ class TestArrayDraws:
 
     def test_acceptance_bound_is_exact(self):
         # numpy accepts rabs = ki[i] - 1 in every layer on its first word and
-        # takes rabs = ki[i] on to more words; layer 1 (ki = 0) is never accepted
+        # takes rabs = ki[i] on to its wedge or tail test, at least one word
+        # more, for both signs; layer 1 (ki = 0) is never accepted
         wi, ki, _ = _ziggurat()
         assert ki[1] == 0
         for layer in range(256):
@@ -167,6 +167,7 @@ class TestArrayDraws:
                     value = gen.standard_normal()
                     first = bits.state["buffer_pos"] == 1
                     assert first == (rabs < ki[layer]), (layer, rabs)
+                    assert first or bits.state["buffer_pos"] >= 2, (layer, rabs)
                     x, fast = standard_normals(np.array([word], dtype=np.uint64))
                     assert fast[0] == first, (layer, rabs)
                     assert not first or x[0] == value == (-1) ** sign * rabs * wi[layer], (layer, rabs)
@@ -271,15 +272,6 @@ class TestZigguratSlowPath:
             _, gen = crafted([layer | 1 << 9, 0])
             assert gen.standard_normal() == wi[layer], layer
 
-    def test_band_above_ki_leaves_the_fast_path(self):
-        # numpy takes a rabs of ki to its wedge or tail test in every layer
-        ki = _ziggurat()[1]
-        for layer in range(256):
-            for sign in (0, 1):
-                bits, gen = crafted([layer | sign << 8 | int(ki[layer]) << 9, 0, 7 << 11])
-                gen.standard_normal()
-                assert bits.state["buffer_pos"] >= 2, layer
-
     def test_wedge_densities_match_numpy(self):
         # in each layer i >= 1, at the rabs halfway from ki[i] to 2**52, numpy's
         # wedge test (fi[i-1] - fi[i]) * U + fi[i] < exp(-x**2 / 2) accepts up
@@ -313,21 +305,24 @@ class TestZigguratSlowPath:
 
     def test_tail_matches_numpy(self):
         # the tail multiplies log1p(-u) by numpy's 1/r, which rounds differently from dividing by r
+        # (a row out of words is fetched again: test_stream_draws_hit_every_slow_path)
         g = np.random.default_rng(47)
         ki = _ziggurat()[1]
-        differ = 0
+        words, want, differ = [], [], 0
         for trial in range(200):
             rabs = int(g.integers(int(ki[0]), 2**52))
             u1 = int(g.integers(0, 2**64, dtype=np.uint64))
             u2 = ((1 << 53) - 1 - trial) << 11  # close to 1: the first try accepts
-            words = np.array([rabs << 9, u1, u2], dtype=np.uint64)
-            _, gen = crafted(words)
-            value, taken = _tail(words, 1, rabs)
-            assert value == gen.standard_normal() and taken == 2
-            u = uniforms(words[1])
+            words.append([rabs << 9, u1, u2, 0])
+            want.append(crafted(words[-1])[1].standard_normal())
+            u = uniforms(np.uint64(u1))
             differ += -math.log1p(-u) / 3.6541528853610088 != -0.27366123732975828 * math.log1p(-u)
+        words = np.array(words, dtype=np.uint64)
+        x, u = np.empty((len(words), 1)), np.empty(len(words))
+        _slow_rows(None, None, words, 1, x, u, np.arange(len(words)))
+        assert np.array_equal(x[:, 0], want)
+        assert np.array_equal(u, uniforms(words[:, 3]))  # the word after the tail's two
         assert differ > 0
-        assert _tail(np.array([0, 1 << 63], dtype=np.uint64), 1, 0) is None  # out of words
 
     def test_stream_draws_hit_every_slow_path(self, monkeypatch):
         # rows 18625 and 26082 of these paths need more than the 20 words first fetched
