@@ -155,8 +155,7 @@ class TestArrayDraws:
 
     def test_acceptance_bound_is_exact(self):
         # numpy accepts rabs = ki[i] - 1 in every layer on its first word and
-        # takes rabs = ki[i] on to its wedge or tail test, at least one word
-        # more, for both signs; layer 1 (ki = 0) is never accepted
+        # takes rabs = ki[i] on to more words; layer 1 (ki = 0) is never accepted
         wi, ki, _ = _ziggurat()
         assert ki[1] == 0
         for layer in range(256):
@@ -167,7 +166,6 @@ class TestArrayDraws:
                     value = gen.standard_normal()
                     first = bits.state["buffer_pos"] == 1
                     assert first == (rabs < ki[layer]), (layer, rabs)
-                    assert first or bits.state["buffer_pos"] >= 2, (layer, rabs)
                     x, fast = standard_normals(np.array([word], dtype=np.uint64))
                     assert fast[0] == first, (layer, rabs)
                     assert not first or x[0] == value == (-1) ** sign * rabs * wi[layer], (layer, rabs)
@@ -271,6 +269,15 @@ class TestZigguratSlowPath:
         for layer in range(256):
             _, gen = crafted([layer | 1 << 9, 0])
             assert gen.standard_normal() == wi[layer], layer
+
+    def test_band_above_ki_leaves_the_fast_path(self):
+        # numpy takes a rabs of ki to its wedge or tail test in every layer
+        ki = _ziggurat()[1]
+        for layer in range(256):
+            for sign in (0, 1):
+                bits, gen = crafted([layer | sign << 8 | int(ki[layer]) << 9, 0, 7 << 11])
+                gen.standard_normal()
+                assert bits.state["buffer_pos"] >= 2, layer
 
     def test_wedge_densities_match_numpy(self):
         # in each layer i >= 1, at the rabs halfway from ki[i] to 2**52, numpy's
